@@ -46,6 +46,7 @@ from .errors import (
     StabilityViolation,
     SylvesterInconsistent,
     UnstableMode,
+    UnsupportedSplit,
 )
 from .models import (
     CellProblem,
@@ -177,6 +178,7 @@ __all__ = [
     "DefectiveNormalisation",
     "NonPositiveDiffusivity",
     "GridTooCoarse",
+    "UnsupportedSplit",
     "SylvesterInconsistent",
     "StabilityViolation",
     "InsufficientDecay",

@@ -13,17 +13,22 @@ Built-in model names: ``walker-modal``, ``walker-physical``,
 ``homogenise-checkerboard``; anything else is read as a JSON file
 holding either an operator family or a diffusivity cell problem.
 
+Every subcommand runs one pipeline (``_run``): check the options, load
+the model, split ``L_0`` once, then run the subcommand's own body.
+
 Exit codes: 0 all checks pass; 2 the model violates a structural
-assumption (or the config is invalid); 3 a numerical check failed.
-``report.json`` is written (and stays valid JSON) in every case; wall
-clock and environment go to ``run_meta.json`` so that ``report.json``
-is byte-identical across reruns of the same config.
+assumption or the config is invalid; 3 a numerical check failed.
+``report.json`` is written in every case, ``error.check`` naming the
+failed check (``"config"`` for options and model files); wall clock and
+environment go to ``run_meta.json`` so that ``report.json`` is
+byte-identical across reruns of the same config.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -137,8 +142,6 @@ def _config_from_args(args) -> RunConfig:
         amplitude=getattr(args, "amplitude", 0.5),
         method=args.method,
     )
-    if cfg.N < 1:
-        raise SystemExit("slowvary: --order must be at least 1")
     if cfg.out is not None:
         cfg.out.mkdir(parents=True, exist_ok=True)
     return cfg
@@ -148,16 +151,19 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _load_model(cfg: RunConfig):
-    """Returns (family, split_hint, cell) for the configured model source."""
+    """Returns (family, cell) for the configured model source or demo name."""
     from . import models
     from .crosssection import OperatorFamily
+    from .errors import ConfigError
 
-    name = cfg.model
+    name, exact = cfg.model, cfg.exact
+    if cfg.command == "demo":  # the walker demo is exact, the cell demos float
+        name, exact = ("walker-modal", True) if name == "walker" else (name, False)
     cell = None
     if name == "walker-modal":
-        family = models.random_walker_modal(exact=cfg.exact)
+        family = models.random_walker_modal(exact=exact)
     elif name == "walker-physical":
-        family = models.random_walker_physical(exact=cfg.exact)
+        family = models.random_walker_physical(exact=exact)
     elif name.startswith("homogenise-"):
         expr = {
             "homogenise-constant": "constant",
@@ -168,33 +174,36 @@ def _load_model(cfg: RunConfig):
         cell = models.CellProblem.from_expression(
             expr, n=n, amplitude=cfg.amplitude
         )
-        family = models.homogenisation_cell(cell)
     else:
         path = Path(name)
         if not path.exists():
-            raise SystemExit(
+            raise ConfigError(
                 f"slowvary: model {name!r} is neither a built-in "
                 f"({', '.join(BUILTIN_MODELS)}) nor an existing file"
             )
-        with open(path) as fh:
-            data = json.load(fh)
-        if "operators" in data:
-            family = OperatorFamily.from_json(data, exact=cfg.exact)
-        elif "K" in data or "K_expr" in data:
-            cell = models.CellProblem.from_json(data)
-            family = models.homogenisation_cell(cell)
-        else:
-            raise SystemExit(
-                f"slowvary: {name} holds neither an operator family "
-                "(key 'operators') nor a cell problem (key 'K'/'K_expr')"
-            )
-    if cfg.exact:
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+            if "operators" in data:
+                family = OperatorFamily.from_json(data, exact=exact)
+            elif "K" in data or "K_expr" in data:
+                cell = models.CellProblem.from_json(data)
+            else:
+                raise ConfigError(
+                    f"slowvary: {name} holds neither an operator family "
+                    "(key 'operators') nor a cell problem (key 'K'/'K_expr')"
+                )
+        except ValueError as exc:
+            raise ConfigError(f"slowvary: model file {name}: {exc}") from None
+    if cell is not None:
+        family = models.homogenisation_cell(cell)
+    if exact:
         if name not in BUILTIN_MODELS and not family.is_exact:
-            raise SystemExit("slowvary: --exact requires a built-in model "
-                             "or a rational-valued model file")
+            raise ConfigError("slowvary: --exact requires a built-in model "
+                              "or a rational-valued model file")
         if family.dimU > 8:
-            raise SystemExit("slowvary: --exact supports dimU <= 8, "
-                             f"got dimU = {family.dimU}")
+            raise ConfigError("slowvary: --exact supports dimU <= 8, "
+                              f"got dimU = {family.dimU}")
     return family, cell
 
 
@@ -242,14 +251,6 @@ def _write_report(out: Path | None, report: dict, meta: dict) -> None:
     )
 
 
-def _fail(out, report, meta, code, check, message):
-    report["pass"] = False
-    report["error"] = {"check": check, "message": message}
-    _write_report(out, report, meta)
-    print(f"slowvary: FAIL [{check}] {message}", file=sys.stderr)
-    return code
-
-
 def _meta(cfg: RunConfig) -> dict:
     return {
         "argv": sys.argv[1:],
@@ -281,42 +282,34 @@ def _coeff_table(model) -> dict:
 
 
 # -- subcommands --------------------------------------------------------------
+# A body gets the family, its cell problem (or None) and the split, fills
+# ``report`` and returns the exit code; ``_run`` maps what it raises.
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
+def _split_fields(family, split) -> dict:
+    return {
+        "dimU": family.dimU,
+        "M": family.M,
+        "m": split.m,
+        "alpha": _sig(split.alpha),
+        "beta": _sig(split.beta) if math.isfinite(split.beta) else None,
+        "spectrum_complete": split.spectrum_complete,
+    }
+
+
+def _reduce(cfg: RunConfig, family, cell, split, report: dict) -> int:
     import numpy as np
 
     from . import slowreduce, taylorsystem
     from .crosssection import validate_family
-    from .errors import FamilyValidationError, NumericalCheckError
 
-    meta = _meta(cfg)
-    report: dict = {"command": "reduce", "model": cfg.model, "N": cfg.N,
-                    "exact": cfg.exact, "method": cfg.method}
-    try:
-        family, cell = _load_model(cfg)
-    except SystemExit as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID, "config", str(exc))
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
+    vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
+    model, basis = slowreduce.construct_reduction(
+        family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
+    )
 
-    try:
-        split = _split_family(cfg, family, cell)
-        vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
-        model, basis = slowreduce.construct_reduction(
-            family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
-        )
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
-    except NumericalCheckError as exc:
-        return _fail(cfg.out, report, meta, EXIT_NUMERICAL,
-                     type(exc).__name__, str(exc))
-
-    famf = family.to_float() if family.is_exact else family
-    scale = max(1.0, max(float(np.abs(np.asarray(op, dtype=float)).max())
-                         for op in famf.ops.values()))
+    famf = family.to_float()
+    scale = max(1.0, max(float(np.abs(op).max()) for op in famf.ops.values()))
     threshold = cfg.tol * scale
 
     inv = slowreduce.check_invariance(family, model, basis)
@@ -326,12 +319,9 @@ def cmd_reduce(cfg: RunConfig) -> int:
     nblock = len(basis.poly) * family.dimU
     if nblock <= _BLOCK_CHECK_LIMIT:
         block = taylorsystem.build_block_operator(famf, cfg.N)
-        blockA = taylorsystem.build_block_A(
-            model.to_float() if model.is_exact else model
-        )
-        fbasis = basis.to_float() if basis.is_exact else basis
+        blockA = taylorsystem.build_block_A(model.to_float())
         spec_dist = taylorsystem.block_spectrum_check(block, famf)
-        sub_res = taylorsystem.verify_slow_subspace(block, blockA, fbasis)
+        sub_res = taylorsystem.verify_slow_subspace(block, blockA, basis.to_float())
         checks["block_spectrum_distance"] = _sig(spec_dist)
         checks["block_spectrum_pass"] = bool(spec_dist <= threshold * 100)
         checks["slow_subspace_residual"] = _sig(sub_res)
@@ -340,15 +330,10 @@ def cmd_reduce(cfg: RunConfig) -> int:
         checks["block_spectrum_distance"] = "skipped"
         checks["slow_subspace_residual"] = "skipped"
 
+    report.update(_split_fields(family, split))
     report.update({
-        "dimU": family.dimU,
-        "M": family.M,
-        "m": split.m,
-        "alpha": _sig(split.alpha),
-        "beta": _sig(split.beta) if np.isfinite(split.beta) else None,
         "gap_margin": _sig(split.beta - cfg.N * split.alpha)
         if np.isfinite(split.beta) else None,
-        "spectrum_complete": split.spectrum_complete,
         "validation": {
             "binorm_residual": _sig(vrep.binorm_residual),
             "centre_invariance_residual": _sig(vrep.invariance_residual),
@@ -364,7 +349,6 @@ def cmd_reduce(cfg: RunConfig) -> int:
     if cfg.out is not None:
         model.save(cfg.out / "model.json")
         basis.save(cfg.out / "basis.json")
-    _write_report(cfg.out, report, meta)
 
     if split.m == 1:
         print(model.equation_text())
@@ -378,90 +362,44 @@ def cmd_reduce(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    import numpy as np
-
+def _validate(cfg: RunConfig, family, cell, split, report: dict) -> int:
     from .crosssection import validate_family
-    from .errors import FamilyValidationError, NumericalCheckError
 
-    meta = _meta(cfg)
-    report: dict = {"command": "validate", "model": cfg.model, "N": cfg.N}
-    try:
-        family, cell = _load_model(cfg)
-    except SystemExit as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID, "config", str(exc))
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
-    try:
-        split = _split_family(cfg, family, cell)
-        vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
-    except NumericalCheckError as exc:
-        return _fail(cfg.out, report, meta, EXIT_NUMERICAL,
-                     type(exc).__name__, str(exc))
+    vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
+    report.update(_split_fields(family, split))
     report.update({
-        "dimU": family.dimU,
-        "M": family.M,
-        "m": split.m,
-        "alpha": _sig(split.alpha),
-        "beta": _sig(split.beta) if np.isfinite(split.beta) else None,
         "centre_eigenvalues": _sig(split.centre_eigenvalues()),
-        "spectrum_complete": split.spectrum_complete,
         "binorm_residual": _sig(vrep.binorm_residual),
         "centre_invariance_residual": _sig(vrep.invariance_residual),
         "pass": True,
     })
-    _write_report(cfg.out, report, meta)
     print(f"model ok: m={split.m} centre mode(s), "
           f"gap beta={report['beta']}, alpha={report['alpha']}")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def _simulate(cfg: RunConfig, family, cell, split, report: dict) -> int:
     import numpy as np
 
     from . import simulate, slowreduce
-    from .errors import FamilyValidationError, NumericalCheckError
 
-    meta = _meta(cfg)
-    report: dict = {"command": "simulate", "model": cfg.model, "N": cfg.N}
-    try:
-        family, cell = _load_model(cfg)
-    except SystemExit as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID, "config", str(exc))
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
-    try:
-        split = _split_family(cfg, family, cell)
-        model, basis = slowreduce.construct_reduction(
-            family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
-        )
-        famf = family.to_float() if family.is_exact else family
-        modelf = model.to_float() if model.is_exact else model
+    model, _ = slowreduce.construct_reduction(
+        family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
+    )
+    famf = family.to_float()
+    modelf = model.to_float()
 
-        L = float(cfg.wavelengths[0])
-        lengths = (L,) * famf.M
-        grid = tuple(cfg.grid) + (1,) * (famf.M - len(cfg.grid))
-        V0 = split.V0 if not split.is_exact else np.asarray(
-            split.V0, dtype=float)
-        profile = simulate.plane_wave(lengths, grid, split.m)
-        values0 = np.einsum("...m,dm->...d", profile, np.asarray(V0, float))
-        field0 = simulate.MicroField(lengths, values0)
+    L = float(cfg.wavelengths[0])
+    lengths = (L,) * famf.M
+    grid = tuple(cfg.grid) + (1,) * (famf.M - len(cfg.grid))
+    profile = simulate.plane_wave(lengths, grid, split.m)
+    values0 = np.einsum("...m,dm->...d", profile, np.asarray(split.V0, float))
+    field0 = simulate.MicroField(lengths, values0)
 
-        res = simulate.emergence_error(
-            famf, modelf, split, field0, T=cfg.T, dt=cfg.dt, samples=200
-        )
-        closure = simulate.closure_residual(res.micro, modelf, split)
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
-    except NumericalCheckError as exc:
-        return _fail(cfg.out, report, meta, EXIT_NUMERICAL,
-                     type(exc).__name__, str(exc))
+    res = simulate.emergence_error(
+        famf, modelf, split, field0, T=cfg.T, dt=cfg.dt, samples=200
+    )
+    closure = simulate.closure_residual(res.micro, modelf, split)
 
     report.update({
         "box": list(lengths),
@@ -477,44 +415,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
             fh.write("t,relative_error\n")
             for t, e in zip(res.times, res.error):
                 fh.write(f"{float(t)!r},{float(e)!r}\n")
-    _write_report(cfg.out, report, meta)
     print(f"emergence plateau {report['plateau']:.3e}, "
           f"closure ratio {report['closure_ratio']:.3e} "
           f"(t_skip {report['t_skip']:.3g})")
     return EXIT_OK
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def _converge(cfg: RunConfig, family, cell, split, report: dict) -> int:
     from . import simulate, slowreduce
-    from .errors import FamilyValidationError, NumericalCheckError
 
-    meta = _meta(cfg)
-    report: dict = {"command": "converge", "model": cfg.model, "N": cfg.N,
-                    "wavelengths": list(cfg.wavelengths)}
-    try:
-        family, cell = _load_model(cfg)
-    except SystemExit as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID, "config", str(exc))
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
-    try:
-        split = _split_family(cfg, family, cell)
-        model, _ = slowreduce.construct_reduction(
-            family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
-        )
-        famf = family.to_float() if family.is_exact else family
-        modelf = model.to_float() if model.is_exact else model
-        study = simulate.closure_order_study(
-            famf, modelf, split, cfg.wavelengths,
-            grid_points=cfg.grid[0],
-        )
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
-    except NumericalCheckError as exc:
-        return _fail(cfg.out, report, meta, EXIT_NUMERICAL,
-                     type(exc).__name__, str(exc))
+    model, _ = slowreduce.construct_reduction(
+        family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
+    )
+    study = simulate.closure_order_study(
+        family.to_float(), model.to_float(), split, cfg.wavelengths,
+        grid_points=cfg.grid[0],
+    )
 
     if cfg.out is not None:
         with open(cfg.out / "orders.csv", "w") as fh:
@@ -530,13 +446,11 @@ def cmd_converge(cfg: RunConfig) -> int:
     })
     if study.degenerate:
         report["pass"] = True
-        _write_report(cfg.out, report, meta)
         print("degenerate study: plateau at rounding floor, slope undefined")
         return EXIT_OK
     lo, hi = cfg.N + 0.5, cfg.N + 1.5
     ok = lo <= study.order <= hi
     report["pass"] = bool(ok)
-    _write_report(cfg.out, report, meta)
     print(f"fitted closure order {study.order:.3f} "
           f"(expected {cfg.N + 1}, acceptable [{lo}, {hi}])")
     if not ok:
@@ -546,30 +460,12 @@ def cmd_converge(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_demo(cfg: RunConfig) -> int:
-    from .errors import FamilyValidationError, NumericalCheckError
-
-    meta = _meta(cfg)
-    report: dict = {"command": "demo", "model": cfg.model}
-    try:
-        return _run_demo(cfg, report, meta)
-    except FamilyValidationError as exc:
-        return _fail(cfg.out, report, meta, EXIT_INVALID,
-                     type(exc).__name__, str(exc))
-    except NumericalCheckError as exc:
-        return _fail(cfg.out, report, meta, EXIT_NUMERICAL,
-                     type(exc).__name__, str(exc))
-
-
-def _run_demo(cfg: RunConfig, report: dict, meta: dict) -> int:
+def _demo(cfg: RunConfig, family, cell, split, report: dict) -> int:
     import numpy as np
 
     from . import models, slowreduce
-    from .crosssection import spectral_split
 
-    if cfg.model == "walker":
-        family = models.random_walker_modal(exact=True)
-        split = spectral_split(family, N=cfg.N)
+    if cell is None:
         model, basis = slowreduce.construct_reduction(
             family, cfg.N, split=split
         )
@@ -581,53 +477,66 @@ def _run_demo(cfg: RunConfig, report: dict, meta: dict) -> int:
         print(f"  invariance residual: {inv!r}")
         report.update({"coefficients": _coeff_table(model),
                        "invariance_residual": _sig(inv), "pass": True})
-    else:
-        expr = {"homogenise-constant": "constant",
-                "homogenise-layered": "layered_cos"}[cfg.model]
-        n = cfg.grid[0]
-        cell = models.CellProblem.from_expression(
-            expr, n=n, amplitude=cfg.amplitude
-        )
-        family = models.homogenisation_cell(cell)
-        split = models.cell_spectral_split(family, N=2, alpha=cfg.alpha)
-        model, _ = slowreduce.construct_reduction(family, 2, split=split)
-        a20 = float(model.coefficient((2, 0))[0, 0])
-        a02 = float(model.coefficient((0, 2))[0, 0])
-        ratio = models.cell_gap_ratio(cell, split)
-        print(f"diffusion cell problem: {expr}, grid {n}x{n}")
-        print(model.equation_text())
-        if expr == "layered_cos":
-            a = cfg.amplitude
-            print(f"  effective coefficients: harmonic mean "
-                  f"{np.sqrt(1 - a * a):.6f} along the layering, "
-                  f"arithmetic mean 1.0 across it")
-        print(f"  A_(2,0) = {a20:.6f}, A_(0,2) = {a02:.6f}, "
-              f"gap ratio {ratio:.3f}")
-        report.update({"A20": _sig(a20), "A02": _sig(a02),
-                       "gap_ratio": _sig(ratio), "pass": True})
-    _write_report(cfg.out, report, meta)
+        return EXIT_OK
+    model, _ = slowreduce.construct_reduction(family, 2, split=split)
+    a20 = float(model.coefficient((2, 0))[0, 0])
+    a02 = float(model.coefficient((0, 2))[0, 0])
+    ratio = models.cell_gap_ratio(cell, split)
+    print(f"diffusion cell problem: {cell.expr}, grid {cell.n}x{cell.n}")
+    print(model.equation_text())
+    if cell.expr == "layered_cos":
+        a = cfg.amplitude
+        print(f"  effective coefficients: harmonic mean "
+              f"{np.sqrt(1 - a * a):.6f} along the layering, "
+              f"arithmetic mean 1.0 across it")
+    print(f"  A_(2,0) = {a20:.6f}, A_(0,2) = {a02:.6f}, "
+          f"gap ratio {ratio:.3f}")
+    report.update({"A20": _sig(a20), "A02": _sig(a02),
+                   "gap_ratio": _sig(ratio), "pass": True})
     return EXIT_OK
 
 
+# subcommand -> (body, RunConfig fields copied into the report header)
 _COMMANDS = {
-    "reduce": cmd_reduce,
-    "validate": cmd_validate,
-    "simulate": cmd_simulate,
-    "converge": cmd_converge,
-    "demo": cmd_demo,
+    "reduce": (_reduce, ("N", "exact", "method")),
+    "validate": (_validate, ("N",)),
+    "simulate": (_simulate, ("N",)),
+    "converge": (_converge, ("N", "wavelengths")),
+    "demo": (_demo, ()),
 }
 
 
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(cfg: RunConfig) -> int:
+    """Check, load and split once, run the subcommand, write the report."""
+    from .errors import ConfigError, FamilyValidationError, NumericalCheckError
+
+    body, header = _COMMANDS[cfg.command]
+    report: dict = {"command": cfg.command, "model": cfg.model}
+    report.update({key: getattr(cfg, key) for key in header})
     try:
-        cfg = _config_from_args(args)
-    except SystemExit as exc:
-        if exc.code and not isinstance(exc.code, int):
-            print(exc.code, file=sys.stderr)
-            return EXIT_INVALID
-        raise
-    return _COMMANDS[cfg.command](cfg)
+        if cfg.N < 1:
+            raise ConfigError("slowvary: --order must be at least 1")
+        if cfg.alpha is not None and cfg.alpha < 0:
+            raise ConfigError("slowvary: --alpha must be >= 0")
+        if min(cfg.grid) < 1:
+            raise ConfigError("slowvary: --grid entries must be at least 1")
+        if cfg.command == "converge" and len(set(cfg.wavelengths)) < 2:
+            raise ConfigError("slowvary: converge needs two distinct --wavelengths")
+        family, cell = _load_model(cfg)
+        split = _split_family(cfg, family, cell)
+        code = body(cfg, family, cell, split, report)
+    except (ConfigError, FamilyValidationError, NumericalCheckError) as exc:
+        check = "config" if isinstance(exc, ConfigError) else type(exc).__name__
+        code = EXIT_NUMERICAL if isinstance(exc, NumericalCheckError) else EXIT_INVALID
+        report["pass"] = False
+        report["error"] = {"check": check, "message": str(exc)}
+        print(f"slowvary: FAIL [{check}] {exc}", file=sys.stderr)
+    _write_report(cfg.out, report, _meta(cfg))
+    return code
+
+
+def main(argv=None) -> int:
+    return _run(_config_from_args(_build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ from .errors import (
     MissingBaseOperator,
     NoCentreMode,
     UnstableMode,
+    UnsupportedSplit,
 )
 from .multiindex import format_index, order, parse_index
 
@@ -289,8 +290,7 @@ def _canonical_signs(V: np.ndarray) -> np.ndarray:
 def _binormalise(W: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Scale the left basis W so that the result Z satisfies Z.T V = I."""
     C = W.T @ V
-    smin = np.linalg.svd(C, compute_uv=False).min()
-    smax = np.linalg.svd(C, compute_uv=False).max()
+    smax, smin = np.linalg.svd(C, compute_uv=False)[[0, -1]]
     if smax == 0 or smin / smax < 1e-12:
         raise DefectiveNormalisation(
             "left/right centre bases pair singularly; "
@@ -337,7 +337,7 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
     radius = float(np.abs(evals).max()) if evals.size else 0.0
     lam_centre = evals[centre]
     if np.abs(lam_centre.imag).max(initial=0.0) > max(1e-9 * max(radius, 1.0), alpha):
-        raise ValueError(
+        raise UnsupportedSplit(
             "exact mode supports only real rational centre eigenvalues; "
             "use the float path for oscillatory centre clusters"
         )
@@ -353,7 +353,7 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
         B = L0x - lam * rat.exact_eye(n)
         kern = rat.nullspace_exact(B)
         if kern.shape[1] == 0:
-            raise ValueError(
+            raise UnsupportedSplit(
                 f"exact mode could not confirm {lam} as an eigenvalue of L0"
             )
         blocks_V.append(kern)
@@ -361,7 +361,7 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
     V0 = np.concatenate(blocks_V, axis=1)
     Z0raw = np.concatenate(blocks_Z, axis=1)
     if V0.shape[1] != m:
-        raise ValueError(
+        raise UnsupportedSplit(
             "exact mode supports only semisimple centre clusters; "
             f"geometric multiplicity {V0.shape[1]} != algebraic {m}"
         )
@@ -380,7 +380,7 @@ def _sparse_symmetric_split(L0: np.ndarray, N: int, alpha: float | None) -> Spec
     n = L0.shape[0]
     skew = np.abs(L0 - L0.T).max()
     if skew > 1e-10 * (1.0 + np.abs(L0).max()):
-        raise ValueError(
+        raise UnsupportedSplit(
             f"base operator of size {n} exceeds the dense eigenanalysis limit "
             f"({_DENSE_EIG_LIMIT}) and is not symmetric; cannot split its spectrum"
         )
@@ -410,7 +410,7 @@ def _sparse_symmetric_split(L0: np.ndarray, N: int, alpha: float | None) -> Spec
             f"no eigenvalue within |Re| <= {alpha:.6g} among the {k} slowest modes"
         )
     if m == k:
-        raise ValueError(
+        raise UnsupportedSplit(
             f"all {k} computed slow eigenvalues sit inside the centre band; "
             "the sparse symmetric path cannot bound the gap"
         )
@@ -506,10 +506,10 @@ def validate_family(
     """
     if split is None:
         split = spectral_split(family, N, alpha)
-    Vf = rat.as_float(split.V0) if split.is_exact else split.V0
-    Zf = rat.as_float(split.Z0) if split.is_exact else split.Z0
-    Af = rat.as_float(split.A0) if split.is_exact else split.A0
-    L0f = rat.as_float(family.L0) if family.is_exact else family.L0
+    Vf = rat.as_float(split.V0)
+    Zf = rat.as_float(split.Z0)
+    Af = rat.as_float(split.A0)
+    L0f = rat.as_float(family.L0)
     binorm = float(np.abs(Zf.T @ Vf - np.eye(split.m)).max())
     invres = float(np.abs(L0f @ Vf - Vf @ Af).max())
     gap = split.beta - N * split.alpha

@@ -21,6 +21,10 @@ class NumericalCheckError(SlowVaryError):
     """A numerical consistency check failed beyond its tolerance."""
 
 
+class ConfigError(SlowVaryError):
+    """A command-line option or model file is invalid (exit code 2)."""
+
+
 class MissingBaseOperator(FamilyValidationError):
     """The order-zero operator is absent from the family."""
 
@@ -47,6 +51,10 @@ class NonPositiveDiffusivity(FamilyValidationError):
 
 class GridTooCoarse(FamilyValidationError):
     """The cell grid is too small or oddly sized for the flux stencil."""
+
+
+class UnsupportedSplit(FamilyValidationError, ValueError):
+    """The base operator is outside what the exact or sparse split handles."""
 
 
 class SylvesterInconsistent(NumericalCheckError):

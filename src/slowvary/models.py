@@ -137,8 +137,8 @@ def modal_transform_check(
             R = T @ P @ Tinv - Q
             worst = max(worst, float(max(abs(x) for x in R.reshape(-1))))
         else:
-            Pf = rat.as_float(P) if P.dtype == object else P
-            Qf = rat.as_float(Q) if Q.dtype == object else Q
+            Pf = rat.as_float(P)
+            Qf = rat.as_float(Q)
             worst = max(worst, float(np.abs(T @ Pf @ Tinv - Qf).max()))
     return worst
 

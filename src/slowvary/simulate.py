@@ -184,7 +184,7 @@ def _symbol_table(ops: dict, kvecs, dim: int) -> np.ndarray:
     shape = kvecs[0].shape
     S = np.zeros(shape + (dim, dim), dtype=complex)
     for k, mat in ops.items():
-        matf = rat.as_float(mat) if mat.dtype == object else mat
+        matf = rat.as_float(mat)
         factor = np.ones(shape, dtype=complex)
         for kv, e in zip(kvecs, k):
             if e:
@@ -283,7 +283,7 @@ def simulate_micro(
     wavevectors; explicit ``dt`` overrides it (the integrator subdivides
     each sampling interval into whole steps of at most ``dt``).
     """
-    fam = family.to_float() if family.is_exact else family
+    fam = family.to_float()
     if field0.dimU != fam.dimU:
         raise ValueError(f"field has {field0.dimU} components, family {fam.dimU}")
     if len(field0.lengths) != fam.M:
@@ -334,7 +334,7 @@ def simulate_macro(
 
 def project(split: SpectralSplit, values: np.ndarray) -> np.ndarray:
     """Slow amplitudes ``Z0.T u`` of full-state values (last axis dimU)."""
-    Z0 = rat.as_float(split.Z0) if split.is_exact else split.Z0
+    Z0 = rat.as_float(split.Z0)
     return values @ Z0
 
 
@@ -461,7 +461,7 @@ def decay_rate_fit(micro: Trajectory, split: SpectralSplit) -> DecayFit:
     floor.  Raises :class:`InsufficientDecay` unless the usable window
     spans at least three e-foldings.
     """
-    V0 = rat.as_float(split.V0) if split.is_exact else split.V0
+    V0 = rat.as_float(split.V0)
     fast = micro.values - project(split, micro.values) @ V0.T
     axes = tuple(range(1, fast.ndim))
     norms = np.sqrt(np.mean(fast**2, axis=axes))
@@ -513,10 +513,12 @@ def closure_order_study(
     the chosen slow component, waits out the transient, and records the
     plateau error over a fixed observation window.  A closure truncated at
     order N has symbol error ``O(kappa^{N+1})``, so halving the wavenumber
-    should shrink the plateau by about ``2^{N+1}``.
+    should shrink the plateau by about ``2^{N+1}``.  Needs two distinct wavelengths.
     """
-    fam = family.to_float() if family.is_exact else family
-    V0 = rat.as_float(split.V0) if split.is_exact else split.V0
+    if len({float(L) for L in wavelengths}) < 2:
+        raise ValueError("closure order study needs at least two distinct wavelengths")
+    fam = family.to_float()
+    V0 = rat.as_float(split.V0)
     beta = split.beta if np.isfinite(split.beta) else 1.0
     t_skip = 6 * np.log(10.0) / max(beta, 1e-12)
     plateaus = []

@@ -112,7 +112,7 @@ def _poly_diff(p: dict, ell: tuple[int, ...]) -> dict:
 def _poly_maxabs(p: dict) -> float:
     worst = 0.0
     for c in p.values():
-        cf = rat.as_float(c) if c.dtype == object else c
+        cf = rat.as_float(c)
         if cf.size:
             worst = max(worst, float(np.abs(cf).max()))
     return worst
@@ -141,6 +141,7 @@ class _BorderedSylvester:
         self.m = A0.shape[0]
         self.tol = tol
         d, m = self.d, self.m
+        self._size = np.abs(L0).max() + np.abs(A0).max()
         if self.exact:
             S = np.kron(rat.exact_eye(m), L0) - np.kron(A0.T, rat.exact_eye(d))
             C = np.kron(rat.exact_eye(m), Z0.T)
@@ -197,7 +198,7 @@ class _BorderedSylvester:
         scale = max(
             1.0,
             float(np.abs(rhs).max()) if rhs.size else 0.0,
-            float(np.abs(V).max()) * (np.abs(self.L0).max() + np.abs(self.A0).max()),
+            float(np.abs(V).max()) * self._size,
         )
         if res1 > self.tol * scale or res2 > self.tol * scale:
             raise SylvesterInconsistent(
@@ -260,7 +261,7 @@ class ReducedModel:
             factor = complex(1.0)
             for kj, nj in zip(kappa, n):
                 factor *= (1j * kj) ** nj
-            Af = rat.as_float(An) if An.dtype == object else An
+            Af = rat.as_float(An)
             out += factor * Af
         return out
 

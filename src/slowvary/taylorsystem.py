@@ -116,8 +116,8 @@ def block_spectrum_check(block: BlockOperator, family: OperatorFamily) -> float:
     greedily nearest-first; the returned value is the worst matched
     distance (small means the multiset structure holds).
     """
-    mat = rat.as_float(block.matrix) if block.is_exact else block.matrix
-    L0 = rat.as_float(family.L0) if family.is_exact else family.L0
+    mat = rat.as_float(block.matrix)
+    L0 = rat.as_float(family.L0)
     got = np.sort_complex(sla.eigvals(mat))
     expect = np.sort_complex(np.tile(sla.eigvals(L0), len(block.table)))
     if got.size != expect.size:
@@ -164,15 +164,13 @@ def verify_slow_subspace(
     the grouped closure.
     """
     S = slow_subspace_matrix(basis)
-    resid = block.matrix @ S - S @ block_A.matrix
-    if resid.dtype == object:
-        resid = rat.as_float(resid)
+    resid = rat.as_float(block.matrix @ S - S @ block_A.matrix)
     return float(np.abs(resid).max()) if resid.size else 0.0
 
 
 def block_to_csv(block: BlockOperator, path) -> None:
     """Row-major CSV dump with block labels on both axes."""
-    mat = rat.as_float(block.matrix) if block.is_exact else block.matrix
+    mat = rat.as_float(block.matrix)
     labels = block.labels
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

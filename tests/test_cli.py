@@ -94,6 +94,14 @@ def test_report_bytes_are_deterministic(tmp_path):
     assert r1.returncode == 0 and r2.returncode == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+    # a config failure writes the same report bytes on every rerun too
+    fa, fb = tmp_path / "fa", tmp_path / "fb"
+    r1 = run_cli("reduce", "--model", "walker-modal", "--order", "0",
+                 "--out", fa, env_extra={"SLOWVARY_THREADS": "1"})
+    r2 = run_cli("reduce", "--model", "walker-modal", "--order", "0",
+                 "--out", fb, env_extra={"SLOWVARY_THREADS": "1"})
+    assert r1.returncode == 2 and r2.returncode == 2
+    assert (fa / "report.json").read_bytes() == (fb / "report.json").read_bytes()
 
 
 def test_validate_builtin_models():
@@ -212,3 +220,47 @@ def test_cell_problem_file_as_model(tmp_path):
     assert res.returncode == 0, res.stderr
     report = json.loads((out / "report.json").read_text())
     assert report["coefficients"]["0,2"] == [[pytest.approx(1.0)]]
+
+
+_BAD_MODEL_FILES = {
+    "not-json": "{not json",
+    "wrong-shape": {"M": 2, "dimU": 2, "operators": {"0,0": [[0, 0, 0]]}},
+    "malformed-key": {"M": 2, "dimU": 2,
+                      "operators": {"0,0": [[0, 0], [0, -1]], "x": [[0, 0], [0, 0]]}},
+    "key-components": {"M": 2, "dimU": 2, "operators": {"0,0,0": [[0, 0], [0, -1]]}},
+    "cell-without-n": {"K_expr": "constant"},
+    # centre eigenvalues +-i: rational, but not real
+    "oscillatory-centre": {"M": 1, "dimU": 3, "operators": {
+        "0": [[0, 1, 0], [-1, 0, 0], [0, 0, -1]]}},
+}
+
+
+@pytest.mark.parametrize("argv, check", [
+    *[pytest.param(["reduce", "--model", name], "config", id=name)
+      for name in _BAD_MODEL_FILES if name != "oscillatory-centre"],
+    pytest.param(["reduce", "--model", "oscillatory-centre", "--exact"],
+                 "UnsupportedSplit", id="oscillatory-centre"),
+    pytest.param(["reduce", "--model", "walker-modal", "--alpha", "-1"],
+                 "config", id="negative-alpha"),
+    pytest.param(["simulate", "--model", "walker-modal", "--grid", "0"],
+                 "config", id="zero-grid"),
+    pytest.param(["reduce", "--model", "walker-modal", "--order", "0"],
+                 "config", id="zero-order"),
+    pytest.param(["converge", "--model", "walker-modal", "--wavelengths", "64"],
+                 "config", id="one-wavelength"),
+])
+def test_invalid_input_exits_two_with_report(tmp_path, capsys, argv, check):
+    from slowvary.cli import main
+
+    argv = list(argv)
+    doc = _BAD_MODEL_FILES.get(argv[2])
+    if doc is not None:
+        path = tmp_path / f"{argv[2]}.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv[2] = str(path)
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    assert report["error"]["check"] == check
+    assert f"FAIL [{check}]" in capsys.readouterr().err

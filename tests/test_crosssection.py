@@ -12,6 +12,7 @@ from slowvary.errors import (
     MissingBaseOperator,
     NoCentreMode,
     UnstableMode,
+    UnsupportedSplit,
 )
 
 from conftest import random_gap_family
@@ -152,6 +153,16 @@ def test_sparse_symmetric_split_cycle_graph():
     assert split.beta == pytest.approx(gap, rel=1e-8)
     assert np.abs(L0 @ split.V0).max() < 1e-8
     assert float((split.Z0.T @ split.V0)[0, 0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_large_nonsymmetric_split_is_unsupported():
+    # above the dense eigenanalysis limit only symmetric operators split
+    L0 = -np.eye(601)
+    L0[0, 0] = 0.0
+    L0[1, 2] = 0.5
+    with pytest.raises(UnsupportedSplit, match="not symmetric") as info:
+        sv.spectral_split(sv.OperatorFamily({(0, 0): L0}), N=2)
+    assert isinstance(info.value, ValueError)
 
 
 def test_validate_family_report(walker):

@@ -233,6 +233,13 @@ def test_closure_order_study_slopes(walker_setup):
     assert np.all(np.diff(study.plateaus) < 0)
 
 
+def test_closure_order_study_needs_two_wavelengths(walker_setup):
+    fam, model, split = walker_setup
+    for wavelengths in ([64.0], [64.0, 64.0]):
+        with pytest.raises(ValueError, match="two distinct"):
+            sv.closure_order_study(fam, model, split, wavelengths)
+
+
 def test_closure_order_study_degenerate(walker_setup):
     fam, _, split = walker_setup
     # closure coefficients match the dispersion exactly to high order, so
