@@ -18,15 +18,17 @@ the model, split ``L_0`` once, then run the subcommand's own body.
 
 Exit codes: 0 all checks pass; 2 the model violates a structural
 assumption or the config is invalid; 3 a numerical check failed.
-``report.json`` is written in every case, ``error.check`` naming the
-failed check (``"config"`` for options and model files); wall clock and
-environment go to ``run_meta.json`` so that ``report.json`` is
-byte-identical across reruns of the same config.
+``report.json`` is written in every case (``error.check`` naming the
+failed check, ``"config"`` for options and model files) except when
+``--out`` is not a directory; wall clock and environment go to
+``run_meta.json`` so that ``report.json`` is byte-identical across
+reruns of the same config.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -143,7 +145,8 @@ def _config_from_args(args) -> RunConfig:
         method=args.method,
     )
     if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
+        with contextlib.suppress(OSError):  # _run reports an --out that is not a directory
+            cfg.out.mkdir(parents=True, exist_ok=True)
     return cfg
 
 
@@ -159,24 +162,20 @@ def _load_model(cfg: RunConfig):
     name, exact = cfg.model, cfg.exact
     if cfg.command == "demo":  # the walker demo is exact, the cell demos float
         name, exact = ("walker-modal", True) if name == "walker" else (name, False)
+    cells = {"homogenise-constant": "constant", "homogenise-layered": "layered_cos",
+             "homogenise-checkerboard": "checkerboard_smooth"}
     cell = None
     if name == "walker-modal":
         family = models.random_walker_modal(exact=exact)
     elif name == "walker-physical":
         family = models.random_walker_physical(exact=exact)
-    elif name.startswith("homogenise-"):
-        expr = {
-            "homogenise-constant": "constant",
-            "homogenise-layered": "layered_cos",
-            "homogenise-checkerboard": "checkerboard_smooth",
-        }[name]
-        n = cfg.grid[0]
+    elif name in cells:
         cell = models.CellProblem.from_expression(
-            expr, n=n, amplitude=cfg.amplitude
+            cells[name], n=cfg.grid[0], amplitude=cfg.amplitude
         )
     else:
         path = Path(name)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(
                 f"slowvary: model {name!r} is neither a built-in "
                 f"({', '.join(BUILTIN_MODELS)}) nor an existing file"
@@ -184,6 +183,8 @@ def _load_model(cfg: RunConfig):
         try:
             with open(path) as fh:
                 data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ConfigError(f"slowvary: model file {name} is not a JSON object")
             if "operators" in data:
                 family = OperatorFamily.from_json(data, exact=exact)
             elif "K" in data or "K_expr" in data:
@@ -241,7 +242,7 @@ def _sig(x, digits=12):
 
 def _write_report(out: Path | None, report: dict, meta: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if out is None:
+    if out is None or not out.is_dir():
         return
     (out / "report.json").write_text(text)
     meta = dict(meta)
@@ -514,6 +515,8 @@ def _run(cfg: RunConfig) -> int:
     report: dict = {"command": cfg.command, "model": cfg.model}
     report.update({key: getattr(cfg, key) for key in header})
     try:
+        if cfg.out is not None and not cfg.out.is_dir():
+            raise ConfigError(f"slowvary: --out {cfg.out} is not a directory")
         if cfg.N < 1:
             raise ConfigError("slowvary: --order must be at least 1")
         if cfg.alpha is not None and cfg.alpha < 0:

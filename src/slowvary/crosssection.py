@@ -186,12 +186,15 @@ class OperatorFamily:
             idx = parse_index(key)
             if len(idx) != M:
                 raise ValueError(f"operator key {key!r} does not have {M} components")
-            if exact:
-                mat = rat.frac_matrix(rows)
-            else:
-                mat = np.array(
-                    [[float(Fraction(str(x))) for x in row] for row in rows], dtype=float
-                )
+            try:
+                if exact:
+                    mat = rat.frac_matrix(rows)
+                else:
+                    mat = np.array(
+                        [[float(Fraction(str(x))) for x in row] for row in rows], dtype=float
+                    )
+            except TypeError as exc:
+                raise ValueError(f"operator {key!r} is not a matrix of numbers: {exc}") from None
             if mat.shape != (dimU, dimU):
                 raise ValueError(
                     f"operator {key!r} has shape {mat.shape}, expected {(dimU, dimU)}"

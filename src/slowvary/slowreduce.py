@@ -16,9 +16,10 @@ the graded order of ``n``:
 
 The Sylvester operator on the left is singular (its nullspace is the centre
 subspace itself); the orthogonality constraint against ``Z0`` restores a
-unique solution.  Each step is solved as one bordered linear system of size
-``dimU*m + m*m``: the vectorised Sylvester equation and the vectorised
-constraint, with ``m^2`` multipliers closing the square.
+unique solution.  Each step is solved on the Schur form ``A0 = U T U^H``:
+the columns of ``V U`` are swept in order, each one a bordered system of
+size ``dimU + m`` (``L0 - T_jj I`` bordered by ``Z0``) that is factorised
+once per split and reused for every index.
 
 Two equivalent constructions are exposed.  ``method="vectors"`` runs the
 recursion above directly.  ``method="generating"`` works on the generating
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
@@ -64,9 +66,6 @@ __all__ = [
     "generating_vectors",
     "check_invariance",
 ]
-
-# Above this state dimension the m = 1 bordered system is factorised sparse.
-_SPARSE_SOLVE_LIMIT = 1024
 
 
 # -- polynomial helpers ----------------------------------------------------
@@ -124,71 +123,61 @@ def _poly_maxabs(p: dict) -> float:
 class _BorderedSylvester:
     """Factorised solver for L0 V - V A0 = RHS subject to Z0.T V = G.
 
-    The square bordered matrix
-        [ I (x) L0 - A0.T (x) I   C.T ]
-        [ C                        0  ]
-    with ``C = I (x) Z0.T`` is assembled once per split and reused for
-    every index of the recursion.  Column-major vectorisation throughout.
-    Least squares is used on the dense path: whenever the constrained
-    problem is solvable its V-part is unique even if the multipliers are
-    not, so this solves singular corner cases without a special path.
+    On the Schur form ``A0 = U T U^H`` the columns of ``W = V U`` are
+    swept in order, column j solving the bordered system
+        [ L0 - T_jj I   Z0 ] [ w_j ]   [ (RHS U)_j + sum_{i<j} w_i T_ij ]
+        [ Z0.T           0 ] [ mu  ] = [ (G U)_j                         ]
+    factorised once per split (sparse LU; an exact inverse in exact mode,
+    where ``U = I`` and ``T = A0`` is diagonal).  It is nonsingular when
+    T_jj is a centre eigenvalue: ``Z0.T w = 0`` puts w in the stable
+    subspace, where ``L0 - T_jj I`` is invertible.  The Schur form is real
+    unless A0 has complex eigenvalues.  Exact mode accepts only a zero
+    residual, so a nonzero multiplier (an inconsistent system) raises.
     """
 
     def __init__(self, L0, A0, Z0, tol: float = DEFAULT_TOL):
         self.exact = L0.dtype == object
         self.L0, self.A0, self.Z0 = L0, A0, Z0
-        self.d = L0.shape[0]
-        self.m = A0.shape[0]
-        self.tol = tol
-        d, m = self.d, self.m
+        self.d, self.m = L0.shape[0], A0.shape[0]
+        self.tol = 0 if self.exact else tol
         self._size = np.abs(L0).max() + np.abs(A0).max()
         if self.exact:
-            S = np.kron(rat.exact_eye(m), L0) - np.kron(A0.T, rat.exact_eye(d))
-            C = np.kron(rat.exact_eye(m), Z0.T)
-            self._stacked = np.concatenate([S, C], axis=0)
-            self._mode = "exact"
-        elif m == 1 and d >= _SPARSE_SOLVE_LIMIT:
-            Ssp = sparse.csr_matrix(L0 - A0[0, 0] * np.eye(d))
-            z = Z0.reshape(d, 1)
-            border = sparse.bmat(
-                [[Ssp, sparse.csr_matrix(z)],
-                 [sparse.csr_matrix(z.T), sparse.csr_matrix((1, 1))]],
-                format="csc",
-            )
-            self._lu = spla.splu(border)
-            self._mode = "sparse"
+            self._T, self._U = A0, rat.exact_eye(self.m)
         else:
-            S = np.kron(np.eye(m), L0) - np.kron(A0.T, np.eye(d))
-            C = np.kron(np.eye(m), Z0.T)
-            self._border = np.block(
-                [[S, C.T], [C, np.zeros((m * m, m * m))]]
-            )
-            self._mode = "dense"
+            self._T, self._U = sla.schur(A0)
+            if np.diag(self._T, -1).any():  # complex eigenvalues
+                self._T, self._U = sla.rsf2csf(self._T, self._U)
+        self._solves = [self._factorise(t) for t in np.diag(self._T)]
+
+    def _factorise(self, t):
+        """Solve function of the bordered matrix with ``L0 - t I``."""
+        d, m, L0, Z0 = self.d, self.m, self.L0, self.Z0
+        try:
+            if self.exact:
+                return rat.inverse_exact(np.block(
+                    [[L0 - t * rat.exact_eye(d), Z0], [Z0.T, rat.exact_zeros((m, m))]]
+                )).dot
+            Z0s = sparse.csc_matrix(Z0)
+            return spla.splu(sparse.bmat(
+                [[sparse.csc_matrix(L0) - t * sparse.identity(d), Z0s], [Z0s.T, None]],
+                format="csc",
+            )).solve
+        except (RuntimeError, ValueError) as exc:  # splu / exact: singular
+            raise SylvesterInconsistent(
+                f"bordered Sylvester matrix is singular at t = {t}: {exc}"
+            ) from None
 
     def solve(self, rhs: np.ndarray, constraint=None) -> np.ndarray:
         """Return the unique V; ``constraint`` is the target of Z0.T V."""
-        d, m = self.d, self.m
+        d, m, T = self.d, self.m, self._T
         if constraint is None:
-            constraint = (
-                rat.exact_zeros((m, m)) if self.exact else np.zeros((m, m))
-            )
-        if self._mode == "exact":
-            b = np.concatenate(
-                [rhs.T.reshape(-1), constraint.T.reshape(-1)]
-            )
-            try:
-                x = rat.solve_exact(self._stacked, b)
-            except ValueError as exc:
-                raise SylvesterInconsistent(
-                    f"exact constrained Sylvester solve failed: {exc}"
-                ) from None
-            return x.reshape(m, d).T
-        b = np.concatenate([rhs.T.reshape(-1), constraint.T.reshape(-1)]).astype(float)
-        if self._mode == "sparse":
-            x = self._lu.solve(b)
-        else:
-            x = np.linalg.lstsq(self._border, b, rcond=None)[0]
-        V = x[: d * m].reshape(m, d).T
+            constraint = rat.exact_zeros((m, m)) if self.exact else np.zeros((m, m))
+        RU, GU = rhs @ self._U, constraint @ self._U
+        W = np.zeros((d, m), dtype=RU.dtype)
+        for j in range(m):
+            b = RU[:, j] + W[:, :j] @ T[:j, j]
+            W[:, j] = self._solves[j](np.concatenate([b, GU[:, j]]))[:d]
+        V = (W @ self._U.conj().T).real
         self._check(V, rhs, constraint)
         return V
 

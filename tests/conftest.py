@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from slowvary import OperatorFamily, enumerate_indices
+from slowvary._rational import frac_matrix
 from slowvary.models import random_walker_modal, random_walker_physical
 
 
@@ -64,4 +67,30 @@ def random_gap_family(
         if sum(k) == 0:
             continue
         ops[k] = rng.standard_normal((dimU, dimU)) / (1.0 + sum(k))
+    return OperatorFamily(ops)
+
+
+def random_rational_family(
+    rng, dimU: int = 4, M: int = 1, m: int = 1, max_order: int = 2
+) -> OperatorFamily:
+    """Random Fraction-valued family with an exact m-dimensional zero centre.
+
+    ``L_0 = P D P^-1`` where P is a unit lower times a unit upper
+    triangular integer matrix (determinant 1, so P^-1 is an integer matrix
+    too) and D is diagonal with m zeros and stable entries in -1..-4.
+    Higher operators have entries in quarters between -1 and 1.  The exact
+    split applies: the centre is semisimple with a rational eigenvalue.
+    """
+    lower = np.tril(rng.integers(-1, 2, (dimU, dimU)), -1) + np.eye(dimU, dtype=int)
+    upper = np.triu(rng.integers(-1, 2, (dimU, dimU)), 1) + np.eye(dimU, dtype=int)
+    P = lower @ upper
+    P_inv = np.rint(np.linalg.inv(P)).astype(int)
+    assert (P @ P_inv == np.eye(dimU, dtype=int)).all()
+    D = np.diag([0] * m + [-int(x) for x in rng.integers(1, 5, dimU - m)])
+    ops = {(0,) * M: frac_matrix((P @ D @ P_inv).tolist())}
+    for k in enumerate_indices(M, max_order):
+        if sum(k) == 0:
+            continue
+        quarters = rng.integers(-4, 5, (dimU, dimU))
+        ops[k] = frac_matrix([[Fraction(int(x), 4) for x in row] for row in quarters])
     return OperatorFamily(ops)

@@ -232,6 +232,8 @@ _BAD_MODEL_FILES = {
     # centre eigenvalues +-i: rational, but not real
     "oscillatory-centre": {"M": 1, "dimU": 3, "operators": {
         "0": [[0, 1, 0], [-1, 0, 0], [0, 0, -1]]}},
+    "not-an-object": 3,
+    "number-operator": {"M": 1, "dimU": 1, "operators": {"0": 5}},
 }
 
 
@@ -248,6 +250,10 @@ _BAD_MODEL_FILES = {
                  "config", id="zero-order"),
     pytest.param(["converge", "--model", "walker-modal", "--wavelengths", "64"],
                  "config", id="one-wavelength"),
+    pytest.param(["reduce", "--model", "homogenise-foo"], "config", id="misspelt-cell"),
+    pytest.param(["reduce", "--model", "a-directory"], "config", id="model-is-directory"),
+    pytest.param(["reduce", "--model", "walker-modal", "--out", "a-file"], "config",
+                 id="out-is-file"),
 ])
 def test_invalid_input_exits_two_with_report(tmp_path, capsys, argv, check):
     from slowvary.cli import main
@@ -258,9 +264,18 @@ def test_invalid_input_exits_two_with_report(tmp_path, capsys, argv, check):
         path = tmp_path / f"{argv[2]}.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         argv[2] = str(path)
-    out = tmp_path / "run"
-    assert main([*argv, "--out", str(out)]) == 2
-    report = json.loads((out / "report.json").read_text())
-    assert report["pass"] is False
-    assert report["error"]["check"] == check
+    if argv[2] == "a-directory":
+        argv[2] = str(tmp_path)
+    if "--out" in argv:
+        # --out names an existing file: no report can be written there
+        target = tmp_path / argv[-1]
+        target.write_text("keep")
+        assert main([*argv[:-1], str(target)]) == 2
+        assert target.read_text() == "keep"
+    else:
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["pass"] is False
+        assert report["error"]["check"] == check
     assert f"FAIL [{check}]" in capsys.readouterr().err

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import slowvary as sv
+from slowvary._rational import frac_matrix
 from slowvary.errors import SylvesterInconsistent
 from slowvary.slowreduce import solve_constrained_sylvester
 
-from conftest import random_gap_family
+from conftest import random_gap_family, random_rational_family
 
 F = Fraction
 
@@ -213,11 +214,124 @@ def test_coefficient_lookup_missing_index(walker):
     assert np.abs(model.coefficient((5, 5))).max() == 0.0
 
 
-def test_sylvester_inconsistent_detected():
+_ARITHMETIC = pytest.mark.parametrize(
+    "convert", [np.array, frac_matrix], ids=["float", "exact"]
+)
+
+
+@_ARITHMETIC
+def test_sylvester_inconsistent_detected(convert):
     # a forced wrong constraint target on a rank-deficient direction
-    L0 = np.diag([0.0, -1.0])
-    A0 = np.array([[0.0]])
-    Z0 = np.array([[1.0], [0.0]])
-    rhs = np.array([[1.0], [0.0]])  # rhs has content along the kernel
+    L0 = convert([[0.0, 0.0], [0.0, -1.0]])
+    A0 = convert([[0.0]])
+    Z0 = convert([[1.0], [0.0]])
+    rhs = convert([[1.0], [0.0]])  # rhs has content along the kernel
     with pytest.raises(SylvesterInconsistent):
         solve_constrained_sylvester(L0, A0, Z0, rhs, tol=1e-12)
+
+
+@_ARITHMETIC
+def test_sylvester_singular_border_is_named(convert):
+    # A0 = [-1] is a stable eigenvalue of L0: no valid split, and the
+    # bordered matrix for t = -1 is singular
+    L0 = convert([[0.0, 0.0], [0.0, -1.0]])
+    A0 = convert([[-1.0]])
+    Z0 = convert([[1.0], [0.0]])
+    rhs = convert([[0.0], [1.0]])
+    with pytest.raises(SylvesterInconsistent, match="singular at t = -1"):
+        solve_constrained_sylvester(L0, A0, Z0, rhs)
+
+
+# -- seeded property tests over random families --------------------------------
+# Every centre kind the float split supports, m = 1..3 and M = 1, 2.  A Jordan
+# chain of length 3 splits its eigenvalues by about eps**(1/3) ~ 5e-6, so it
+# needs a wider centre band than a chain of length 2.
+
+_CENTRES = [("zero", 1), ("zero", 2), ("zero", 3), ("jordan", 2), ("jordan", 3),
+            ("rotation", 2)]
+_PROPERTY_CASES = [
+    pytest.param(2000 + 2 * i + M, centre, m, M, id=f"{centre}-m{m}-M{M}")
+    for i, (centre, m) in enumerate(_CENTRES)
+    for M in (1, 2)
+]
+_JORDAN_ALPHA = {2: 1e-6, 3: 1e-4}
+
+
+def _property_family(seed, centre, m, M):
+    rng = np.random.default_rng(seed)
+    dimU = int(rng.integers(m + 2, 13))
+    fam = random_gap_family(rng, dimU=dimU, M=M, m=m, centre=centre)
+    alpha = _JORDAN_ALPHA[m] if centre == "jordan" else None
+    return rng, fam, alpha
+
+
+def _invariants(model, kappas):
+    """Similarity invariants: trace of each A_n, char. polynomial of the symbol."""
+    traces = [np.trace(model.to_float().A[n]) for n in sorted(model.A)]
+    return np.concatenate([traces, *[np.poly(model.symbol(k)) for k in kappas]])
+
+
+def _assert_close(a, b, rel=1e-9):
+    scale = max(1.0, float(np.abs(a).max()))
+    assert np.abs(a - b).max() <= rel * scale, (np.abs(a - b).max(), scale)
+
+
+@pytest.mark.parametrize("seed, centre, m, M", _PROPERTY_CASES)
+def test_property_routes_agree(seed, centre, m, M):
+    _, fam, alpha = _property_family(seed, centre, m, M)
+    split = sv.spectral_split(fam, N=3, alpha=alpha)
+    assert split.m == m
+    m1, b1 = sv.construct_reduction(fam, N=3, split=split)
+    m2, _ = sv.construct_reduction(fam, N=3, split=split, method="generating")
+    scale = max(1.0, max(float(np.abs(A).max()) for A in m1.A.values()))
+    for n in m1.A:
+        assert np.abs(m1.A[n] - m2.A[n]).max() <= 1e-9 * scale, n
+    ops_scale = max(1.0, max(float(np.abs(op).max()) for op in fam.ops.values()))
+    assert sv.check_invariance(fam, m1, b1) <= 1e-9 * ops_scale
+
+
+@pytest.mark.parametrize("seed, centre, m, M", _PROPERTY_CASES)
+def test_property_micro_basis_invariance(seed, centre, m, M):
+    rng, fam, alpha = _property_family(seed, centre, m, M)
+    d = fam.dimU
+    # well conditioned: singular values in [0.5, 2]
+    Q1 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    s = rng.uniform(0.5, 2.0, d)
+    S, S_inv = Q1 @ np.diag(s) @ Q2, Q2.T @ np.diag(1 / s) @ Q1.T
+    moved = sv.OperatorFamily({k: S @ L @ S_inv for k, L in fam.ops.items()})
+    kappas = [0.4 * v / np.linalg.norm(v) for v in rng.standard_normal((3, M))]
+    model, _ = sv.construct_reduction(fam, N=3, alpha=alpha)
+    model_moved, _ = sv.construct_reduction(moved, N=3, alpha=alpha)
+    _assert_close(_invariants(model, kappas), _invariants(model_moved, kappas))
+
+
+@pytest.mark.parametrize("seed, M", [(3000, 1), (3001, 2), (3002, 2)])
+def test_property_rotation_sylvester_real(seed, M):
+    rng = np.random.default_rng(seed)
+    fam = random_gap_family(rng, dimU=int(rng.integers(4, 13)), M=M, m=2,
+                            centre="rotation")
+    split = sv.spectral_split(fam, N=2)
+    assert np.abs(split.centre_eigenvalues().imag).min() > 0.4
+    # solvable: Z0.T rhs must equal the commutator A0 G - G A0
+    target = rng.standard_normal((2, 2))
+    raw = rng.standard_normal((fam.dimU, 2))
+    rhs = raw - split.V0 @ (split.Z0.T @ raw - split.A0 @ target + target @ split.A0)
+    V = solve_constrained_sylvester(fam.L0, split.A0, split.Z0, rhs, target)
+    assert V.dtype == np.float64
+    scale = max(1.0, float(np.abs(rhs).max()),
+                float(np.abs(V).max()) * (np.abs(fam.L0).max() + np.abs(split.A0).max()))
+    assert np.abs(fam.L0 @ V - V @ split.A0 - rhs).max() <= 1e-10 * scale
+    assert np.abs(split.Z0.T @ V - target).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("seed, m, M", [(4000, 1, 1), (4001, 1, 2), (4002, 2, 1),
+                                        (4003, 2, 2)])
+def test_property_exact_and_float_agree(seed, m, M):
+    rng = np.random.default_rng(seed)
+    fam = random_rational_family(rng, dimU=int(rng.integers(m + 2, 6)), M=M, m=m)
+    exact, _ = sv.construct_reduction(fam, N=3)
+    fl, _ = sv.construct_reduction(fam.to_float(), N=3)
+    assert exact.is_exact and not fl.is_exact
+    kappas = [0.4 * v / np.linalg.norm(v) for v in rng.standard_normal((3, M))]
+    _assert_close(_invariants(exact, kappas), _invariants(fl, kappas))
