@@ -6,10 +6,18 @@ work on those unchanged; everything that needs division with pivoting
 (solving, nullspaces) is implemented here by straightforward Gauss-Jordan
 elimination.  Sizes in exact mode stay tiny (a few dozen rows), so clarity
 beats asymptotics.
+
+It also owns the JSON model-document format every model file is saved
+and read in.  A matrix is a list of rows of ``"p/q"`` strings (exact) or
+numbers (float).  On reading, a JSON number (not a bool) is taken as is
+and a string is parsed as a Fraction; in both modes every entry must give
+a finite float64.  Documents are saved with sorted keys.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -28,16 +36,16 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _matrix(data: list, dtype) -> np.ndarray:
+    width = len(data[0]) if data else 0
+    if any(len(row) != width for row in data):
+        raise ValueError("matrix has ragged rows")
+    return np.array(data, dtype=dtype).reshape(len(data), width)
+
+
 def frac_matrix(rows) -> np.ndarray:
     """Object array of Fractions from a nested sequence."""
-    data = [[frac(x) for x in row] for row in rows]
-    out = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
-    for i, row in enumerate(data):
-        if len(row) != out.shape[1]:
-            raise ValueError("ragged matrix rows")
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
+    return _matrix([[frac(x) for x in row] for row in rows], object)
 
 
 def is_exact(a) -> bool:
@@ -48,14 +56,13 @@ def as_float(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float)
 
 
-def exact_zeros(shape) -> np.ndarray:
-    return np.full(shape, Fraction(0), dtype=object)
+def zeros(shape, exact: bool) -> np.ndarray:
+    return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
 
 
 def exact_eye(n: int) -> np.ndarray:
-    out = exact_zeros((n, n))
-    for i in range(n):
-        out[i, i] = Fraction(1)
+    out = zeros((n, n), True)
+    np.fill_diagonal(out, Fraction(1))
     return out
 
 
@@ -111,7 +118,7 @@ def solve_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for i in range(len(pivots), nr):
         if any(x != 0 for x in rows[i][nc:]):
             raise ValueError("exact solve: system is inconsistent")
-    out = exact_zeros((nc, Bm.shape[1]))
+    out = zeros((nc, Bm.shape[1]), True)
     for r, c in enumerate(pivots):
         for k in range(Bm.shape[1]):
             out[c, k] = rows[r][nc + k]
@@ -125,7 +132,7 @@ def nullspace_exact(A: np.ndarray) -> np.ndarray:
     rows = [[frac(A[i, j]) for j in range(nc)] for i in range(nr)]
     pivots = _rref(rows, nc)
     free = [c for c in range(nc) if c not in pivots]
-    basis = exact_zeros((nc, len(free)))
+    basis = zeros((nc, len(free)), True)
     for k, fc in enumerate(free):
         basis[fc, k] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -138,3 +145,57 @@ def inverse_exact(A: np.ndarray) -> np.ndarray:
     if A.shape[1] != n:
         raise ValueError("inverse of a non-square matrix")
     return solve_exact(A, exact_eye(n))
+
+
+# -- model documents ----------------------------------------------------------
+
+
+def encode_matrix(mat: np.ndarray) -> list:
+    """Document rows: ``"p/q"`` strings for exact matrices, floats otherwise."""
+    if is_exact(mat):
+        return [[str(x) for x in row] for row in mat.tolist()]
+    return np.asarray(mat, dtype=float).tolist()
+
+
+def _decode_entry(x, exact: bool):
+    if isinstance(x, (int, float, str)) and not isinstance(x, bool):
+        try:
+            q = Fraction(x) if isinstance(x, str) else x
+            if math.isfinite(float(q)):
+                return Fraction(q) if exact else float(q)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ValueError(f"matrix entry {x!r} is not a finite float64")
+
+
+def decode_matrix(rows, exact: bool = False, shape=None) -> np.ndarray:
+    """Matrix from document rows: Fractions if ``exact``, else float64.
+
+    Raises ValueError for an entry outside the module docstring's rule,
+    for rows that are not lists of one length, and for a wrong ``shape``.
+    """
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise ValueError("matrix is not a non-empty list of rows")
+    data = [[_decode_entry(x, exact) for x in row] for row in rows]
+    out = _matrix(data, object if exact else float)
+    if shape is not None and out.shape != tuple(shape):
+        raise ValueError(f"matrix has shape {out.shape}, expected {tuple(shape)}")
+    return out
+
+
+def json_int(doc: dict, key: str) -> int:
+    """Integer field ``key`` of a document; a bool or a float is refused."""
+    if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+        raise ValueError(f"{key!r} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
+def save_json(path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def load_json(path):
+    with open(path) as fh:
+        return json.load(fh)

@@ -155,7 +155,7 @@ def _config_from_args(args) -> RunConfig:
 
 def _load_model(cfg: RunConfig):
     """Returns (family, cell) for the configured model source or demo name."""
-    from . import models
+    from . import _rational as rat, models
     from .crosssection import OperatorFamily
     from .errors import ConfigError
 
@@ -181,8 +181,7 @@ def _load_model(cfg: RunConfig):
                 f"({', '.join(BUILTIN_MODELS)}) nor an existing file"
             )
         try:
-            with open(path) as fh:
-                data = json.load(fh)
+            data = rat.load_json(path)
             if not isinstance(data, dict):
                 raise ConfigError(f"slowvary: model file {name} is not a JSON object")
             if "operators" in data:
@@ -263,23 +262,11 @@ def _meta(cfg: RunConfig) -> dict:
 
 
 def _coeff_table(model) -> dict:
-    from fractions import Fraction
+    from . import _rational as rat
+    from .multiindex import format_index, graded_key
 
-    from .multiindex import format_index, order
-
-    table = {}
-    graded = sorted(
-        model.A.items(),
-        key=lambda kv: (order(kv[0]), tuple(-c for c in kv[0])),
-    )
-    for n, An in graded:
-        if model.is_exact:
-            table[format_index(n)] = [
-                [str(Fraction(v)) for v in row] for row in An.tolist()
-            ]
-        else:
-            table[format_index(n)] = _sig(An)
-    return table
+    encode = rat.encode_matrix if model.is_exact else _sig
+    return {format_index(n): encode(model.A[n]) for n in sorted(model.A, key=graded_key)}
 
 
 # -- subcommands --------------------------------------------------------------

@@ -22,7 +22,6 @@ arrays of ``fractions.Fraction``; numeric mode uses float64.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,7 +39,7 @@ from .errors import (
     UnstableMode,
     UnsupportedSplit,
 )
-from .multiindex import format_index, order, parse_index
+from .multiindex import format_index, graded_key, order, parse_index
 
 __all__ = [
     "OperatorFamily",
@@ -55,10 +54,6 @@ DEFAULT_TOL = 1e-10
 
 # Base operators larger than this fall back to sparse symmetric analysis.
 _DENSE_EIG_LIMIT = 600
-
-
-def _graded_key(idx: tuple[int, ...]):
-    return (order(idx), tuple(-e for e in idx))
 
 
 class OperatorFamily:
@@ -107,7 +102,7 @@ class OperatorFamily:
             stored[k] = arr
         self.M = M
         self.dimU = dimU
-        self.ops = dict(sorted(stored.items(), key=lambda kv: _graded_key(kv[0])))
+        self.ops = {k: stored[k] for k in sorted(stored, key=graded_key)}
         self.label = label
 
     @property
@@ -154,13 +149,7 @@ class OperatorFamily:
 
     def to_json(self) -> dict:
         """Model document; exact entries become ``"p/q"`` strings."""
-        operators = {}
-        for k, mat in self.ops.items():
-            if self.is_exact:
-                rows = [[str(x) for x in row] for row in mat.tolist()]
-            else:
-                rows = [[float(x) for x in row] for row in mat.tolist()]
-            operators[format_index(k)] = rows
+        operators = {format_index(k): rat.encode_matrix(mat) for k, mat in self.ops.items()}
         doc = {"M": self.M, "dimU": self.dimU, "operators": operators}
         if self.label is not None:
             doc["label"] = self.label
@@ -170,12 +159,13 @@ class OperatorFamily:
     def from_json(cls, doc: dict, exact: bool = False) -> "OperatorFamily":
         """Parse a model document.
 
-        Entries may be numbers or rational strings like ``"8/27"``; with
-        ``exact=True`` all entries are kept as Fractions.
+        ``M`` and ``dimU`` are JSON integers; matrix entries follow
+        :func:`slowvary._rational.decode_matrix` (numbers or rational strings
+        like ``"8/27"``) and are kept as Fractions with ``exact=True``.
         """
         try:
-            M = int(doc["M"])
-            dimU = int(doc["dimU"])
+            M = rat.json_int(doc, "M")
+            dimU = rat.json_int(doc, "dimU")
             operators = doc["operators"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed model document: {exc}") from None
@@ -187,30 +177,17 @@ class OperatorFamily:
             if len(idx) != M:
                 raise ValueError(f"operator key {key!r} does not have {M} components")
             try:
-                if exact:
-                    mat = rat.frac_matrix(rows)
-                else:
-                    mat = np.array(
-                        [[float(Fraction(str(x))) for x in row] for row in rows], dtype=float
-                    )
-            except TypeError as exc:
-                raise ValueError(f"operator {key!r} is not a matrix of numbers: {exc}") from None
-            if mat.shape != (dimU, dimU):
-                raise ValueError(
-                    f"operator {key!r} has shape {mat.shape}, expected {(dimU, dimU)}"
-                )
-            ops[idx] = mat
+                ops[idx] = rat.decode_matrix(rows, exact, (dimU, dimU))
+            except ValueError as exc:
+                raise ValueError(f"operator {key!r}: {exc}") from None
         return cls(ops, label=doc.get("label"))
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        rat.save_json(path, self.to_json())
 
     @classmethod
     def load(cls, path, exact: bool = False) -> "OperatorFamily":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh), exact=exact)
+        return cls.from_json(rat.load_json(path), exact=exact)
 
     def __repr__(self) -> str:
         name = f" {self.label!r}" if self.label else ""

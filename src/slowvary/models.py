@@ -15,7 +15,6 @@ tensor, with the classical harmonic/arithmetic bounds as sanity rails.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import _rational as rat
 from .crosssection import OperatorFamily, SpectralSplit, spectral_split
-from .errors import GridTooCoarse, NonPositiveDiffusivity
+from .errors import GridTooCoarse, NonPositiveDiffusivity, UnsupportedSplit
 
 __all__ = [
     "random_walker_modal",
@@ -194,10 +193,10 @@ class CellProblem:
         self.K = np.asarray(self.K, dtype=float)
         if self.K.shape != (self.n, self.n):
             raise ValueError(f"K samples must be {self.n} x {self.n}")
-        if self.h <= 0:
-            raise ValueError("cell size h must be positive")
+        if not self.h > 0 or not math.isfinite(self.h):
+            raise ValueError("cell size h must be positive and finite")
         for arr in (self.K, self.face_K(0), self.face_K(1)):
-            if arr.min() <= 0:
+            if not arr.min() > 0:  # NaN fails too
                 raise NonPositiveDiffusivity(
                     f"diffusivity reaches {arr.min():.6g}; it must stay positive"
                 )
@@ -220,6 +219,8 @@ class CellProblem:
         else:
             func = maker(base, amplitude, h)
             params = {"base": base, "amplitude": amplitude}
+        if not h > 0 or not math.isfinite(h):  # before sampling at spacing h / n
+            raise ValueError("cell size h must be positive and finite")
         d = h / n
         y1, y2 = np.meshgrid(
             d * np.arange(n), d * np.arange(n), indexing="ij"
@@ -245,39 +246,37 @@ class CellProblem:
 
     def to_json(self) -> dict:
         if self.expr is not None:
-            doc = {"h": self.h, "n": self.n, "K_expr": self.expr}
-            doc.update(self.params)
-            return doc
-        return {"h": self.h, "n": self.n, "K": [[float(x) for x in row] for row in self.K]}
+            return {"h": self.h, "n": self.n, "K_expr": self.expr, **self.params}
+        return {"h": self.h, "n": self.n, "K": rat.encode_matrix(self.K)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "CellProblem":
+        """Parse a cell document: JSON integer ``n``, optional ``h``, and ``K``
+        samples (read by :func:`slowvary._rational.decode_matrix`) or ``K_expr``."""
+        if "K" not in doc and "K_expr" not in doc:
+            raise ValueError("cell document needs either K samples or K_expr")
         try:
             h = float(doc.get("h", 1.0))
-            n = int(doc["n"])
+            n = rat.json_int(doc, "n")
+            if "K_expr" in doc:
+                return cls.from_expression(
+                    doc["K_expr"],
+                    n=n,
+                    h=h,
+                    base=float(doc.get("base", 1.0)),
+                    amplitude=float(doc.get("amplitude", 0.5)),
+                )
+            K = rat.decode_matrix(doc["K"], shape=(n, n))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed cell document: {exc}") from None
-        if "K_expr" in doc:
-            return cls.from_expression(
-                doc["K_expr"],
-                n=n,
-                h=h,
-                base=float(doc.get("base", 1.0)),
-                amplitude=float(doc.get("amplitude", 0.5)),
-            )
-        if "K" not in doc:
-            raise ValueError("cell document needs either K samples or K_expr")
-        return cls(h=h, n=n, K=np.array(doc["K"], dtype=float))
+        return cls(h=h, n=n, K=K)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        rat.save_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "CellProblem":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(rat.load_json(path))
 
 
 def homogenisation_cell(cell: CellProblem) -> OperatorFamily:
@@ -348,12 +347,12 @@ def cell_spectral_split(
     """
     split = spectral_split(family, N, alpha)
     if split.m != 1:
-        raise ValueError(
+        raise UnsupportedSplit(
             f"cell problems have a single centre mode, found m = {split.m}"
         )
     s = float(split.V0.mean())
     if abs(s) < 1e-12:
-        raise ValueError("centre mode is not the constant field")
+        raise UnsupportedSplit("centre mode is not the constant field")
     return SpectralSplit(
         m=1,
         V0=split.V0 / s,

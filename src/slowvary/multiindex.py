@@ -23,6 +23,7 @@ from collections.abc import Iterator
 
 __all__ = [
     "order",
+    "graded_key",
     "partial_leq",
     "multi_binomial",
     "index_factorial",
@@ -52,6 +53,11 @@ def _check_index(idx: tuple[int, ...]) -> None:
 def order(idx: tuple[int, ...]) -> int:
     """Order ``|n|`` of a multi-index: the sum of its components."""
     return sum(idx)
+
+
+def graded_key(idx: tuple[int, ...]) -> tuple:
+    """Sort key of the graded order in which :func:`enumerate_indices` lists."""
+    return (order(idx), tuple(-e for e in idx))
 
 
 def partial_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

@@ -36,7 +36,6 @@ tests exploit that as a structural cross-check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,6 +50,7 @@ from .errors import SylvesterInconsistent
 from .multiindex import (
     enumerate_indices,
     format_index,
+    graded_key,
     index_factorial,
     index_sub,
     order,
@@ -155,7 +155,7 @@ class _BorderedSylvester:
         try:
             if self.exact:
                 return rat.inverse_exact(np.block(
-                    [[L0 - t * rat.exact_eye(d), Z0], [Z0.T, rat.exact_zeros((m, m))]]
+                    [[L0 - t * rat.exact_eye(d), Z0], [Z0.T, rat.zeros((m, m), True)]]
                 )).dot
             Z0s = sparse.csc_matrix(Z0)
             return spla.splu(sparse.bmat(
@@ -171,7 +171,7 @@ class _BorderedSylvester:
         """Return the unique V; ``constraint`` is the target of Z0.T V."""
         d, m, T = self.d, self.m, self._T
         if constraint is None:
-            constraint = rat.exact_zeros((m, m)) if self.exact else np.zeros((m, m))
+            constraint = rat.zeros((m, m), self.exact)
         RU, GU = rhs @ self._U, constraint @ self._U
         W = np.zeros((d, m), dtype=RU.dtype)
         for j in range(m):
@@ -236,9 +236,7 @@ class ReducedModel:
         n = tuple(n)
         if n in self.A:
             return self.A[n]
-        if self.is_exact:
-            return rat.exact_zeros((self.m, self.m))
-        return np.zeros((self.m, self.m))
+        return rat.zeros((self.m, self.m), self.is_exact)
 
     def symbol(self, kappa) -> np.ndarray:
         """Fourier symbol ``sum_n A_n (i kappa)^n`` as a complex matrix."""
@@ -264,10 +262,7 @@ class ReducedModel:
             raise ValueError("equation_text requires a scalar closure (m = 1)")
         names = "xyz" if self.M <= 3 else None
         parts = []
-        graded = sorted(
-            self.A.items(),
-            key=lambda kv: (order(kv[0]), tuple(-c for c in kv[0])),
-        )
+        graded = [(n, self.A[n]) for n in sorted(self.A, key=graded_key)]
         # rounding dust from a float construction is not worth printing
         floor = 1e-12 * max(
             (abs(float(An[0, 0])) for _, An in graded), default=0.0
@@ -286,12 +281,7 @@ class ReducedModel:
         return f"∂t {var} = {rhs}"
 
     def to_json(self) -> dict:
-        A = {}
-        for n, An in sorted(self.A.items(), key=lambda kv: (order(kv[0]), kv[0])):
-            if self.is_exact:
-                A[format_index(n)] = [[str(x) for x in row] for row in An.tolist()]
-            else:
-                A[format_index(n)] = [[float(x) for x in row] for row in An.tolist()]
+        A = {format_index(n): rat.encode_matrix(An) for n, An in self.A.items()}
         doc = {"N": self.N, "m": self.m, "A": A}
         if self.label is not None:
             doc["label"] = self.label
@@ -300,11 +290,13 @@ class ReducedModel:
     @classmethod
     def from_json(cls, doc: dict, exact: bool = False) -> "ReducedModel":
         try:
-            N = int(doc["N"])
-            m = int(doc["m"])
+            N = rat.json_int(doc, "N")
+            m = rat.json_int(doc, "m")
             table = doc["A"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed reduced-model document: {exc}") from None
+        if not isinstance(table, dict) or not table:
+            raise ValueError("reduced-model document has no coefficients")
         A = {}
         M = None
         for key, rows in table.items():
@@ -312,17 +304,10 @@ class ReducedModel:
             M = len(n) if M is None else M
             if len(n) != M:
                 raise ValueError("inconsistent multi-index dimensions in model")
-            if exact:
-                A[n] = rat.frac_matrix(rows)
-            else:
-                A[n] = np.array(
-                    [[float(Fraction(str(x))) for x in row] for row in rows],
-                    dtype=float,
-                )
-            if A[n].shape != (m, m):
-                raise ValueError(f"coefficient {key!r} is not {m} x {m}")
-        if M is None:
-            raise ValueError("reduced-model document has no coefficients")
+            try:
+                A[n] = rat.decode_matrix(rows, exact, (m, m))
+            except ValueError as exc:
+                raise ValueError(f"coefficient {key!r}: {exc}") from None
         return cls(M=M, N=N, m=m, A=A, label=doc.get("label"))
 
     def to_float(self) -> "ReducedModel":
@@ -332,14 +317,11 @@ class ReducedModel:
         return ReducedModel(M=self.M, N=self.N, m=self.m, A=A, label=self.label)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        rat.save_json(path, self.to_json())
 
     @classmethod
     def load(cls, path, exact: bool = False) -> "ReducedModel":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh), exact=exact)
+        return cls.from_json(rat.load_json(path), exact=exact)
 
 
 @dataclass
@@ -390,32 +372,19 @@ class GeneratingBasis:
         )
 
     def to_json(self) -> dict:
-        def encode(mat):
-            if mat.dtype == object:
-                return [[str(x) for x in row] for row in mat.tolist()]
-            return [[float(x) for x in row] for row in mat.tolist()]
-
         return {
             "N": self.N,
             "m": self.m,
             "dimU": self.dimU,
-            "vectors": {
-                format_index(n): encode(v)
-                for n, v in sorted(self.vectors.items(), key=lambda kv: (order(kv[0]), kv[0]))
-            },
+            "vectors": {format_index(n): rat.encode_matrix(v) for n, v in self.vectors.items()},
             "poly": {
-                format_index(n): {
-                    format_index(k): encode(c)
-                    for k, c in sorted(p.items(), key=lambda kv: (order(kv[0]), kv[0]))
-                }
-                for n, p in sorted(self.poly.items(), key=lambda kv: (order(kv[0]), kv[0]))
+                format_index(n): {format_index(k): rat.encode_matrix(c) for k, c in p.items()}
+                for n, p in self.poly.items()
             },
         }
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        rat.save_json(path, self.to_json())
 
 
 def generating_vectors(vectors: dict) -> dict:
@@ -459,11 +428,7 @@ def _reduce_vectors(family, split, table, tol):
                 term = split.Z0.T @ (family.ops[k] @ V[index_sub(n, k)])
                 An = term if An is None else An + term
         if An is None:
-            An = (
-                rat.exact_zeros((split.m, split.m))
-                if family.is_exact
-                else np.zeros((split.m, split.m))
-            )
+            An = rat.zeros((split.m, split.m), family.is_exact)
         A[n] = An
         rhs = V[zero] @ An  # the k = n term of the resonance sum
         for k in support:
@@ -497,7 +462,7 @@ def _reduce_generating(family, split, table, tol):
                 term = split.Z0.T @ (family.ops[k] @ coeff0)
                 An = term if An is None else An + term
         if An is None:
-            An = rat.exact_zeros((m, m)) if exact else np.zeros((m, m))
+            An = rat.zeros((m, m), exact)
         A[n] = An
         rhs = _poly_rmul(poly[zero], An)
         for ell in support:
@@ -516,11 +481,7 @@ def _reduce_generating(family, split, table, tol):
         for e in sorted(exponents, key=lambda t: (order(t), t)):
             rhs_e = rhs.get(e)
             if rhs_e is None:
-                rhs_e = (
-                    rat.exact_zeros((family.dimU, m))
-                    if exact
-                    else np.zeros((family.dimU, m))
-                )
+                rhs_e = rat.zeros((family.dimU, m), exact)
             g = target if e == n else None
             coeff = solver.solve(rhs_e, g)
             keep = (

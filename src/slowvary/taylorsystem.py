@@ -78,7 +78,7 @@ class BlockOperator:
 
 def _assemble(table: IndexTable, inner: int, pick, exact: bool) -> np.ndarray:
     size = len(table) * inner
-    out = rat.exact_zeros((size, size)) if exact else np.zeros((size, size))
+    out = rat.zeros((size, size), exact)
     for i, n in enumerate(table):
         for j, k in enumerate(table):
             if partial_leq(n, k):
@@ -142,11 +142,7 @@ def slow_subspace_matrix(basis: GeneratingBasis) -> np.ndarray:
     table = enumerate_indices(basis.M, basis.N)
     d, m = basis.dimU, basis.m
     size = len(table)
-    out = (
-        rat.exact_zeros((size * d, size * m))
-        if basis.is_exact
-        else np.zeros((size * d, size * m))
-    )
+    out = rat.zeros((size * d, size * m), basis.is_exact)
     for j, n in enumerate(table):
         for k, coeff in basis.poly[n].items():
             i = table.position(k)

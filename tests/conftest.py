@@ -94,3 +94,25 @@ def random_rational_family(
         quarters = rng.integers(-4, 5, (dimU, dimU))
         ops[k] = frac_matrix([[Fraction(int(x), 4) for x in row] for row in quarters])
     return OperatorFamily(ops)
+
+
+# (seed, centre, m, M) of the seeded JSON round-trip cases besides the walker
+_ROUNDTRIP_CASES = [(5000, "zero", 1, 1), (5001, "zero", 3, 2), (5002, "jordan", 2, 2),
+                    (5003, "rotation", 2, 1)]
+
+
+@pytest.fixture(params=["walker", *_ROUNDTRIP_CASES],
+                ids=lambda c: c if c == "walker" else f"{c[1]}-m{c[2]}-M{c[3]}")
+def family_pair(request, walker, walker_exact):
+    """A float family, an exact family and the float family's centre band.
+
+    Besides the walker: a ``random_gap_family`` of the given centre kind and
+    a ``random_rational_family`` with the same m and M, both from one seed.
+    """
+    if request.param == "walker":
+        return walker, walker_exact, None
+    seed, centre, m, M = request.param
+    rng = np.random.default_rng(seed)
+    fam = random_gap_family(rng, dimU=int(rng.integers(m + 2, 9)), M=M, m=m, centre=centre)
+    exact = random_rational_family(rng, dimU=int(rng.integers(m + 2, 6)), M=M, m=m)
+    return fam, exact, 1e-6 if centre == "jordan" else None

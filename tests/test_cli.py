@@ -234,14 +234,36 @@ _BAD_MODEL_FILES = {
         "0": [[0, 1, 0], [-1, 0, 0], [0, 0, -1]]}},
     "not-an-object": 3,
     "number-operator": {"M": 1, "dimU": 1, "operators": {"0": 5}},
+    # matrix entries that give no finite float64
+    "one-over-zero": {"M": 1, "dimU": 2, "operators": {"0": [["1/0", 0], [0, -1]]}},
+    "huge-int": {"M": 1, "dimU": 2, "operators": {"0": [[10**400, 0], [0, -1]]}},
+    "huge-float": '{"M": 1, "dimU": 2, "operators": {"0": [[1e400, 0], [0, -1]]}}',
+    "bool-entry": {"M": 1, "dimU": 2, "operators": {"0": [[True, 0], [0, -1]]}},
+    "empty-operator": {"M": 1, "dimU": 0, "operators": {"0": []}},
+    # cell documents
+    "amplitude-list": {"n": 8, "K_expr": "constant", "amplitude": [1]},
+    "amplitude-nan": '{"n": 8, "K_expr": "layered_cos", "amplitude": NaN}',
+    "K-nan": '{"n": 4, "K": [[NaN, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]]}',
+    "K-infinity": '{"n": 4, "K": [[1, 1, 1, 1], [1, Infinity, 1, 1], [1, 1, 1, 1], '
+                  '[1, 1, 1, 1]]}',
+    "h-infinity": '{"n": 8, "K_expr": "constant", "h": Infinity}',
+    "n-not-integer": {"n": 8.7, "K_expr": "constant"},
 }
+# run only with --exact: without it, these files already exit 2 (or are valid)
+_EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")
 
 
 @pytest.mark.parametrize("argv, check", [
     *[pytest.param(["reduce", "--model", name], "config", id=name)
-      for name in _BAD_MODEL_FILES if name != "oscillatory-centre"],
+      for name in _BAD_MODEL_FILES if name not in _EXACT_ONLY + ("amplitude-nan",)],
     pytest.param(["reduce", "--model", "oscillatory-centre", "--exact"],
                  "UnsupportedSplit", id="oscillatory-centre"),
+    *[pytest.param(["reduce", "--model", name, "--exact"], "config", id=f"{name}-exact")
+      for name in ("one-over-zero", "huge-int", "huge-float", "bool-entry")],
+    pytest.param(["reduce", "--model", "amplitude-nan"], "NonPositiveDiffusivity",
+                 id="amplitude-nan"),
+    pytest.param(["reduce", "--model", "homogenise-layered", "--grid", "8", "-N", "1",
+                  "--alpha", "40"], "UnsupportedSplit", id="cell-split-unsupported"),
     pytest.param(["reduce", "--model", "walker-modal", "--alpha", "-1"],
                  "config", id="negative-alpha"),
     pytest.param(["simulate", "--model", "walker-modal", "--grid", "0"],

@@ -174,23 +174,29 @@ def test_validate_family_report(walker):
     assert rep.residual_failures(1e-10) == []
 
 
-def test_json_roundtrip(tmp_path, walker, walker_exact):
+def test_json_roundtrip(tmp_path, family_pair):
+    fam, fam_exact, _ = family_pair
     p = tmp_path / "fam.json"
-    walker.save(p)
+    fam.save(p)
     back = sv.OperatorFamily.load(p)
-    for k in walker.support:
-        np.testing.assert_allclose(back.ops[k], walker.ops[k], atol=0)
+    assert back.support == fam.support and back.label == fam.label
+    for k in fam.support:  # bitwise
+        assert back.ops[k].dtype == np.float64
+        assert back.ops[k].tobytes() == fam.ops[k].tobytes()
 
     pe = tmp_path / "fam_exact.json"
-    walker_exact.save(pe)
+    fam_exact.save(pe)
     raw = json.loads(pe.read_text())
-    assert raw["operators"]["1,0"][0][0] == "-1/3"
+    if fam_exact.label == "walker-modal":
+        assert raw["operators"]["1,0"][0][0] == "-1/3"
     back_exact = sv.OperatorFamily.load(pe, exact=True)
-    assert back_exact.is_exact
-    assert back_exact.ops[(1, 0)][0, 0] == Fraction(-1, 3)
-    # exact file read as float still matches
+    assert back_exact.is_exact and back_exact.support == fam_exact.support
+    for k in fam_exact.support:
+        assert back_exact.ops[k].tolist() == fam_exact.ops[k].tolist()
+    # exact file read as float equals the float conversion
     as_float = sv.OperatorFamily.load(pe)
-    np.testing.assert_allclose(as_float.ops[(1, 0)], walker.ops[(1, 0)])
+    for k in fam_exact.support:
+        assert as_float.ops[k].tobytes() == fam_exact.to_float().ops[k].tobytes()
 
 
 def test_from_json_rejects_garbage():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -47,6 +48,14 @@ def test_graded_order_properties():
             assert a > b
         else:
             assert mi.order(a) < mi.order(b)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_graded_key_matches_enumeration(M):
+    table = list(mi.enumerate_indices(M, 4))
+    shuffled = table[:]
+    random.Random(M).shuffle(shuffled)
+    assert sorted(shuffled, key=mi.graded_key) == table
 
 
 def test_position_roundtrip():

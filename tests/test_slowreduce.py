@@ -178,20 +178,41 @@ def test_sylvester_solver_nonzero_constraint():
     assert np.abs(res).max() < 1e-10
 
 
-def test_model_json_roundtrip(tmp_path, walker, walker_exact):
-    model, _ = sv.construct_reduction(walker, N=3)
+def test_model_json_roundtrip(tmp_path, family_pair):
+    fam, fam_exact, alpha = family_pair
+    model, _ = sv.construct_reduction(fam, N=3, alpha=alpha)
     p = tmp_path / "model.json"
     model.save(p)
     back = sv.ReducedModel.load(p)
-    assert back.N == 3 and back.m == 1 and back.M == 2
-    for n in model.A:
-        np.testing.assert_allclose(back.A[n], model.A[n], atol=0)
+    assert (back.N, back.m, back.M) == (3, model.m, fam.M)
+    assert back.A.keys() == model.A.keys()
+    for n in model.A:  # bitwise
+        assert back.A[n].dtype == np.float64
+        assert back.A[n].tobytes() == model.A[n].tobytes()
 
-    me, _ = sv.construct_reduction(walker_exact, N=2)
+    me, _ = sv.construct_reduction(fam_exact, N=2)
     pe = tmp_path / "exact.json"
     me.save(pe)
     be = sv.ReducedModel.load(pe, exact=True)
-    assert be.A[(2, 0)][0, 0] == F(8, 27)
+    if fam_exact.label == "walker-modal":
+        assert be.A[(2, 0)][0, 0] == F(8, 27)
+    assert be.is_exact and be.A.keys() == me.A.keys()
+    for n in me.A:
+        assert be.A[n].tolist() == me.A[n].tolist()
+    # exact file read as float equals the float conversion
+    bf = sv.ReducedModel.load(pe)
+    for n in me.A:
+        assert bf.A[n].tobytes() == me.to_float().A[n].tobytes()
+
+
+@pytest.mark.parametrize("doc", [
+    {"N": 2, "m": 1, "A": [[[1]]]},
+    {"N": 2, "m": 1, "A": "0,0"},
+    {"N": 2.5, "m": 1, "A": {"0,0": [[0]]}},
+], ids=["A-list", "A-string", "N-not-integer"])
+def test_model_from_json_rejects_garbage(doc):
+    with pytest.raises(ValueError):
+        sv.ReducedModel.from_json(doc)
 
 
 def test_symbol_and_equation_text(walker):
