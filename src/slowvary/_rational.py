@@ -16,11 +16,13 @@ a finite float64.  Documents are saved with sorted keys.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sparse
 
 
 def frac(x) -> Fraction:
@@ -52,8 +54,9 @@ def is_exact(a) -> bool:
     return isinstance(a, np.ndarray) and a.dtype == object
 
 
-def as_float(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=float)
+def as_float(a) -> np.ndarray:
+    """Dense float64 array of a float, Fraction or SciPy sparse matrix."""
+    return a.toarray() if sparse.issparse(a) else np.asarray(a, dtype=float)
 
 
 def zeros(shape, exact: bool) -> np.ndarray:
@@ -150,11 +153,11 @@ def inverse_exact(A: np.ndarray) -> np.ndarray:
 # -- model documents ----------------------------------------------------------
 
 
-def encode_matrix(mat: np.ndarray) -> list:
+def encode_matrix(mat) -> list:
     """Document rows: ``"p/q"`` strings for exact matrices, floats otherwise."""
     if is_exact(mat):
         return [[str(x) for x in row] for row in mat.tolist()]
-    return np.asarray(mat, dtype=float).tolist()
+    return as_float(mat).tolist()
 
 
 def _decode_entry(x, exact: bool):
@@ -188,6 +191,16 @@ def json_int(doc: dict, key: str) -> int:
     if isinstance(doc[key], bool) or not isinstance(doc[key], int):
         raise ValueError(f"{key!r} must be an integer, got {doc[key]!r}")
     return doc[key]
+
+
+def json_number(doc: dict, key: str, default: float) -> float:
+    """Number field ``key`` of a document, ``default`` when absent; a bool
+    or a string is refused."""
+    x = doc.get(key, default)
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        with contextlib.suppress(OverflowError):
+            return float(x)
+    raise ValueError(f"{key!r} must be a number, got {x!r}")
 
 
 def save_json(path, doc: dict) -> None:

@@ -20,7 +20,8 @@ Exit codes: 0 all checks pass; 2 the model violates a structural
 assumption or the config is invalid; 3 a numerical check failed.
 ``report.json`` is written in every case (``error.check`` naming the
 failed check, ``"config"`` for options and model files) except when
-``--out`` is not a directory; wall clock and environment go to
+``--out`` is not a directory; wall clock, environment and the model
+family's storage (``dense``, ``csr`` or ``exact``) and bytes go to
 ``run_meta.json`` so that ``report.json`` is byte-identical across
 reruns of the same config.
 """
@@ -297,7 +298,7 @@ def _reduce(cfg: RunConfig, family, cell, split, report: dict) -> int:
     )
 
     famf = family.to_float()
-    scale = max(1.0, max(float(np.abs(op).max()) for op in famf.ops.values()))
+    scale = max(1.0, max(float(abs(op).max()) for op in famf.ops.values()))
     threshold = cfg.tol * scale
 
     inv = slowreduce.check_invariance(family, model, basis)
@@ -501,6 +502,7 @@ def _run(cfg: RunConfig) -> int:
     body, header = _COMMANDS[cfg.command]
     report: dict = {"command": cfg.command, "model": cfg.model}
     report.update({key: getattr(cfg, key) for key in header})
+    meta = _meta(cfg)
     try:
         if cfg.out is not None and not cfg.out.is_dir():
             raise ConfigError(f"slowvary: --out {cfg.out} is not a directory")
@@ -513,6 +515,7 @@ def _run(cfg: RunConfig) -> int:
         if cfg.command == "converge" and len(set(cfg.wavelengths)) < 2:
             raise ConfigError("slowvary: converge needs two distinct --wavelengths")
         family, cell = _load_model(cfg)
+        meta["family"] = {"storage": family.storage, "bytes": family.nbytes}
         split = _split_family(cfg, family, cell)
         code = body(cfg, family, cell, split, report)
     except (ConfigError, FamilyValidationError, NumericalCheckError) as exc:
@@ -521,7 +524,7 @@ def _run(cfg: RunConfig) -> int:
         report["pass"] = False
         report["error"] = {"check": check, "message": str(exc)}
         print(f"slowvary: FAIL [{check}] {exc}", file=sys.stderr)
-    _write_report(cfg.out, report, _meta(cfg))
+    _write_report(cfg.out, report, meta)
     return code
 
 

@@ -16,8 +16,12 @@ All pairings between left and right basis vectors are Euclidean dot
 products.  Where a discretisation calls for quadrature weights they are
 folded into the left basis ``Z0`` rather than kept as a separate metric.
 
-Families are stored densely.  In exact mode the matrices are numpy object
-arrays of ``fractions.Fraction``; numeric mode uses float64.
+In exact mode the matrices are dense numpy object arrays of
+``fractions.Fraction``.  Float families hold float64 arrays or, for a
+sparse input such as a cell problem, float CSR matrices that every step
+of the reduction takes as they are; only small or inherently dense
+computations (the dense eigen-split, block Taylor checks, simulation
+symbols, JSON documents) densify them.
 """
 
 from __future__ import annotations
@@ -56,6 +60,14 @@ DEFAULT_TOL = 1e-10
 _DENSE_EIG_LIMIT = 600
 
 
+class _CSR(sparse.csr_matrix):
+    """Float CSR operator whose ``nbytes`` is its storage, as for an ndarray."""
+
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 class OperatorFamily:
     """Finite map from derivative multi-indices to cross-section matrices.
 
@@ -69,7 +81,7 @@ class OperatorFamily:
 
     The family is immutable by convention: hold the arrays, do not write
     to them.  ``is_exact`` is True when the matrices are Fraction-valued
-    object arrays.
+    object arrays.  A SciPy sparse operator is stored as float CSR.
     """
 
     def __init__(self, ops: dict, label: str | None = None):
@@ -88,13 +100,16 @@ class OperatorFamily:
                 f"family has no order-zero operator L_{zero}; "
                 "the base operator is required"
             )
-        first = np.asarray(ops[next(iter(ops))])
-        exact = first.dtype == object
-        dimU = first.shape[0]
+        first = ops[next(iter(ops))]
+        exact = not sparse.issparse(first) and np.asarray(first).dtype == object
+        dimU = np.shape(first)[0]
         stored: dict[tuple[int, ...], np.ndarray] = {}
         for k_raw, mat in ops.items():
             k = tuple(int(e) for e in k_raw)
-            arr = np.asarray(mat, dtype=object if exact else float)
+            if sparse.issparse(mat) and not exact:
+                arr = _CSR(mat, dtype=float)
+            else:
+                arr = np.asarray(mat, dtype=object if exact else float)
             if arr.shape != (dimU, dimU):
                 raise ValueError(
                     f"operator at {k} has shape {arr.shape}, expected {(dimU, dimU)}"
@@ -126,6 +141,18 @@ class OperatorFamily:
     def is_exact(self) -> bool:
         return self.L0.dtype == object
 
+    @property
+    def storage(self) -> str:
+        """``"exact"``, ``"csr"`` (sparse base operator) or ``"dense"``."""
+        if self.is_exact:
+            return "exact"
+        return "csr" if sparse.issparse(self.L0) else "dense"
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stored matrices (for CSR: data, indices, indptr)."""
+        return sum(op.nbytes for op in self.ops.values())
+
     def operator(self, k: tuple[int, ...]):
         """The matrix stored at ``k``, or None when absent (meaning zero)."""
         return self.ops.get(tuple(k))
@@ -141,7 +168,7 @@ class OperatorFamily:
         if self.is_exact:
             return self
         return OperatorFamily(
-            {k: rat.frac_matrix(v.tolist()) for k, v in self.ops.items()},
+            {k: rat.frac_matrix(rat.as_float(v).tolist()) for k, v in self.ops.items()},
             label=self.label,
         )
 
@@ -171,11 +198,16 @@ class OperatorFamily:
             raise ValueError(f"malformed model document: {exc}") from None
         if not isinstance(operators, dict) or not operators:
             raise ValueError("model document has no operators")
-        ops = {}
+        ops, keys = {}, {}
         for key, rows in operators.items():
             idx = parse_index(key)
             if len(idx) != M:
                 raise ValueError(f"operator key {key!r} does not have {M} components")
+            if idx in keys:
+                raise ValueError(
+                    f"operator keys {keys[idx]!r} and {key!r} name the same index"
+                )
+            keys[idx] = key
             try:
                 ops[idx] = rat.decode_matrix(rows, exact, (dimU, dimU))
             except ValueError as exc:
@@ -356,16 +388,15 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
     return SpectralSplit(m, V0, Z0, A0, alpha, beta, evals, True)
 
 
-def _sparse_symmetric_split(L0: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
+def _sparse_symmetric_split(L0, N: int, alpha: float | None) -> SpectralSplit:
     n = L0.shape[0]
-    skew = np.abs(L0 - L0.T).max()
-    if skew > 1e-10 * (1.0 + np.abs(L0).max()):
+    A = sparse.csr_matrix(L0)  # no copy when L0 is CSR already
+    if abs(A - A.T).max() > 1e-10 * (1.0 + abs(A).max()):
         raise UnsupportedSplit(
             f"base operator of size {n} exceeds the dense eigenanalysis limit "
             f"({_DENSE_EIG_LIMIT}) and is not symmetric; cannot split its spectrum"
         )
-    A = sparse.csr_matrix(L0)
-    scale = max(float(np.abs(L0.diagonal()).max()), 1.0)
+    scale = max(float(np.abs(A.diagonal()).max()), 1.0)
     lam_top = float(spla.eigsh(A, k=1, which="LA", return_eigenvectors=False)[0])
     lam_bot = float(spla.eigsh(A, k=1, which="SA", return_eigenvectors=False)[0])
     k = min(16, n - 2)
@@ -438,7 +469,7 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
         return _exact_split(L0, N, alpha)
     if family.dimU > _DENSE_EIG_LIMIT:
         return _sparse_symmetric_split(L0, N, alpha)
-    return _dense_split(L0, N, alpha)
+    return _dense_split(rat.as_float(L0), N, alpha)
 
 
 @dataclass
@@ -489,9 +520,8 @@ def validate_family(
     Vf = rat.as_float(split.V0)
     Zf = rat.as_float(split.Z0)
     Af = rat.as_float(split.A0)
-    L0f = rat.as_float(family.L0)
     binorm = float(np.abs(Zf.T @ Vf - np.eye(split.m)).max())
-    invres = float(np.abs(L0f @ Vf - Vf @ Af).max())
+    invres = float(np.abs(family.to_float().L0 @ Vf - Vf @ Af).max())
     gap = split.beta - N * split.alpha
     return ValidationReport(
         label=family.label,

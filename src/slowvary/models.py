@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import _rational as rat
 from .crosssection import OperatorFamily, SpectralSplit, spectral_split
@@ -251,20 +252,21 @@ class CellProblem:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CellProblem":
-        """Parse a cell document: JSON integer ``n``, optional ``h``, and ``K``
-        samples (read by :func:`slowvary._rational.decode_matrix`) or ``K_expr``."""
+        """Parse a cell document: JSON integer ``n``, optional JSON numbers
+        ``h``, ``base`` and ``amplitude``, and ``K`` samples (read by
+        :func:`slowvary._rational.decode_matrix`) or ``K_expr``."""
         if "K" not in doc and "K_expr" not in doc:
             raise ValueError("cell document needs either K samples or K_expr")
         try:
-            h = float(doc.get("h", 1.0))
+            h = rat.json_number(doc, "h", 1.0)
             n = rat.json_int(doc, "n")
             if "K_expr" in doc:
                 return cls.from_expression(
                     doc["K_expr"],
                     n=n,
                     h=h,
-                    base=float(doc.get("base", 1.0)),
-                    amplitude=float(doc.get("amplitude", 0.5)),
+                    base=rat.json_number(doc, "base", 1.0),
+                    amplitude=rat.json_number(doc, "amplitude", 0.5),
                 )
             K = rat.decode_matrix(doc["K"], shape=(n, n))
         except (KeyError, TypeError, ValueError) as exc:
@@ -294,42 +296,44 @@ def homogenisation_cell(cell: CellProblem) -> OperatorFamily:
     the same face values, so the discrete family inherits the structural
     identities of the continuum one (in particular the first-order
     closure coefficients vanish identically by telescoping).
+
+    Node ``(i, j)`` is state component ``i n + j``.  Each operator is a
+    periodic stencil of at most five entries per row, assembled at once
+    from rolled index arrays and stored as CSR, so the family holds
+    ``O(n^2)`` numbers instead of ``O(n^4)``.
     """
     n = cell.n
     d = cell.h / n
-    size = n * n
     Kc = cell.K
     Kx = cell.face_K(0)  # face (i+1/2, j)
     Ky = cell.face_K(1)  # face (i, j+1/2)
+    kxm, kym = np.roll(Kx, 1, axis=0), np.roll(Ky, 1, axis=1)  # (i-1/2, j), (i, j-1/2)
+    p = np.arange(n * n).reshape(n, n)
+    east, west = np.roll(p, -1, axis=0), np.roll(p, 1, axis=0)  # (i+1, j), (i-1, j)
+    north, south = np.roll(p, -1, axis=1), np.roll(p, 1, axis=1)  # (i, j+1), (i, j-1)
 
-    def flat(i, j):
-        return (i % n) * n + (j % n)
+    def stencil(*entries):
+        """CSR matrix with entry ``values[i, j]`` at (node (i, j), ``cols[i, j]``)
+        for each ``(cols, values)`` pair; no position repeats for n >= 4."""
+        cols, vals = zip(*entries)
+        return sparse.csr_matrix(
+            (np.concatenate([v.ravel() for v in vals]),
+             (np.tile(p.ravel(), len(entries)), np.concatenate([c.ravel() for c in cols]))),
+            shape=(n * n, n * n),
+        )
 
-    L0 = np.zeros((size, size))
-    L10 = np.zeros((size, size))
-    L01 = np.zeros((size, size))
-    for i in range(n):
-        for j in range(n):
-            p = flat(i, j)
-            kxp, kxm = Kx[i, j], Kx[i - 1, j]
-            kyp, kym = Ky[i, j], Ky[i, j - 1]
-            L0[p, flat(i + 1, j)] += kxp / d**2
-            L0[p, flat(i - 1, j)] += kxm / d**2
-            L0[p, flat(i, j + 1)] += kyp / d**2
-            L0[p, flat(i, j - 1)] += kym / d**2
-            L0[p, p] -= (kxp + kxm + kyp + kym) / d**2
-            # dK/dy as the difference of the flux-form face values
-            L10[p, p] += (kxp - kxm) / d
-            L01[p, p] += (kyp - kym) / d
-            # 2 K d/dy with a centred difference
-            L10[p, flat(i + 1, j)] += Kc[i, j] / d
-            L10[p, flat(i - 1, j)] -= Kc[i, j] / d
-            L01[p, flat(i, j + 1)] += Kc[i, j] / d
-            L01[p, flat(i, j - 1)] -= Kc[i, j] / d
-    K2 = np.diag(Kc.reshape(-1))
+    L0 = stencil(
+        (east, Kx / d**2), (west, kxm / d**2), (north, Ky / d**2), (south, kym / d**2),
+        (p, -(Kx + kxm + Ky + kym) / d**2),
+    )
+    # dK/dy as the difference of the flux-form face values, plus 2 K d/dy
+    # with a centred difference
+    L10 = stencil((p, (Kx - kxm) / d), (east, Kc / d), (west, -Kc / d))
+    L01 = stencil((p, (Ky - kym) / d), (north, Kc / d), (south, -Kc / d))
+    K2 = stencil((p, Kc))
     label = f"homogenise-{cell.expr or 'samples'}-n{n}"
     return OperatorFamily(
-        {(0, 0): L0, (1, 0): L10, (0, 1): L01, (2, 0): K2, (0, 2): K2.copy()},
+        {(0, 0): L0, (1, 0): L10, (0, 1): L01, (2, 0): K2, (0, 2): K2},
         label=label,
     )
 

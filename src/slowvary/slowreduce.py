@@ -140,7 +140,7 @@ class _BorderedSylvester:
         self.L0, self.A0, self.Z0 = L0, A0, Z0
         self.d, self.m = L0.shape[0], A0.shape[0]
         self.tol = 0 if self.exact else tol
-        self._size = np.abs(L0).max() + np.abs(A0).max()
+        self._size = abs(L0).max() + np.abs(A0).max()  # L0 may be CSR
         if self.exact:
             self._T, self._U = A0, rat.exact_eye(self.m)
         else:

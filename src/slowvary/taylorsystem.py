@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sparse
 
 from . import _rational as rat
 from .crosssection import OperatorFamily
@@ -83,6 +84,8 @@ def _assemble(table: IndexTable, inner: int, pick, exact: bool) -> np.ndarray:
         for j, k in enumerate(table):
             if partial_leq(n, k):
                 blockmat = pick(index_sub(k, n))
+                if sparse.issparse(blockmat):  # a CSR family operator
+                    blockmat = blockmat.toarray()
                 if blockmat is not None:
                     out[
                         i * inner : (i + 1) * inner, j * inner : (j + 1) * inner

@@ -222,6 +222,25 @@ def test_cell_problem_file_as_model(tmp_path):
     assert report["coefficients"]["0,2"] == [[pytest.approx(1.0)]]
 
 
+def test_run_meta_records_family_storage(tmp_path):
+    from slowvary.cli import main
+
+    model_file = tmp_path / "walker.json"
+    sv.random_walker_modal().save(model_file)
+    # three 3 x 3 walker operators of 8-byte entries (object pointers when
+    # exact); CSR over 64 nodes: L0, L10, L01, K, K keep 5 + 3 + 3 + 1 + 1
+    # entries a row (float64 value, int32 column) and 65 int32 row pointers each
+    cases = [(["--model", "walker-modal", "--exact"], "exact", 27 * 8),
+             (["--model", str(model_file)], "dense", 27 * 8),
+             (["--model", "homogenise-layered", "--grid", "8"], "csr",
+              (5 + 3 + 3 + 1 + 1) * 64 * 12 + 5 * 65 * 4)]
+    for i, (args, storage, nbytes) in enumerate(cases):
+        out = tmp_path / f"run{i}"
+        assert main(["validate", *args, "--out", str(out)]) == 0
+        family = json.loads((out / "run_meta.json").read_text())["family"]
+        assert family == {"storage": storage, "bytes": nbytes}
+
+
 _BAD_MODEL_FILES = {
     "not-json": "{not json",
     "wrong-shape": {"M": 2, "dimU": 2, "operators": {"0,0": [[0, 0, 0]]}},
@@ -240,6 +259,9 @@ _BAD_MODEL_FILES = {
     "huge-float": '{"M": 1, "dimU": 2, "operators": {"0": [[1e400, 0], [0, -1]]}}',
     "bool-entry": {"M": 1, "dimU": 2, "operators": {"0": [[True, 0], [0, -1]]}},
     "empty-operator": {"M": 1, "dimU": 0, "operators": {"0": []}},
+    # "0 " parses to the same multi-index as "0"
+    "duplicate-key": {"M": 1, "dimU": 2,
+                      "operators": {"0": [[0, 0], [0, -1]], "0 ": [[1, 0], [0, 1]]}},
     # cell documents
     "amplitude-list": {"n": 8, "K_expr": "constant", "amplitude": [1]},
     "amplitude-nan": '{"n": 8, "K_expr": "layered_cos", "amplitude": NaN}',
@@ -248,6 +270,8 @@ _BAD_MODEL_FILES = {
                   '[1, 1, 1, 1]]}',
     "h-infinity": '{"n": 8, "K_expr": "constant", "h": Infinity}',
     "n-not-integer": {"n": 8.7, "K_expr": "constant"},
+    "h-string": {"n": 8, "K_expr": "constant", "h": "2"},
+    "amplitude-bool": {"n": 8, "K_expr": "layered_cos", "amplitude": True},
 }
 # run only with --exact: without it, these files already exit 2 (or are valid)
 _EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import slowvary as sv
 from slowvary.errors import GridTooCoarse, NonPositiveDiffusivity
@@ -138,11 +139,8 @@ def test_homogenise_layered_harmonic_arithmetic():
 def test_layered_convergence_second_order():
     errs = []
     for n in (16, 32, 64):
-        cell = CellProblem.from_expression("layered_cos", n=n)
-        split = cell_spectral_split(homogenisation_cell(cell))
-        model, _ = sv.construct_reduction(
-            homogenisation_cell(cell), N=2, split=split
-        )
+        fam = homogenisation_cell(CellProblem.from_expression("layered_cos", n=n))
+        model, _ = sv.construct_reduction(fam, N=2, split=cell_spectral_split(fam))
         errs.append(abs(float(model.coefficient((2, 0))[0, 0]) - np.sqrt(0.75)))
     rate = np.log2(errs[0] / errs[1]), np.log2(errs[1] / errs[2])
     assert rate[0] == pytest.approx(2.0, abs=0.3)
@@ -232,3 +230,95 @@ def test_cell_json_roundtrip(tmp_path):
     assert back2.h == 2.0
     np.testing.assert_allclose(back2.K, cell.K, atol=0)
     assert back2.k_func is None
+
+
+# -- sparse storage of cell families -------------------------------------------
+
+
+def _dense_cell_operators(cell):
+    """Reference assembly: the node-by-node loop over the periodic stencil."""
+    n, d = cell.n, cell.h / cell.n
+    Kc, Kx, Ky = cell.K, cell.face_K(0), cell.face_K(1)
+
+    def flat(i, j):
+        return (i % n) * n + (j % n)
+
+    L0, L10, L01 = (np.zeros((n * n, n * n)) for _ in range(3))
+    for i in range(n):
+        for j in range(n):
+            p = flat(i, j)
+            kxp, kxm, kyp, kym = Kx[i, j], Kx[i - 1, j], Ky[i, j], Ky[i, j - 1]
+            L0[p, flat(i + 1, j)] += kxp / d**2
+            L0[p, flat(i - 1, j)] += kxm / d**2
+            L0[p, flat(i, j + 1)] += kyp / d**2
+            L0[p, flat(i, j - 1)] += kym / d**2
+            L0[p, p] -= (kxp + kxm + kyp + kym) / d**2
+            L10[p, p] += (kxp - kxm) / d
+            L01[p, p] += (kyp - kym) / d
+            L10[p, flat(i + 1, j)] += Kc[i, j] / d
+            L10[p, flat(i - 1, j)] -= Kc[i, j] / d
+            L01[p, flat(i, j + 1)] += Kc[i, j] / d
+            L01[p, flat(i, j - 1)] -= Kc[i, j] / d
+    K2 = np.diag(Kc.reshape(-1))
+    return {(0, 0): L0, (1, 0): L10, (0, 1): L01, (2, 0): K2, (0, 2): K2}
+
+
+def _samples_cell(n):
+    rng = np.random.default_rng(n)
+    return CellProblem(h=2.0, n=n, K=1.0 + 0.5 * rng.random((n, n)))
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("expr", ["constant", "layered_cos", "checkerboard_smooth", "samples"])
+def test_cell_csr_assembly_matches_dense_loop(n, expr):
+    if expr == "samples":
+        cell = _samples_cell(n)
+    else:
+        cell = CellProblem.from_expression(expr, n=n, base=0.8, amplitude=0.4)
+    fam = homogenisation_cell(cell)
+    ref = _dense_cell_operators(cell)
+    assert fam.storage == "csr"
+    assert set(fam.ops) == set(ref)
+    for k, dense in ref.items():
+        assert sparse.issparse(fam.ops[k])
+        assert fam.ops[k].toarray().tobytes() == dense.tobytes()  # bitwise, signs of 0 too
+
+
+def test_cell_family_storage_is_linear_in_cells():
+    fam = homogenisation_cell(CellProblem.from_expression("layered_cos", n=64))
+    assert fam.dimU == 4096
+    assert all(sparse.issparse(op) for op in fam.ops.values())
+    # dense storage would take five 4096 x 4096 float64 matrices, 671 MB
+    assert fam.nbytes == sum(op.nbytes for op in fam.ops.values()) < 2_000_000
+    L0 = fam.L0
+    assert L0.nbytes == L0.data.nbytes + L0.indices.nbytes + L0.indptr.nbytes
+
+
+def test_sparse_cell_family_matches_dense_copy():
+    cell = CellProblem.from_expression("checkerboard_smooth", n=8, amplitude=0.3)
+    fam = homogenisation_cell(cell)
+    dense = sv.OperatorFamily(
+        {k: op.toarray() for k, op in fam.ops.items()}, label=fam.label
+    )
+    assert dense.storage == "dense"
+    assert fam.to_json() == dense.to_json()
+    back = sv.OperatorFamily.from_json(fam.to_json())
+    for k, op in fam.ops.items():
+        assert back.ops[k].tobytes() == op.toarray().tobytes()
+    # the densifying consumers see the same matrices
+    kappa = (0.3, -0.7)
+    assert np.array_equal(sv.symbol_matrix(fam, kappa), sv.symbol_matrix(dense, kappa))
+    assert np.array_equal(
+        sv.build_block_operator(fam, 2).matrix, sv.build_block_operator(dense, 2).matrix
+    )
+
+
+def test_sparse_cell_family_to_exact():
+    fam = homogenisation_cell(CellProblem.from_expression("constant", n=4, base=0.5))
+    exact = fam.to_exact()
+    assert exact.storage == "exact"
+    for k, op in fam.ops.items():
+        assert exact.ops[k].dtype == object
+        assert exact.ops[k].tolist() == [[Fraction(x) for x in row] for row in op.toarray()]
+    # four faces of K = 1/2 over a spacing of 1/4
+    assert exact.ops[(0, 0)][0, 0] == Fraction(-32)
