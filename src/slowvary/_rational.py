@@ -203,10 +203,40 @@ def json_number(doc: dict, key: str, default: float) -> float:
     raise ValueError(f"{key!r} must be a number, got {x!r}")
 
 
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _is_matrix(obj) -> bool:
+    return (isinstance(obj, list) and bool(obj)
+            and all(isinstance(row, list) and row for row in obj)
+            and all(isinstance(x, _SCALARS) for row in obj for x in row))
+
+
+def _indented(obj, ind: str) -> str:
+    r"""``json.dumps(obj, indent=2, sort_keys=True)`` nested at indent ``ind``.
+
+    A matrix (a list of non-empty lists of scalars) takes one call of the C
+    encoder with the item separator ``",\n"``.  JSON strings hold no raw
+    newline, so each ``",\n"`` is a separator, and the ones between rows
+    are exactly those inside ``"],\n["``; both get indented by hand.
+    """
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj) and obj:
+        inner = ind + "  "
+        items = (f"{inner}{json.dumps(k)}: {_indented(obj[k], inner)}" for k in sorted(obj))
+        return "{\n" + ",\n".join(items) + "\n" + ind + "}"
+    if _is_matrix(obj):
+        i1, i2 = ind + "  ", ind + "    "
+        rows = json.dumps(obj, separators=(",\n", ": "))[2:-2].split("],\n[")
+        rows = (f"{i1}[\n{i2}" + row.replace(",\n", ",\n" + i2) + f"\n{i1}]" for row in rows)
+        return "[\n" + ",\n".join(rows) + "\n" + ind + "]"
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + ind)
+
+
 def save_json(path, doc: dict) -> None:
+    """Write ``doc`` as ``json.dump(doc, indent=2, sort_keys=True)`` would,
+    plus a newline, with matrices encoded by the C encoder."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_indented(doc, "") + "\n")
 
 
 def load_json(path):

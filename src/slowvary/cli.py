@@ -100,7 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=_parse_grid, default=(32,),
                        help="grid points, comma separated per direction")
         p.add_argument("--dt", type=float, default=None,
-                       help="integrator step override")
+                       help="ignored (each Fourier mode advances exactly); "
+                            "kept for compatibility, must be positive")
         p.add_argument("--T", type=float, default=26.0,
                        help="simulation span")
         p.add_argument("--wavelengths", type=_parse_wavelengths,
@@ -512,6 +513,8 @@ def _run(cfg: RunConfig) -> int:
             raise ConfigError("slowvary: --alpha must be >= 0")
         if min(cfg.grid) < 1:
             raise ConfigError("slowvary: --grid entries must be at least 1")
+        if cfg.dt is not None and not 0 < cfg.dt < math.inf:
+            raise ConfigError("slowvary: --dt must be positive and finite")
         if cfg.command == "converge" and len(set(cfg.wavelengths)) < 2:
             raise ConfigError("slowvary: converge needs two distinct --wavelengths")
         family, cell = _load_model(cfg)

@@ -391,14 +391,23 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
 def _sparse_symmetric_split(L0, N: int, alpha: float | None) -> SpectralSplit:
     n = L0.shape[0]
     A = sparse.csr_matrix(L0)  # no copy when L0 is CSR already
-    if abs(A - A.T).max() > 1e-10 * (1.0 + abs(A).max()):
+    absA = abs(A)
+    if abs(A - A.T).max() > 1e-10 * (1.0 + absA.max()):
         raise UnsupportedSplit(
             f"base operator of size {n} exceeds the dense eigenanalysis limit "
             f"({_DENSE_EIG_LIMIT}) and is not symmetric; cannot split its spectrum"
         )
-    scale = max(float(np.abs(A.diagonal()).max()), 1.0)
-    lam_top = float(spla.eigsh(A, k=1, which="LA", return_eigenvectors=False)[0])
+    diag = A.diagonal()
+    scale = max(float(np.abs(diag).max()), 1.0)
     lam_bot = float(spla.eigsh(A, k=1, which="SA", return_eigenvectors=False)[0])
+    # Gershgorin: no eigenvalue exceeds max_i (a_ii + sum_{j != i} |a_ij|).
+    # When that bound settles lam_top <= alpha it stands in for lam_top
+    # (the default alpha's radius is |lam_bot| either way); otherwise
+    # ARPACK finds lam_top.
+    lam_top = float((diag - np.abs(diag) + np.asarray(absA.sum(axis=1)).ravel()).max())
+    band = 1e-9 * max(abs(lam_top), abs(lam_bot)) if alpha is None else alpha
+    if lam_top > band:
+        lam_top = float(spla.eigsh(A, k=1, which="LA", return_eigenvectors=False)[0])
     k = min(16, n - 2)
     # shift slightly above the spectrum top so the factorisation is regular
     # and the Lanczos sweep returns the eigenvalues closest to zero

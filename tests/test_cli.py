@@ -294,6 +294,9 @@ _EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")
                  "config", id="zero-grid"),
     pytest.param(["reduce", "--model", "walker-modal", "--order", "0"],
                  "config", id="zero-order"),
+    *[pytest.param(["simulate", "--model", "walker-modal", "--dt", dt], "config",
+                   id=f"dt-{name}")
+      for name, dt in (("zero", "0"), ("nan", "nan"), ("negative", "-1"))],
     pytest.param(["converge", "--model", "walker-modal", "--wavelengths", "64"],
                  "config", id="one-wavelength"),
     pytest.param(["reduce", "--model", "homogenise-foo"], "config", id="misspelt-cell"),

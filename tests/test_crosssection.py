@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import slowvary as sv
 from slowvary.crosssection import _binormalise
@@ -153,6 +154,58 @@ def test_sparse_symmetric_split_cycle_graph():
     assert split.beta == pytest.approx(gap, rel=1e-8)
     assert np.abs(L0 @ split.V0).max() < 1e-8
     assert float((split.Z0.T @ split.V0)[0, 0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def _cycle_laplacian(n):
+    lap = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    lap[0, -1] = lap[-1, 0] = 1.0
+    return sparse.csr_matrix(lap)
+
+
+@pytest.fixture
+def arpack_calls(monkeypatch):
+    """The ``which`` of every ``eigsh`` call the sparse split makes."""
+    from slowvary import crosssection
+
+    calls = []
+    eigsh = crosssection.spla.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("which"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(crosssection.spla, "eigsh", spy)
+    return calls
+
+
+def test_sparse_split_gershgorin_settles_stability(arpack_calls):
+    # diagonally dominant, non-positive diagonal: the bound is 0 <= alpha
+    fam = sv.OperatorFamily({(0,): _cycle_laplacian(700)})
+    assert sv.spectral_split(fam, N=1).m == 1
+    assert "LA" not in arpack_calls
+
+
+def test_sparse_split_falls_back_to_arpack_for_positive_eigenvalue(arpack_calls):
+    # a rank-one raise of a negative semidefinite matrix: by interlacing
+    # exactly one eigenvalue turns positive (a_00 = 1 > 0)
+    L0 = _cycle_laplacian(700).tolil()
+    L0[0, 0] = 1.0
+    with pytest.raises(UnstableMode, match="largest eigenvalue"):
+        sv.spectral_split(sv.OperatorFamily({(0,): L0.tocsr()}), N=1)
+    assert "LA" in arpack_calls
+
+
+def test_sparse_split_falls_back_to_arpack_without_dominance(arpack_calls):
+    # lap - lap^2 has rows -1, 5, -8, 5, -1 (Gershgorin bound 4) but
+    # eigenvalues mu - mu^2 <= 0 over the Laplacian's mu <= 0
+    n = 700
+    lap = _cycle_laplacian(n)
+    fam = sv.OperatorFamily({(0,): (lap - lap @ lap).tocsr()})
+    split = sv.spectral_split(fam, N=2)
+    assert "LA" in arpack_calls
+    assert split.m == 1
+    mu = 2.0 - 2.0 * np.cos(2 * np.pi / n)
+    assert split.beta == pytest.approx(mu + mu**2, rel=1e-8)
 
 
 def test_large_nonsymmetric_split_is_unsupported():

@@ -61,6 +61,75 @@ def test_micro_matches_mode_oracle(walker):
         assert np.abs(traj.values[-1] - expected).max() / scale < 1e-8
 
 
+def _rk4_reference(family, field0, T, samples, dt):
+    """Classical RK4 on every Fourier mode with steps of at most ``dt``."""
+    axes = tuple(range(len(field0.grid)))
+    freqs = [2 * np.pi * np.fft.fftfreq(g, d=L / g)
+             for g, L in zip(field0.grid, field0.lengths)]
+    kvecs = np.stack(np.meshgrid(*freqs, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    S = np.array([sv.symbol_matrix(family, kappa) for kappa in kvecs])
+    u = np.fft.fftn(field0.values, axes=axes).reshape(-1, field0.dimU)
+    span = T / samples
+    nsub = int(np.ceil(span / dt))
+    h = span / nsub
+
+    def deriv(x):
+        return np.einsum("mij,mj->mi", S, x)
+
+    frames = [field0.values]
+    for _ in range(samples):
+        for _ in range(nsub):
+            k1 = deriv(u)
+            k2 = deriv(u + 0.5 * h * k1)
+            k3 = deriv(u + 0.5 * h * k2)
+            k4 = deriv(u + h * k3)
+            u = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        frames.append(np.real(np.fft.ifftn(u.reshape(field0.values.shape), axes=axes)))
+    return np.array(frames)
+
+
+def test_micro_matches_fine_rk4(walker):
+    """Exact propagation against an independent fine-step RK4 integration."""
+    rng = np.random.default_rng(7)
+    f0 = sv.MicroField((20.0, 12.0), rng.standard_normal((8, 8, 3)))
+    traj = sv.simulate_micro(walker, f0, T=4.0, samples=8)
+    ref = _rk4_reference(walker, f0, T=4.0, samples=8, dt=2e-3)
+    assert np.abs(traj.values - ref).max() / np.abs(ref).max() < 1e-8
+
+
+def test_micro_jordan_centre_closed_form():
+    """A Jordan centre advances as ``e^{lam t} (I + t N)``, mode by mode.
+
+    ``S(kappa) = lam(kappa) I + (1 + 0.3 i kappa_x) N + diag(0, 0, -1)``
+    with ``N = e_0 e_1^T`` and ``lam = 0.4 i kappa_x - 0.2 i kappa_y -
+    0.1 |kappa|^2``; N commutes with the decaying third component.
+    """
+    N = np.zeros((3, 3))
+    N[0, 1] = 1.0
+    eye = np.eye(3)
+    fam = sv.OperatorFamily({
+        (0, 0): N + np.diag([0.0, 0.0, -1.0]),
+        (1, 0): 0.4 * eye + 0.3 * N,
+        (0, 1): -0.2 * eye,
+        (2, 0): 0.1 * eye,
+        (0, 2): 0.1 * eye,
+    })
+    rng = np.random.default_rng(8)
+    lengths, grid = (9.0, 14.0), (8, 8)
+    f0 = sv.MicroField(lengths, rng.standard_normal(grid + (3,)))
+    traj = sv.simulate_micro(fam, f0, T=6.0, samples=6)
+    freqs = [2 * np.pi * np.fft.fftfreq(g, d=L / g) for g, L in zip(grid, lengths)]
+    kx, ky = np.meshgrid(*freqs, indexing="ij")
+    lam = 0.4j * kx - 0.2j * ky - 0.1 * (kx**2 + ky**2)
+    u0 = np.fft.fftn(f0.values, axes=(0, 1))
+    for t, frame in zip(traj.times, traj.values):
+        u = np.exp(lam * t)[..., None] * u0
+        u[..., 2] *= np.exp(-t)
+        u[..., 0] += t * (1 + 0.3j * kx) * u[..., 1]
+        expected = np.real(np.fft.ifftn(u, axes=(0, 1)))
+        assert np.abs(frame - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_total_mass_conserved(walker_physical):
     rng = np.random.default_rng(3)
     grid, lengths = (16, 1), (10.0, 10.0)
@@ -147,7 +216,9 @@ def test_stability_violation_raised():
     fam = sv.OperatorFamily({(0,): np.array([[0.5]])})
     values = sv.plane_wave((10.0,), (8,), 1)
     f0 = sv.MicroField((10.0,), values)
-    with pytest.raises(StabilityViolation):
+    # every mode grows as e^{t/2}; only kappa = +-2 pi / 10 is seeded
+    with pytest.raises(StabilityViolation,
+                       match=r"by t = 28, largest at wavevector kappa = \(0\.628319\)"):
         sv.simulate_micro(fam, f0, T=40.0, samples=50)
 
 

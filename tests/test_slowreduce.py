@@ -1,10 +1,11 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import slowvary as sv
-from slowvary._rational import frac_matrix
+from slowvary._rational import frac_matrix, save_json
 from slowvary.errors import SylvesterInconsistent
 from slowvary.slowreduce import solve_constrained_sylvester
 
@@ -203,6 +204,38 @@ def test_model_json_roundtrip(tmp_path, family_pair):
     bf = sv.ReducedModel.load(pe)
     for n in me.A:
         assert bf.A[n].tobytes() == me.to_float().A[n].tobytes()
+
+
+def _assert_saved_as_json_dump(path, doc):
+    save_json(path, doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_save_json_bytes_match_json_dump(tmp_path, family_pair):
+    fam, fam_exact, alpha = family_pair
+    for f, a in ((fam, alpha), (fam_exact, None)):
+        model, basis = sv.construct_reduction(f, N=2, alpha=a)
+        for doc in (f.to_json(), model.to_json(), basis.to_json()):
+            _assert_saved_as_json_dump(tmp_path / "doc.json", doc)
+
+
+def test_save_json_bytes_match_json_dump_cell_and_odd_entries(tmp_path):
+    cell = sv.homogenisation_cell(sv.CellProblem.from_expression("layered_cos", n=16))
+    _, basis = sv.construct_reduction(cell, N=2, split=sv.cell_spectral_split(cell, N=2))
+    _assert_saved_as_json_dump(tmp_path / "cell.json", basis.to_json())
+    # separators, brackets and escapes inside string entries; mixed and
+    # nested shapes that are not matrices
+    odd = {
+        "strings": [["1/2, 3", "], [", "a\nb"], ['"', "\\", "\u00e9"]],
+        "mixed": [[1, 2.5, None, True, float("nan"), -float("inf")]],
+        "empty": [[], []],
+        "nested": [[[1, 2]], [[3]]],
+        "tuple-rows": [(1, 2), (3, 4)],
+        "dicts": [{"b": [[1]], "a": 2}],
+        "keys": {"z": {}, "y": [], "x": 3, "w": "s"},
+        "int-keys": {2: [[1]], 1: [[2]]},
+    }
+    _assert_saved_as_json_dump(tmp_path / "odd.json", odd)
 
 
 @pytest.mark.parametrize("doc", [
