@@ -14,7 +14,11 @@ Built-in model names: ``walker-modal``, ``walker-physical``,
 holding either an operator family or a diffusivity cell problem.
 
 Every subcommand runs one pipeline (``_run``): check the options, load
-the model, split ``L_0`` once, then run the subcommand's own body.
+the model, split ``L_0`` once, construct the order-N closure once
+(``--order``, ``--tol``, ``--method``; all but ``validate``), then run the
+subcommand's own body.  The demos take the same options.  ``demo walker``
+reduces the walker in exact arithmetic; the cell demos print ``A_(2,0)``
+and ``A_(0,2)`` and so need ``--order`` of at least 2.
 
 Exit codes: 0 all checks pass; 2 the model violates a structural
 assumption or the config is invalid; 3 a numerical check failed.
@@ -272,8 +276,9 @@ def _coeff_table(model) -> dict:
 
 
 # -- subcommands --------------------------------------------------------------
-# A body gets the family, its cell problem (or None) and the split, fills
-# ``report`` and returns the exit code; ``_run`` maps what it raises.
+# A body gets the family, its cell problem (or None), the split and the
+# constructed model and basis (None for ``validate``), fills ``report`` and
+# returns the exit code; ``_run`` maps what it raises.
 
 
 def _split_fields(family, split) -> dict:
@@ -287,17 +292,13 @@ def _split_fields(family, split) -> dict:
     }
 
 
-def _reduce(cfg: RunConfig, family, cell, split, report: dict) -> int:
+def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
     import numpy as np
 
     from . import slowreduce, taylorsystem
     from .crosssection import validate_family
 
     vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
-    model, basis = slowreduce.construct_reduction(
-        family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
-    )
-
     famf = family.to_float()
     scale = max(1.0, max(float(abs(op).max()) for op in famf.ops.values()))
     threshold = cfg.tol * scale
@@ -352,7 +353,7 @@ def _reduce(cfg: RunConfig, family, cell, split, report: dict) -> int:
     return EXIT_OK
 
 
-def _validate(cfg: RunConfig, family, cell, split, report: dict) -> int:
+def _validate(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
     from .crosssection import validate_family
 
     vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
@@ -368,14 +369,11 @@ def _validate(cfg: RunConfig, family, cell, split, report: dict) -> int:
     return EXIT_OK
 
 
-def _simulate(cfg: RunConfig, family, cell, split, report: dict) -> int:
+def _simulate(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
     import numpy as np
 
-    from . import simulate, slowreduce
+    from . import simulate
 
-    model, _ = slowreduce.construct_reduction(
-        family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
-    )
     famf = family.to_float()
     modelf = model.to_float()
 
@@ -411,12 +409,9 @@ def _simulate(cfg: RunConfig, family, cell, split, report: dict) -> int:
     return EXIT_OK
 
 
-def _converge(cfg: RunConfig, family, cell, split, report: dict) -> int:
-    from . import simulate, slowreduce
+def _converge(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
+    from . import simulate
 
-    model, _ = slowreduce.construct_reduction(
-        family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
-    )
     study = simulate.closure_order_study(
         family.to_float(), model.to_float(), split, cfg.wavelengths,
         grid_points=cfg.grid[0],
@@ -450,15 +445,12 @@ def _converge(cfg: RunConfig, family, cell, split, report: dict) -> int:
     return EXIT_OK
 
 
-def _demo(cfg: RunConfig, family, cell, split, report: dict) -> int:
+def _demo(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
     import numpy as np
 
     from . import models, slowreduce
 
     if cell is None:
-        model, basis = slowreduce.construct_reduction(
-            family, cfg.N, split=split
-        )
         inv = slowreduce.check_invariance(family, model, basis)
         print("three-velocity walker, modal coordinates")
         print(model.equation_text())
@@ -468,7 +460,6 @@ def _demo(cfg: RunConfig, family, cell, split, report: dict) -> int:
         report.update({"coefficients": _coeff_table(model),
                        "invariance_residual": _sig(inv), "pass": True})
         return EXIT_OK
-    model, _ = slowreduce.construct_reduction(family, 2, split=split)
     a20 = float(model.coefficient((2, 0))[0, 0])
     a02 = float(model.coefficient((0, 2))[0, 0])
     ratio = models.cell_gap_ratio(cell, split)
@@ -497,7 +488,8 @@ _COMMANDS = {
 
 
 def _run(cfg: RunConfig) -> int:
-    """Check, load and split once, run the subcommand, write the report."""
+    """Check, load, split and construct once, run the subcommand, write the report."""
+    from . import slowreduce
     from .errors import ConfigError, FamilyValidationError, NumericalCheckError
 
     body, header = _COMMANDS[cfg.command]
@@ -513,14 +505,31 @@ def _run(cfg: RunConfig) -> int:
             raise ConfigError("slowvary: --alpha must be >= 0")
         if min(cfg.grid) < 1:
             raise ConfigError("slowvary: --grid entries must be at least 1")
-        if cfg.dt is not None and not 0 < cfg.dt < math.inf:
-            raise ConfigError("slowvary: --dt must be positive and finite")
+        for flag, value in (("--dt", cfg.dt), ("--T", cfg.T), ("--tol", cfg.tol),
+                            *(("--wavelengths", L) for L in cfg.wavelengths)):
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"slowvary: {flag} must be positive and finite, "
+                                  f"got {value}")
+        if cfg.command in ("simulate", "converge") and any(g & (g - 1) for g in cfg.grid):
+            raise ConfigError(f"slowvary: --grid entries must be powers of two, "
+                              f"got {','.join(map(str, cfg.grid))}")
         if cfg.command == "converge" and len(set(cfg.wavelengths)) < 2:
             raise ConfigError("slowvary: converge needs two distinct --wavelengths")
+        if cfg.command == "demo" and cfg.model != "walker" and cfg.N < 2:
+            raise ConfigError("slowvary: the cell demos print A_(2,0) and A_(0,2), "
+                              "--order must be at least 2")
         family, cell = _load_model(cfg)
         meta["family"] = {"storage": family.storage, "bytes": family.nbytes}
+        if cfg.command == "simulate" and len(cfg.grid) > family.M:
+            raise ConfigError(f"slowvary: --grid has {len(cfg.grid)} entries, "
+                              f"the model only {family.M} directions")
         split = _split_family(cfg, family, cell)
-        code = body(cfg, family, cell, split, report)
+        model = basis = None
+        if cfg.command != "validate":
+            model, basis = slowreduce.construct_reduction(
+                family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
+            )
+        code = body(cfg, family, cell, split, model, basis, report)
     except (ConfigError, FamilyValidationError, NumericalCheckError) as exc:
         check = "config" if isinstance(exc, ConfigError) else type(exc).__name__
         code = EXIT_NUMERICAL if isinstance(exc, NumericalCheckError) else EXIT_INVALID

@@ -53,7 +53,7 @@ __all__ = [
 _GROWTH_LIMIT = 1e6
 
 
-def _check_box(lengths, grid, values, ncomp_name):
+def _check_box(lengths, grid):
     lengths = tuple(float(L) for L in lengths)
     grid = tuple(int(g) for g in grid)
     if len(lengths) != len(grid):
@@ -64,10 +64,6 @@ def _check_box(lengths, grid, values, ncomp_name):
     for g in grid:
         if g < 1 or (g & (g - 1)):
             raise ValueError(f"grid sizes must be powers of two, got {g}")
-    if values.shape[:-1] != grid:
-        raise ValueError(
-            f"values shape {values.shape} does not match grid {grid} + ({ncomp_name},)"
-        )
     return lengths, grid
 
 
@@ -80,9 +76,7 @@ class MicroField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.lengths, self.grid = _check_box(
-            self.lengths, self.values.shape[:-1], self.values, "dimU"
-        )
+        self.lengths, self.grid = _check_box(self.lengths, self.values.shape[:-1])
 
     @property
     def dimU(self) -> int:
@@ -98,9 +92,7 @@ class MacroField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.lengths, self.grid = _check_box(
-            self.lengths, self.values.shape[:-1], self.values, "m"
-        )
+        self.lengths, self.grid = _check_box(self.lengths, self.values.shape[:-1])
 
     @property
     def m(self) -> int:
@@ -141,14 +133,6 @@ class Trajectory:
     @property
     def ncomp(self) -> int:
         return self.values.shape[-1]
-
-    def field(self, i: int):
-        cls = MicroField if self.kind == "micro" else MacroField
-        return cls(self.lengths, self.values[i])
-
-    def rms(self) -> np.ndarray:
-        axes = tuple(range(1, self.values.ndim))
-        return np.sqrt(np.mean(self.values**2, axis=axes))
 
     def to_csv(self, path) -> None:
         """Long-format dump: one row per time and grid point."""
@@ -194,7 +178,10 @@ def _symbol_table(ops: dict, kvecs, dim: int) -> np.ndarray:
 
 
 def symbol_matrix(source, kappa) -> np.ndarray:
-    """Fourier symbol at a single wavevector, as a dense complex matrix."""
+    """Fourier symbol at a single wavevector, as a dense complex matrix.
+
+    ``kappa`` needs one component per spatial dimension of ``source``.
+    """
     if isinstance(source, OperatorFamily):
         ops, dim = source.ops, source.dimU
     elif isinstance(source, ReducedModel):
@@ -202,6 +189,8 @@ def symbol_matrix(source, kappa) -> np.ndarray:
     else:
         raise TypeError("source must be an OperatorFamily or a ReducedModel")
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
+    if kappa.shape != (source.M,):
+        raise ValueError(f"wavevector needs {source.M} components, got {kappa.size}")
     kvecs = [np.array([kj]) for kj in kappa]
     return _symbol_table(ops, kvecs, dim)[0]
 

@@ -21,17 +21,21 @@ the columns of ``V U`` are swept in order, each one a bordered system of
 size ``dimU + m`` (``L0 - T_jj I`` bordered by ``Z0``) that is factorised
 once per split and reused for every index.
 
-Two equivalent constructions are exposed.  ``method="vectors"`` runs the
-recursion above directly.  ``method="generating"`` works on the generating
-polynomials ``Vt^n(xi) = sum_{k <= n} V^{n-k} xi^k / k!``, for which the
-same data obeys a shifted convolution
+The recursion runs on the generating polynomials
+``Vt^n(xi) = sum_{k <= n} V^{n-k} xi^k / k!``, for which the same data
+obeys a shifted convolution
 
     L_0 Vt^n - Vt^n A_0 = - sum_{0 < l <= n} L_l Vt^{n-l}
                           + sum_{0 < k <= n} Vt^{n-k} A_k,
     Z0.T Vt^n = xi^n / n!,
 
-solved coefficient by coefficient.  The two routes must agree to rounding;
-tests exploit that as a structural cross-check.
+solved coefficient by coefficient.  Exponent 0 of ``Vt^n`` is ``V^n`` and
+couples only to exponent 0, where the shifted convolution is the
+recursion above term for term.  ``method="vectors"`` solves only that
+exponent and forms the others as ``V^{n-k} / k!``; ``method="generating"``
+solves every exponent.  Both give bitwise-equal ``A_n`` and ``V^n``; the
+higher exponents of the second route are solved, not formed, so tests
+compare them with ``V^{n-k} / k!``.
 """
 
 from __future__ import annotations
@@ -240,17 +244,9 @@ class ReducedModel:
 
     def symbol(self, kappa) -> np.ndarray:
         """Fourier symbol ``sum_n A_n (i kappa)^n`` as a complex matrix."""
-        kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-        if kappa.size != self.M:
-            raise ValueError(f"wavevector needs {self.M} components")
-        out = np.zeros((self.m, self.m), dtype=complex)
-        for n, An in self.A.items():
-            factor = complex(1.0)
-            for kj, nj in zip(kappa, n):
-                factor *= (1j * kj) ** nj
-            Af = rat.as_float(An)
-            out += factor * Af
-        return out
+        from .simulate import symbol_matrix  # simulate imports this module
+
+        return symbol_matrix(self, kappa)
 
     def equation_text(self, var: str = "U") -> str:
         """Human-readable PDE, e.g. ``dt U = -1/3 dx U + 8/27 dxx U``.
@@ -413,35 +409,15 @@ def generating_vectors(vectors: dict) -> dict:
 # -- the reduction itself ----------------------------------------------------
 
 
-def _reduce_vectors(family, split, table, tol):
-    zero = (0,) * family.M
-    V = {zero: split.V0}
-    A = {zero: split.A0}
-    solver = _BorderedSylvester(family.L0, split.A0, split.Z0, tol)
-    support = [k for k in family.support if k != zero]
-    for n in table:
-        if n == zero:
-            continue
-        An = None
-        for k in support:
-            if partial_leq(k, n):
-                term = split.Z0.T @ (family.ops[k] @ V[index_sub(n, k)])
-                An = term if An is None else An + term
-        if An is None:
-            An = rat.zeros((split.m, split.m), family.is_exact)
-        A[n] = An
-        rhs = V[zero] @ An  # the k = n term of the resonance sum
-        for k in support:
-            if partial_leq(k, n):
-                rhs = rhs - family.ops[k] @ V[index_sub(n, k)]
-        for k in table:
-            if k != zero and k != n and partial_leq(k, n):
-                rhs = rhs + V[index_sub(n, k)] @ A[k]
-        V[n] = solver.solve(rhs)
-    return A, V
+def _reduce(family, split, table, tol, every_exponent):
+    """Run the recursion on the generating polynomials; returns (A, poly).
 
-
-def _reduce_generating(family, split, table, tol):
+    Exponent 0 of ``Vt^n`` is ``V^n``.  It couples only to exponent 0, so
+    without ``every_exponent`` only that coefficient is solved and each
+    ``poly[n]`` is ``{0: V^n}``: the plain-vector recursion.  With it every
+    exponent is solved, and exponent ``n`` carries the constraint
+    ``Z0.T Vt^n = xi^n / n!``.
+    """
     zero = (0,) * family.M
     exact = family.is_exact
     m = split.m
@@ -456,10 +432,7 @@ def _reduce_generating(family, split, table, tol):
         An = None
         for k in support:
             if partial_leq(k, n):
-                coeff0 = poly[index_sub(n, k)].get(zero)
-                if coeff0 is None:
-                    continue
-                term = split.Z0.T @ (family.ops[k] @ coeff0)
+                term = split.Z0.T @ (family.ops[k] @ poly[index_sub(n, k)][zero])
                 An = term if An is None else An + term
         if An is None:
             An = rat.zeros((m, m), exact)
@@ -476,20 +449,20 @@ def _reduce_generating(family, split, table, tol):
         target = eye_m * (
             Fraction(1, index_factorial(n)) if exact else 1.0 / index_factorial(n)
         )
-        exponents = set(rhs) | {n}
+        exponents = (
+            sorted(set(rhs) | {n}, key=lambda t: (order(t), t)) if every_exponent else [zero]
+        )
         terms = {}
-        for e in sorted(exponents, key=lambda t: (order(t), t)):
+        for e in exponents:
             rhs_e = rhs.get(e)
             if rhs_e is None:
                 rhs_e = rat.zeros((family.dimU, m), exact)
-            g = target if e == n else None
-            coeff = solver.solve(rhs_e, g)
-            keep = (
+            coeff = solver.solve(rhs_e, target if e == n else None)
+            if e == zero or (
                 any(x != 0 for x in coeff.reshape(-1))
                 if exact
                 else bool(np.abs(coeff).max() > 0.0)
-            )
-            if keep or e == zero:
+            ):
                 terms[e] = coeff
         poly[n] = terms
     return A, poly
@@ -517,9 +490,11 @@ def construct_reduction(
     tol : float
         Residual tolerance for each constrained Sylvester solve.
     method : {"vectors", "generating"}
-        Run the recursion on plain basis vectors or on the generating
-        polynomials.  The results agree to rounding; the second route
-        exists so the first can be cross-checked.
+        Solve only exponent 0 of the generating polynomials (the plain
+        basis vectors) and form the higher exponents as ``V^{n-k} / k!``,
+        or solve every exponent.  ``A_n`` and ``V^n`` are bitwise equal
+        on both routes; only the higher polynomial coefficients differ,
+        by rounding.
 
     Returns
     -------
@@ -533,12 +508,10 @@ def construct_reduction(
         raise ValueError("family and split must share the arithmetic mode")
     table = enumerate_indices(family.M, N)
     zero = (0,) * family.M
+    A, poly = _reduce(family, split, table, tol, every_exponent=method == "generating")
+    vectors = {n: poly[n][zero] for n in poly}
     if method == "vectors":
-        A, vectors = _reduce_vectors(family, split, table, tol)
         poly = generating_vectors(vectors)
-    else:
-        A, poly = _reduce_generating(family, split, table, tol)
-        vectors = {n: poly[n][zero] for n in poly}
     model = ReducedModel(M=family.M, N=N, m=split.m, A=A, label=family.label)
     basis = GeneratingBasis(
         M=family.M,

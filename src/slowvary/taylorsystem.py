@@ -71,11 +71,6 @@ class BlockOperator:
     def is_exact(self) -> bool:
         return self.matrix.dtype == object
 
-    def block(self, row_idx, col_idx) -> np.ndarray:
-        r = self.table.position(tuple(row_idx)) * self.inner_dim
-        c = self.table.position(tuple(col_idx)) * self.inner_dim
-        return self.matrix[r : r + self.inner_dim, c : c + self.inner_dim]
-
 
 def _assemble(table: IndexTable, inner: int, pick, exact: bool) -> np.ndarray:
     size = len(table) * inner

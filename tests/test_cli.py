@@ -176,6 +176,16 @@ def test_demo_homogenise_layered(tmp_path):
     assert report["A02"] == pytest.approx(1.0, rel=1e-6)
 
 
+def test_demos_use_order_tol_and_method(capsys):
+    from slowvary.cli import main
+
+    assert main(["demo", "walker", "-N", "3", "--method", "generating"]) == 0
+    assert "16/243 ∂xxx U" in capsys.readouterr().out
+    # the cell's Sylvester residuals cannot meet this tolerance
+    assert main(["demo", "homogenise-constant", "--grid", "8", "--tol", "1e-30"]) == 3
+    assert "FAIL [SylvesterInconsistent]" in capsys.readouterr().err
+
+
 def test_demo_bad_amplitude_exits_two():
     res = run_cli("demo", "homogenise-layered", "--a", "1.0", "--grid", "8")
     assert res.returncode == 2
@@ -299,6 +309,24 @@ _EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")
       for name, dt in (("zero", "0"), ("nan", "nan"), ("negative", "-1"))],
     pytest.param(["converge", "--model", "walker-modal", "--wavelengths", "64"],
                  "config", id="one-wavelength"),
+    *[pytest.param([command, "--model", "walker-modal", "--grid", "6"], "config",
+                   id=f"{command}-grid-not-power-of-two")
+      for command in ("simulate", "converge")],
+    pytest.param(["simulate", "--model", "walker-modal", "--grid", "8,8,8"], "config",
+                 id="grid-longer-than-M"),
+    *[pytest.param(["simulate", "--model", "walker-modal", "--T", T], "config",
+                   id=f"T-{T}")
+      for T in ("-1", "0", "nan", "inf")],
+    *[pytest.param(["simulate", "--model", "walker-modal", "--wavelengths", L], "config",
+                   id=f"wavelength-{L}")
+      for L in ("0", "-5")],
+    pytest.param(["converge", "--model", "walker-modal", "--wavelengths", "16,nan"],
+                 "config", id="wavelength-nan"),
+    *[pytest.param(["reduce", "--model", "walker-modal", "--tol", tol], "config",
+                   id=f"tol-{tol}")
+      for tol in ("-1", "nan")],
+    pytest.param(["demo", "homogenise-constant", "--grid", "8", "-N", "1"], "config",
+                 id="cell-demo-order-one"),
     pytest.param(["reduce", "--model", "homogenise-foo"], "config", id="misspelt-cell"),
     pytest.param(["reduce", "--model", "a-directory"], "config", id="model-is-directory"),
     pytest.param(["reduce", "--model", "walker-modal", "--out", "a-file"], "config",

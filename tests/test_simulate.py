@@ -258,6 +258,28 @@ def test_symbol_matrix_sum(walker):
     np.testing.assert_allclose(S, direct, atol=1e-14)
 
 
+@pytest.mark.parametrize("kappa", [(0.4,), (0.4, -0.3, 0.2)], ids=["short", "long"])
+def test_symbol_wavevector_length_checked(walker_setup, kappa):
+    walker, model, _ = walker_setup
+    for call in (lambda: sv.symbol_matrix(walker, kappa),
+                 lambda: sv.symbol_matrix(model, kappa),
+                 lambda: model.symbol(kappa),
+                 lambda: sv.mode_evolution_oracle(walker, kappa, 1.0)):
+        with pytest.raises(ValueError, match="needs 2 components"):
+            call()
+
+
+def test_model_symbol_matches_simulation_table(walker_setup):
+    from slowvary.simulate import _symbol_table, _wavevectors
+
+    _, model, _ = walker_setup
+    kvecs = _wavevectors((16.0, 8.0), (4, 2))
+    table = _symbol_table(model.A, kvecs, model.m)
+    for idx in np.ndindex(4, 2):
+        kappa = tuple(kv[idx] for kv in kvecs)
+        assert model.symbol(kappa).tobytes() == table[idx].tobytes()
+
+
 def test_mode_oracle_propagator_shape(walker):
     P = sv.mode_evolution_oracle(walker, (0.1, 0.0), 2.0)
     assert P.shape == (3, 3)

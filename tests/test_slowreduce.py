@@ -7,7 +7,7 @@ import pytest
 import slowvary as sv
 from slowvary._rational import frac_matrix, save_json
 from slowvary.errors import SylvesterInconsistent
-from slowvary.slowreduce import solve_constrained_sylvester
+from slowvary.slowreduce import generating_vectors, solve_constrained_sylvester
 
 from conftest import random_gap_family, random_rational_family
 
@@ -97,30 +97,56 @@ def test_invariance_residual(walker, walker_exact):
     assert sv.check_invariance(walker_exact, me, be) == 0
 
 
+def _assert_routes_bitwise_equal(fam, N, **kwargs):
+    """Both routes give the same A_n and V^n.
+
+    Returns the model and the basis of each route, vectors route first.
+    """
+    m1, b1 = sv.construct_reduction(fam, N=N, method="vectors", **kwargs)
+    m2, b2 = sv.construct_reduction(fam, N=N, method="generating", **kwargs)
+    assert m1.A.keys() == m2.A.keys() and b1.vectors.keys() == b2.vectors.keys()
+    for first, second in ((m1.A, m2.A), (b1.vectors, b2.vectors)):
+        for n in first:
+            if fam.is_exact:
+                assert first[n].tolist() == second[n].tolist(), n
+            else:
+                assert first[n].tobytes() == second[n].tobytes(), n
+    return m1, b1, b2
+
+
+def _assert_solved_poly_matches_vectors(basis, rel=0.0):
+    """Each solved ``poly[n][k]`` equals ``V^{n-k} / k!`` (exactly when rel is 0).
+
+    The generating route solves these coefficients with their own
+    constraints; the vectors route only forms them from ``V^n``.
+    """
+    formed = generating_vectors(basis.vectors)
+    scale = max(1.0, max(float(np.abs(np.asarray(v, float)).max())
+                         for v in basis.vectors.values()))
+    for n, terms in basis.poly.items():
+        for k in terms.keys() | formed[n].keys():
+            diff = terms.get(k, 0) - formed[n].get(k, 0)
+            if rel == 0.0:
+                assert all(x == 0 for x in diff.reshape(-1)), (n, k)
+            else:
+                assert np.abs(diff).max() <= rel * scale, (n, k, np.abs(diff).max())
+
+
 def test_construction_routes_agree_exactly(walker_exact):
-    m1, b1 = sv.construct_reduction(walker_exact, N=3, method="vectors")
-    m2, b2 = sv.construct_reduction(walker_exact, N=3, method="generating")
-    for n in m1.A:
-        assert (m1.A[n] == m2.A[n]).all(), n
-    for n in b1.vectors:
-        assert (b1.vectors[n] == b2.vectors[n]).all(), n
+    _, _, solved = _assert_routes_bitwise_equal(walker_exact, 3)
+    _assert_solved_poly_matches_vectors(solved)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_construction_routes_agree_random(seed):
-    """The one-index-at-a-time route and the polynomial route coincide."""
+    """The vectors route is the generating route's exponent-0 sweep."""
     rng = np.random.default_rng(1000 + seed)
     dimU = int(rng.integers(2, 6))
     N = int(rng.integers(1, 4))
     fam = random_gap_family(rng, dimU=dimU, m=1, max_order=2)
-    m1, b1 = sv.construct_reduction(fam, N=N, method="vectors")
-    m2, b2 = sv.construct_reduction(fam, N=N, method="generating")
+    model, basis, _ = _assert_routes_bitwise_equal(fam, N)
     scale = max(np.abs(op).max() for op in fam.ops.values())
-    for n in m1.A:
-        assert np.abs(m1.A[n] - m2.A[n]).max() < 1e-12 * max(1, scale), n
-    for n in b1.vectors:
-        assert np.abs(b1.vectors[n] - b2.vectors[n]).max() < 1e-11, n
-    assert sv.check_invariance(fam, m1, b1) < 1e-9 * max(1, scale)
+    assert sv.check_invariance(fam, model, basis) < 1e-9 * max(1, scale)
 
 
 @pytest.mark.parametrize("centre", ["jordan", "rotation"])
@@ -130,11 +156,9 @@ def test_matrix_valued_centre_blocks(centre):
     fam = random_gap_family(rng, dimU=5, m=2, centre=centre)
     alpha = 1e-6 if centre == "jordan" else None
     split = sv.spectral_split(fam, N=2, alpha=alpha)
-    m1, b1 = sv.construct_reduction(fam, N=2, split=split)
-    m2, _ = sv.construct_reduction(fam, N=2, split=split, method="generating")
+    m1, b1, _ = _assert_routes_bitwise_equal(fam, 2, split=split)
     for n in m1.A:
         assert m1.A[n].shape == (2, 2)
-        assert np.abs(m1.A[n] - m2.A[n]).max() < 1e-11, n
     assert sv.check_invariance(fam, m1, b1) < 1e-9
 
 
@@ -335,11 +359,8 @@ def test_property_routes_agree(seed, centre, m, M):
     _, fam, alpha = _property_family(seed, centre, m, M)
     split = sv.spectral_split(fam, N=3, alpha=alpha)
     assert split.m == m
-    m1, b1 = sv.construct_reduction(fam, N=3, split=split)
-    m2, _ = sv.construct_reduction(fam, N=3, split=split, method="generating")
-    scale = max(1.0, max(float(np.abs(A).max()) for A in m1.A.values()))
-    for n in m1.A:
-        assert np.abs(m1.A[n] - m2.A[n]).max() <= 1e-9 * scale, n
+    m1, b1, solved = _assert_routes_bitwise_equal(fam, 3, split=split)
+    _assert_solved_poly_matches_vectors(solved, rel=1e-9)
     ops_scale = max(1.0, max(float(np.abs(op).max()) for op in fam.ops.values()))
     assert sv.check_invariance(fam, m1, b1) <= 1e-9 * ops_scale
 
