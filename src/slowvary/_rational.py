@@ -1,11 +1,18 @@
 """Exact linear algebra over the rationals.
 
-The optional exact mode stores matrices as numpy object arrays holding
-``fractions.Fraction`` entries.  numpy's elementwise arithmetic and ``@``
-work on those unchanged; everything that needs division with pivoting
-(solving, nullspaces) is implemented here by straightforward Gauss-Jordan
-elimination.  Sizes in exact mode stay tiny (a few dozen rows), so clarity
-beats asymptotics.
+The optional exact mode stores model matrices as numpy object arrays of
+``fractions.Fraction``: families, splits, reduced models and bases hold
+them, and the JSON codec below reads and writes them.  Arithmetic on
+Fraction arrays normalises every entry with a gcd after every operation,
+so the exact hot paths convert to :class:`RatMatrix` instead: Python-int
+numerators over one positive common denominator, normalised with a
+single gcd per result.  The construction recursion, the constrained
+Sylvester solve and the invariance check convert with
+:func:`as_ratmatrix` on entry and back with :func:`as_fractions` on
+exit; both pass float and sparse matrices through unchanged.  Everything
+that needs division with pivoting (solving, nullspaces) is implemented
+here on Fractions by straightforward Gauss-Jordan elimination.  Sizes in
+exact mode stay tiny (a few dozen rows), so clarity beats asymptotics.
 
 It also owns the JSON model-document format every model file is saved
 and read in.  A matrix is a list of rows of ``"p/q"`` strings (exact) or
@@ -17,6 +24,7 @@ a finite float64.  Documents are saved with sorted keys.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 from fractions import Fraction
@@ -51,12 +59,131 @@ def frac_matrix(rows) -> np.ndarray:
 
 
 def is_exact(a) -> bool:
-    return isinstance(a, np.ndarray) and a.dtype == object
+    return isinstance(a, RatMatrix) or (isinstance(a, np.ndarray) and a.dtype == object)
 
 
 def as_float(a) -> np.ndarray:
     """Dense float64 array of a float, Fraction or SciPy sparse matrix."""
     return a.toarray() if sparse.issparse(a) else np.asarray(a, dtype=float)
+
+
+def _exact_operand(method):
+    """Convert the other operand to RatMatrix; defer on anything else."""
+
+    @functools.wraps(method)
+    def wrapper(self, other):
+        other = as_ratmatrix(other)
+        return method(self, other) if isinstance(other, RatMatrix) else NotImplemented
+
+    return wrapper
+
+
+class RatMatrix:
+    """Exact rational matrix: an object array ``num`` of Python ints over one
+    Python int ``den``, in lowest terms (``den > 0`` and
+    ``gcd(den, *num) == 1``, so a zero matrix has ``den == 1``).
+
+    Supports ``@``, ``+``, ``-``, negation, multiplication by an int or a
+    Fraction, ``abs``, ``max``, ``.T``, slicing (an entry comes out as a
+    Fraction), :meth:`hstack` and :meth:`any`.  An object array of
+    Fractions on the other side of ``@``, ``+`` or ``-`` is converted
+    first; a float array is refused with TypeError.
+    """
+
+    __slots__ = ("num", "den")
+    __array_ufunc__ = None  # numpy defers mixed expressions to the reflected operators
+
+    def __init__(self, num, den: int = 1):
+        num = np.asarray(num, dtype=object)
+        g = math.gcd(den, *num.flat)
+        g = -g if den < 0 else g
+        self.num = num // g if g != 1 else num
+        self.den = den // g
+
+    @classmethod
+    def _lowest(cls, num, den: int) -> "RatMatrix":
+        """Wrap a pair already in lowest terms."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    @classmethod
+    def from_fractions(cls, a) -> "RatMatrix":
+        a = np.asarray(a, dtype=object)
+        den = math.lcm(*(x.denominator for x in a.flat))
+        num = [x.numerator * (den // x.denominator) for x in a.flat]
+        return cls(np.array(num, dtype=object).reshape(a.shape), den)
+
+    def to_fractions(self) -> np.ndarray:
+        out = np.empty(self.num.shape, dtype=object)
+        out.flat = [Fraction(x, self.den) for x in self.num.flat]
+        return out
+
+    @classmethod
+    def hstack(cls, mats) -> "RatMatrix":
+        den = math.lcm(*(a.den for a in mats))
+        return cls._lowest(np.column_stack([a.num * (den // a.den) for a in mats]), den)
+
+    shape = property(lambda self: self.num.shape)
+    size = property(lambda self: self.num.size)
+    T = property(lambda self: RatMatrix._lowest(self.num.T, self.den))
+
+    def __getitem__(self, idx):
+        part = self.num[idx]
+        if isinstance(part, np.ndarray):
+            return RatMatrix(part, self.den)
+        return Fraction(part, self.den)
+
+    def any(self) -> bool:
+        """True unless every entry is zero."""
+        return any(self.num.flat)
+
+    def max(self) -> Fraction:
+        return Fraction(max(self.num.flat), self.den)
+
+    def __abs__(self):
+        return RatMatrix._lowest(abs(self.num), self.den)
+
+    def __neg__(self):
+        return RatMatrix._lowest(-self.num, self.den)
+
+    def __mul__(self, c):
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return RatMatrix(self.num * c.numerator, self.den * c.denominator)
+
+    __rmul__ = __mul__
+
+    @_exact_operand
+    def __matmul__(self, other):
+        return RatMatrix(self.num @ other.num, self.den * other.den)
+
+    @_exact_operand
+    def __rmatmul__(self, other):
+        return other @ self
+
+    def _plus(self, other, subtract: bool):
+        """``self + other`` (or ``-``) over the lcm of the two denominators."""
+        a, b, den = self.num, other.num, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            a = a if den == self.den else a * (den // self.den)
+            b = b if den == other.den else b * (den // other.den)
+        return RatMatrix(a - b if subtract else a + b, den)
+
+    __add__ = __radd__ = _exact_operand(lambda self, other: self._plus(other, False))
+    __sub__ = _exact_operand(lambda self, other: self._plus(other, True))
+    __rsub__ = _exact_operand(lambda self, other: other._plus(self, True))
+
+
+def as_ratmatrix(a):
+    """RatMatrix of a Fraction object array; other matrices pass through."""
+    return RatMatrix.from_fractions(a) if isinstance(a, np.ndarray) and a.dtype == object else a
+
+
+def as_fractions(a):
+    """Fraction object array of a RatMatrix; other matrices pass through."""
+    return a.to_fractions() if isinstance(a, RatMatrix) else a
 
 
 def zeros(shape, exact: bool) -> np.ndarray:

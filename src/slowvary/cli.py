@@ -156,6 +156,10 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _grid_text(cfg: RunConfig) -> str:
+    return ",".join(map(str, cfg.grid))
+
+
 # -- model resolution ---------------------------------------------------------
 
 
@@ -176,6 +180,9 @@ def _load_model(cfg: RunConfig):
     elif name == "walker-physical":
         family = models.random_walker_physical(exact=exact)
     elif name in cells:
+        if len(cfg.grid) > 1:
+            raise ConfigError(f"slowvary: the built-in cells take one --grid entry "
+                              f"(the cell's n), got {_grid_text(cfg)}")
         cell = models.CellProblem.from_expression(
             cells[name], n=cfg.grid[0], amplitude=cfg.amplitude
         )
@@ -512,7 +519,10 @@ def _run(cfg: RunConfig) -> int:
                                   f"got {value}")
         if cfg.command in ("simulate", "converge") and any(g & (g - 1) for g in cfg.grid):
             raise ConfigError(f"slowvary: --grid entries must be powers of two, "
-                              f"got {','.join(map(str, cfg.grid))}")
+                              f"got {_grid_text(cfg)}")
+        if cfg.command == "converge" and len(cfg.grid) > 1:
+            raise ConfigError(f"slowvary: converge takes one --grid entry (points along "
+                              f"the first axis), got {_grid_text(cfg)}")
         if cfg.command == "converge" and len(set(cfg.wavelengths)) < 2:
             raise ConfigError("slowvary: converge needs two distinct --wavelengths")
         if cfg.command == "demo" and cfg.model != "walker" and cfg.N < 2:

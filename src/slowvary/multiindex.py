@@ -18,6 +18,7 @@ uses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -25,6 +26,7 @@ __all__ = [
     "order",
     "graded_key",
     "partial_leq",
+    "lower_sets",
     "multi_binomial",
     "index_factorial",
     "index_sub",
@@ -65,6 +67,18 @@ def partial_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     if len(a) != len(b):
         raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
     return all(x <= y for x, y in zip(a, b))
+
+
+def lower_sets(indices) -> dict:
+    """Map each index ``n`` of ``indices`` to its members ``k <= n``.
+
+    Each list is in the order of ``indices``, so sums over it add their
+    terms in the same order as a filter of ``indices`` would.
+    """
+    pos = {k: i for i, k in enumerate(indices)}
+    boxes = {n: itertools.product(*(range(e + 1) for e in n)) for n in pos}
+    return {n: sorted((k for k in box if k in pos), key=pos.__getitem__)
+            for n, box in boxes.items()}
 
 
 def multi_binomial(n: tuple[int, ...], k: tuple[int, ...]) -> int:

@@ -36,6 +36,14 @@ exponent and forms the others as ``V^{n-k} / k!``; ``method="generating"``
 solves every exponent.  Both give bitwise-equal ``A_n`` and ``V^n``; the
 higher exponents of the second route are solved, not formed, so tests
 compare them with ``V^{n-k} / k!``.
+
+Exact families (Fraction object arrays, ``--exact``) run the same code:
+the recursion, the Sylvester solve and :func:`check_invariance` convert
+their inputs to :class:`~slowvary._rational.RatMatrix` (integer
+numerators over one denominator) on entry, and the recursion converts
+``A_n`` and the polynomials back to Fraction arrays on exit, so models,
+bases and their files hold Fractions as before.  Each exact solve must
+leave a zero residual.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from .multiindex import (
     graded_key,
     index_factorial,
     index_sub,
+    lower_sets,
     order,
     parse_index,
     partial_leq,
@@ -86,8 +95,11 @@ def _poly_add(p: dict, q: dict) -> dict:
     return out
 
 
-def _poly_neg(p: dict) -> dict:
-    return {k: -c for k, c in p.items()}
+def _poly_sub(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for k, c in q.items():
+        out[k] = out[k] - c if k in out else -c
+    return out
 
 
 def _poly_lmul(L: np.ndarray, p: dict) -> dict:
@@ -115,9 +127,8 @@ def _poly_diff(p: dict, ell: tuple[int, ...]) -> dict:
 def _poly_maxabs(p: dict) -> float:
     worst = 0.0
     for c in p.values():
-        cf = rat.as_float(c)
-        if cf.size:
-            worst = max(worst, float(np.abs(cf).max()))
+        if c.size:
+            worst = max(worst, float(abs(c).max()))
     return worst
 
 
@@ -131,39 +142,45 @@ class _BorderedSylvester:
     swept in order, column j solving the bordered system
         [ L0 - T_jj I   Z0 ] [ w_j ]   [ (RHS U)_j + sum_{i<j} w_i T_ij ]
         [ Z0.T           0 ] [ mu  ] = [ (G U)_j                         ]
-    factorised once per split (sparse LU; an exact inverse in exact mode,
-    where ``U = I`` and ``T = A0`` is diagonal).  It is nonsingular when
-    T_jj is a centre eigenvalue: ``Z0.T w = 0`` puts w in the stable
-    subspace, where ``L0 - T_jj I`` is invertible.  The Schur form is real
-    unless A0 has complex eigenvalues.  Exact mode accepts only a zero
-    residual, so a nonzero multiplier (an inconsistent system) raises.
+    factorised once per split.  It is nonsingular when T_jj is a centre
+    eigenvalue: ``Z0.T w = 0`` puts w in the stable subspace, where
+    ``L0 - T_jj I`` is invertible.  Float mode factorises with a sparse LU;
+    the Schur form is real unless A0 has complex eigenvalues.  Exact mode
+    takes ``U = I`` and ``T = A0`` (diagonal for an exact split), works in
+    :class:`~slowvary._rational.RatMatrix` arithmetic and keeps the two
+    blocks ``P, Q`` of the exact inverse that give ``w_j = P b + Q g``.
+    Exact mode accepts only a zero residual, so a nonzero multiplier (an
+    inconsistent system) raises.
     """
 
     def __init__(self, L0, A0, Z0, tol: float = DEFAULT_TOL):
-        self.exact = L0.dtype == object
+        L0, A0, Z0 = (rat.as_ratmatrix(x) for x in (L0, A0, Z0))
+        self.exact = rat.is_exact(L0)
         self.L0, self.A0, self.Z0 = L0, A0, Z0
         self.d, self.m = L0.shape[0], A0.shape[0]
         self.tol = 0 if self.exact else tol
-        self._size = abs(L0).max() + np.abs(A0).max()  # L0 may be CSR
+        self._size = abs(L0).max() + abs(A0).max()  # L0 may be CSR
         if self.exact:
-            self._T, self._U = A0, rat.exact_eye(self.m)
+            self._T = A0
         else:
             self._T, self._U = sla.schur(A0)
             if np.diag(self._T, -1).any():  # complex eigenvalues
                 self._T, self._U = sla.rsf2csf(self._T, self._U)
-        self._solves = [self._factorise(t) for t in np.diag(self._T)]
+        self._solves = [self._factorise(self._T[j, j]) for j in range(self.m)]
 
     def _factorise(self, t):
-        """Solve function of the bordered matrix with ``L0 - t I``."""
-        d, m, L0, Z0 = self.d, self.m, self.L0, self.Z0
+        """Column solve with the bordered matrix of ``L0 - t I``."""
+        d, m = self.d, self.m
         try:
             if self.exact:
-                return rat.inverse_exact(np.block(
+                L0, Z0 = rat.as_fractions(self.L0), rat.as_fractions(self.Z0)
+                inv = rat.as_ratmatrix(rat.inverse_exact(np.block(
                     [[L0 - t * rat.exact_eye(d), Z0], [Z0.T, rat.zeros((m, m), True)]]
-                )).dot
-            Z0s = sparse.csc_matrix(Z0)
+                )))
+                return inv[:d, :d], inv[:d, d:]
+            Z0s = sparse.csc_matrix(self.Z0)
             return spla.splu(sparse.bmat(
-                [[sparse.csc_matrix(L0) - t * sparse.identity(d), Z0s], [Z0s.T, None]],
+                [[sparse.csc_matrix(self.L0) - t * sparse.identity(d), Z0s], [Z0s.T, None]],
                 format="csc",
             )).solve
         except (RuntimeError, ValueError) as exc:  # splu / exact: singular
@@ -171,27 +188,42 @@ class _BorderedSylvester:
                 f"bordered Sylvester matrix is singular at t = {t}: {exc}"
             ) from None
 
-    def solve(self, rhs: np.ndarray, constraint=None) -> np.ndarray:
-        """Return the unique V; ``constraint`` is the target of Z0.T V."""
-        d, m, T = self.d, self.m, self._T
-        if constraint is None:
-            constraint = rat.zeros((m, m), self.exact)
+    def _schur_sweep(self, rhs, constraint):
+        d, T = self.d, self._T
         RU, GU = rhs @ self._U, constraint @ self._U
-        W = np.zeros((d, m), dtype=RU.dtype)
-        for j in range(m):
+        W = np.zeros((d, self.m), dtype=RU.dtype)
+        for j, lu_solve in enumerate(self._solves):
             b = RU[:, j] + W[:, :j] @ T[:j, j]
-            W[:, j] = self._solves[j](np.concatenate([b, GU[:, j]]))[:d]
-        V = (W @ self._U.conj().T).real
+            W[:, j] = lu_solve(np.concatenate([b, GU[:, j]]))[:d]
+        return (W @ self._U.conj().T).real
+
+    def _exact_sweep(self, rhs, constraint):
+        W = None
+        for j, (P, Q) in enumerate(self._solves):
+            b = rhs[:, j:j + 1]
+            if j:
+                b = b + W @ self._T[:j, j:j + 1]
+            w = P @ b + Q @ constraint[:, j:j + 1]
+            W = rat.RatMatrix.hstack([W, w]) if j else w
+        return W
+
+    def solve(self, rhs, constraint=None):
+        """Return the unique V; ``constraint`` is the target of Z0.T V."""
+        if constraint is None:
+            constraint = rat.zeros((self.m, self.m), self.exact)
+        rhs, constraint = rat.as_ratmatrix(rhs), rat.as_ratmatrix(constraint)
+        sweep = self._exact_sweep if self.exact else self._schur_sweep
+        V = sweep(rhs, constraint)
         self._check(V, rhs, constraint)
         return V
 
     def _check(self, V, rhs, constraint) -> None:
-        res1 = np.abs(self.L0 @ V - V @ self.A0 - rhs).max()
-        res2 = np.abs(self.Z0.T @ V - constraint).max()
+        res1 = abs(self.L0 @ V - V @ self.A0 - rhs).max()
+        res2 = abs(self.Z0.T @ V - constraint).max()
         scale = max(
             1.0,
-            float(np.abs(rhs).max()) if rhs.size else 0.0,
-            float(np.abs(V).max()) * self._size,
+            float(abs(rhs).max()) if rhs.size else 0.0,
+            float(abs(V).max()) * self._size,
         )
         if res1 > self.tol * scale or res2 > self.tol * scale:
             raise SylvesterInconsistent(
@@ -216,7 +248,7 @@ def solve_constrained_sylvester(
     constraint removes exactly that nullspace.  Raises
     :class:`SylvesterInconsistent` when no solution meets the tolerance.
     """
-    return _BorderedSylvester(L0, A0, Z0, tol).solve(rhs, constraint)
+    return rat.as_fractions(_BorderedSylvester(L0, A0, Z0, tol).solve(rhs, constraint))
 
 
 # -- result types -----------------------------------------------------------
@@ -389,21 +421,15 @@ def generating_vectors(vectors: dict) -> dict:
     For each stored index ``n`` the polynomial coefficient at exponent
     ``k <= n`` is ``V^{n-k} / k!``; other exponents vanish.
     """
-    exact = next(iter(vectors.values())).dtype == object
-    poly = {}
-    for n in vectors:
-        terms = {}
-        for k in vectors:  # k <= n runs over stored indices
-            if partial_leq(k, n):
-                diff = index_sub(n, k)
-                w = (
-                    Fraction(1, index_factorial(k))
-                    if exact
-                    else 1.0 / index_factorial(k)
-                )
-                terms[k] = vectors[diff] * w
-        poly[n] = terms
-    return poly
+    exact = rat.is_exact(next(iter(vectors.values())))
+    return {
+        n: {k: vectors[index_sub(n, k)] * _reciprocal(index_factorial(k), exact) for k in below}
+        for n, below in lower_sets(vectors).items()
+    }
+
+
+def _reciprocal(q: int, exact: bool):
+    return Fraction(1, q) if exact else 1.0 / q
 
 
 # -- the reduction itself ----------------------------------------------------
@@ -413,42 +439,40 @@ def _reduce(family, split, table, tol, every_exponent):
     """Run the recursion on the generating polynomials; returns (A, poly).
 
     Exponent 0 of ``Vt^n`` is ``V^n``.  It couples only to exponent 0, so
-    without ``every_exponent`` only that coefficient is solved and each
-    ``poly[n]`` is ``{0: V^n}``: the plain-vector recursion.  With it every
-    exponent is solved, and exponent ``n`` carries the constraint
-    ``Z0.T Vt^n = xi^n / n!``.
+    without ``every_exponent`` only that coefficient is solved and
+    ``poly`` is formed from the vectors by :func:`generating_vectors`.
+    With it every exponent is solved, and exponent ``n`` carries the
+    constraint ``Z0.T Vt^n = xi^n / n!``.  Exact matrices are converted to
+    RatMatrix on entry and back to Fraction arrays on exit.
     """
     zero = (0,) * family.M
     exact = family.is_exact
     m = split.m
-    eye_m = rat.exact_eye(m) if exact else np.eye(m)
-    poly = {zero: {zero: split.V0}}
-    A = {zero: split.A0}
-    solver = _BorderedSylvester(family.L0, split.A0, split.Z0, tol)
-    support = [k for k in family.support if k != zero]
-    for n in table:
+    ops = {k: rat.as_ratmatrix(L) for k, L in family.ops.items() if k != zero}
+    V0, Z0, A0 = (rat.as_ratmatrix(x) for x in (split.V0, split.Z0, split.A0))
+    eye_m = rat.as_ratmatrix(rat.exact_eye(m) if exact else np.eye(m))
+    poly = {zero: {zero: V0}}
+    A = {zero: A0}
+    solver = _BorderedSylvester(family.L0, A0, Z0, tol)
+    for n, below in lower_sets(table).items():
         if n == zero:
             continue
         An = None
-        for k in support:
-            if partial_leq(k, n):
-                term = split.Z0.T @ (family.ops[k] @ poly[index_sub(n, k)][zero])
+        for k in below:
+            if k in ops:
+                term = Z0.T @ (ops[k] @ poly[index_sub(n, k)][zero])
                 An = term if An is None else An + term
         if An is None:
             An = rat.zeros((m, m), exact)
         A[n] = An
         rhs = _poly_rmul(poly[zero], An)
-        for ell in support:
-            if partial_leq(ell, n):
-                rhs = _poly_add(
-                    rhs, _poly_neg(_poly_lmul(family.ops[ell], poly[index_sub(n, ell)]))
-                )
-        for k in table:
-            if k != zero and k != n and partial_leq(k, n):
+        for ell in below:
+            if ell in ops:
+                rhs = _poly_sub(rhs, _poly_lmul(ops[ell], poly[index_sub(n, ell)]))
+        for k in below:
+            if k != zero and k != n:
                 rhs = _poly_add(rhs, _poly_rmul(poly[index_sub(n, k)], A[k]))
-        target = eye_m * (
-            Fraction(1, index_factorial(n)) if exact else 1.0 / index_factorial(n)
-        )
+        target = eye_m * _reciprocal(index_factorial(n), exact)
         exponents = (
             sorted(set(rhs) | {n}, key=lambda t: (order(t), t)) if every_exponent else [zero]
         )
@@ -458,14 +482,13 @@ def _reduce(family, split, table, tol, every_exponent):
             if rhs_e is None:
                 rhs_e = rat.zeros((family.dimU, m), exact)
             coeff = solver.solve(rhs_e, target if e == n else None)
-            if e == zero or (
-                any(x != 0 for x in coeff.reshape(-1))
-                if exact
-                else bool(np.abs(coeff).max() > 0.0)
-            ):
+            if e == zero or coeff.any():
                 terms[e] = coeff
         poly[n] = terms
-    return A, poly
+    if not every_exponent:
+        poly = generating_vectors({n: p[zero] for n, p in poly.items()})
+    A = {n: rat.as_fractions(An) for n, An in A.items()}
+    return A, {n: {e: rat.as_fractions(c) for e, c in p.items()} for n, p in poly.items()}
 
 
 def construct_reduction(
@@ -510,8 +533,6 @@ def construct_reduction(
     zero = (0,) * family.M
     A, poly = _reduce(family, split, table, tol, every_exponent=method == "generating")
     vectors = {n: poly[n][zero] for n in poly}
-    if method == "vectors":
-        poly = generating_vectors(vectors)
     model = ReducedModel(M=family.M, N=N, m=split.m, A=A, label=family.label)
     basis = GeneratingBasis(
         M=family.M,
@@ -535,20 +556,20 @@ def check_invariance(
     coefficient; the derivative on the left is evaluated as an actual
     polynomial derivative, so this is an independent check of the
     construction, not a restatement of it.  Returns the largest absolute
-    residual entry (exactly 0.0 in exact mode when everything is right).
+    residual entry (exactly 0.0 in exact mode when everything is right;
+    exact inputs are evaluated in RatMatrix arithmetic).
     """
+    ops = {ell: rat.as_ratmatrix(L) for ell, L in family.ops.items()}
+    poly = {n: {k: rat.as_ratmatrix(c) for k, c in p.items()} for n, p in basis.poly.items()}
+    A = {k: rat.as_ratmatrix(model.coefficient(k)) for k in poly}
     worst = 0.0
-    zero = (0,) * family.M
-    for n in basis.poly:
+    for n, below in lower_sets(poly).items():
         lhs: dict = {}
-        for ell, L in family.ops.items():
-            lhs = _poly_add(lhs, _poly_lmul(L, _poly_diff(basis.poly[n], ell)))
+        for ell, L in ops.items():
+            lhs = _poly_add(lhs, _poly_lmul(L, _poly_diff(poly[n], ell)))
         rhs: dict = {}
-        for k in basis.poly:
-            if partial_leq(k, n):
-                rhs = _poly_add(
-                    rhs, _poly_rmul(basis.poly[index_sub(n, k)], model.coefficient(k))
-                )
-        diff = _poly_add(lhs, _poly_neg(rhs))
+        for k in below:
+            rhs = _poly_add(rhs, _poly_rmul(poly[index_sub(n, k)], A[k]))
+        diff = _poly_sub(lhs, rhs)
         worst = max(worst, _poly_maxabs(diff))
     return worst

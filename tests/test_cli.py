@@ -50,6 +50,28 @@ def test_reduce_exact_order_three(tmp_path):
     assert report["coefficients"]["1,2"] == [["-20/27"]]
 
 
+@pytest.mark.parametrize("method", ["vectors", "generating"])
+def test_exact_reduce_calls_the_rational_solvers(tmp_path, monkeypatch, capsys, method):
+    """The exact split and the bordered Sylvester inverse go through
+    ``_rational.solve_exact`` and ``_rational.nullspace_exact``, looked up on
+    the module, where the benchmark's ``rational.calls`` counter sees them."""
+    from slowvary import _rational
+    from slowvary.cli import main
+
+    calls = {"solve_exact": 0, "nullspace_exact": 0}
+    for name in calls:
+        def counted(*args, name=name, raw=getattr(_rational, name)):
+            calls[name] += 1
+            return raw(*args)
+
+        monkeypatch.setattr(_rational, name, counted)
+    argv = ["reduce", "--model", "walker-modal", "-N", "4", "--exact",
+            "--method", method, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert "8/27" in capsys.readouterr().out
+    assert calls["solve_exact"] > 0 and calls["nullspace_exact"] > 0, calls
+
+
 def test_reduce_missing_base_operator_exits_two(tmp_path):
     model_file = tmp_path / "model_file.json"
     model_file.write_text(json.dumps(
@@ -314,6 +336,10 @@ _EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")
       for command in ("simulate", "converge")],
     pytest.param(["simulate", "--model", "walker-modal", "--grid", "8,8,8"], "config",
                  id="grid-longer-than-M"),
+    pytest.param(["converge", "--model", "walker-modal", "--grid", "32,64",
+                  "--wavelengths", "32,64"], "config", id="converge-two-grid-entries"),
+    pytest.param(["reduce", "--model", "homogenise-layered", "--grid", "16,32"], "config",
+                 id="cell-two-grid-entries"),
     *[pytest.param(["simulate", "--model", "walker-modal", "--T", T], "config",
                    id=f"T-{T}")
       for T in ("-1", "0", "nan", "inf")],

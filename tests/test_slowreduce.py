@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -410,3 +411,58 @@ def test_property_exact_and_float_agree(seed, m, M):
     assert exact.is_exact and not fl.is_exact
     kappas = [0.4 * v / np.linalg.norm(v) for v in rng.standard_normal((3, M))]
     _assert_close(_invariants(exact, kappas), _invariants(fl, kappas))
+
+
+def _fraction_invariance_residual(family, model, basis):
+    """Largest entry of ``sum_l L_l d^l Vt^n - sum_k Vt^(n-k) A_k`` over all n.
+
+    A test-local evaluation in plain Fraction object arrays: the derivative
+    of ``xi^e`` by ``d^l`` is ``prod_i perm(e_i, l_i) xi^(e-l)``, and every
+    monomial of both sides is compared.
+    """
+    zero_mat = np.full((family.dimU, model.m), F(0), dtype=object)
+    worst = F(0)
+    for n, poly in basis.poly.items():
+        side = {}
+        for l, L in family.ops.items():
+            for e, c in poly.items():
+                if all(a >= b for a, b in zip(e, l)):
+                    weight = int(np.prod([math.perm(a, b) for a, b in zip(e, l)]))
+                    key = tuple(a - b for a, b in zip(e, l))
+                    side[key] = side.get(key, zero_mat) + L.dot(c) * weight
+        for k in basis.poly:
+            if all(a <= b for a, b in zip(k, n)):
+                rest = tuple(b - a for a, b in zip(k, n))
+                Ak = model.A.get(k, np.full((model.m, model.m), F(0), dtype=object))
+                for e, c in basis.poly[rest].items():
+                    side[e] = side.get(e, zero_mat) - c.dot(Ak)
+        for diff in side.values():
+            worst = max(worst, max(abs(x) for x in diff.flat))
+    return worst
+
+
+_ORACLE_CASES = [pytest.param("walker", method, id=f"walker-{method}")
+                 for method in ("vectors", "generating")]
+_ORACLE_CASES += [pytest.param(seed, "vectors", id=f"rational-{seed}") for seed in (4100, 4101)]
+
+
+@pytest.mark.parametrize("case, method", _ORACLE_CASES)
+def test_exact_invariance_against_fraction_oracle(walker_exact, case, method):
+    if case == "walker":
+        fam, N = walker_exact, 6
+    else:
+        rng = np.random.default_rng(case)
+        fam = random_rational_family(rng, dimU=int(rng.integers(3, 6)), M=2, m=1 + case % 2)
+        N = 3
+    model, basis = sv.construct_reduction(fam, N=N, method=method)
+    assert model.is_exact and basis.is_exact
+    assert _fraction_invariance_residual(fam, model, basis) == 0
+    assert sv.check_invariance(fam, model, basis) == 0
+    # one entry of one A_n moved by 1e-9 must show in both evaluations
+    n = sorted(model.A)[len(model.A) // 2]
+    A = dict(model.A)
+    A[n] = A[n].copy()
+    A[n][0, 0] += F(1, 10**9)
+    moved = sv.ReducedModel(M=model.M, N=model.N, m=model.m, A=A)
+    assert _fraction_invariance_residual(fam, moved, basis) > 0
+    assert sv.check_invariance(fam, moved, basis) > 0
