@@ -1,18 +1,18 @@
 """Exact linear algebra over the rationals.
 
-The optional exact mode stores model matrices as numpy object arrays of
-``fractions.Fraction``: families, splits, reduced models and bases hold
-them, and the JSON codec below reads and writes them.  Arithmetic on
-Fraction arrays normalises every entry with a gcd after every operation,
-so the exact hot paths convert to :class:`RatMatrix` instead: Python-int
+Exact mode has one arithmetic type, :class:`RatMatrix`: Python-int
 numerators over one positive common denominator, normalised with a
-single gcd per result.  The construction recursion, the constrained
-Sylvester solve and the invariance check convert with
-:func:`as_ratmatrix` on entry and back with :func:`as_fractions` on
-exit; both pass float and sparse matrices through unchanged.  Everything
-that needs division with pivoting (solving, nullspaces) is implemented
-here on Fractions by straightforward Gauss-Jordan elimination.  Sizes in
-exact mode stay tiny (a few dozen rows), so clarity beats asymptotics.
+single gcd per result.  Numpy object arrays of ``fractions.Fraction``
+are only its storage and interchange form: families, splits, reduced
+models and bases hold them, and the JSON codec below reads and writes
+them.  Each function that computes exactly (the construction recursion,
+the constrained Sylvester solve, the invariance check, the exact split
+and the modal transform check) converts with :func:`as_ratmatrix` on
+entry and back with :func:`as_fractions` on exit; both pass float and
+sparse matrices through unchanged.  Solving, inverting and nullspaces
+are a fraction-free Gauss-Jordan elimination on integer numerators.
+Sizes in exact mode stay tiny (a few dozen rows), so clarity beats
+asymptotics.
 
 It also owns the JSON model-document format every model file is saved
 and read in.  A matrix is a list of rows of ``"p/q"`` strings (exact) or
@@ -24,7 +24,6 @@ a finite float64.  Documents are saved with sorted keys.
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import math
 from fractions import Fraction
@@ -67,31 +66,20 @@ def as_float(a) -> np.ndarray:
     return a.toarray() if sparse.issparse(a) else np.asarray(a, dtype=float)
 
 
-def _exact_operand(method):
-    """Convert the other operand to RatMatrix; defer on anything else."""
-
-    @functools.wraps(method)
-    def wrapper(self, other):
-        other = as_ratmatrix(other)
-        return method(self, other) if isinstance(other, RatMatrix) else NotImplemented
-
-    return wrapper
-
-
 class RatMatrix:
     """Exact rational matrix: an object array ``num`` of Python ints over one
     Python int ``den``, in lowest terms (``den > 0`` and
-    ``gcd(den, *num) == 1``, so a zero matrix has ``den == 1``).
+    ``gcd(den, *num.flat) == 1``, so a zero matrix has ``den == 1``).
 
-    Supports ``@``, ``+``, ``-``, negation, multiplication by an int or a
-    Fraction, ``abs``, ``max``, ``.T``, slicing (an entry comes out as a
-    Fraction), :meth:`hstack` and :meth:`any`.  An object array of
-    Fractions on the other side of ``@``, ``+`` or ``-`` is converted
-    first; a float array is refused with TypeError.
+    The one exact arithmetic type: ``@``, ``+`` and ``-`` with another
+    RatMatrix, negation, multiplication by an int or a Fraction, ``abs``,
+    ``max``, ``.T``, slicing (an entry comes out as a Fraction),
+    :meth:`block` and :meth:`any`.  Any other operand of ``@``, ``+`` or
+    ``-`` (a Fraction or float array) raises TypeError.
     """
 
     __slots__ = ("num", "den")
-    __array_ufunc__ = None  # numpy defers mixed expressions to the reflected operators
+    __array_ufunc__ = None  # numpy defers mixed expressions, which then raise
 
     def __init__(self, num, den: int = 1):
         num = np.asarray(num, dtype=object)
@@ -120,9 +108,18 @@ class RatMatrix:
         return out
 
     @classmethod
-    def hstack(cls, mats) -> "RatMatrix":
-        den = math.lcm(*(a.den for a in mats))
-        return cls._lowest(np.column_stack([a.num * (den // a.den) for a in mats]), den)
+    def zeros(cls, shape) -> "RatMatrix":
+        return cls._lowest(np.zeros(shape, dtype=object), 1)
+
+    @classmethod
+    def eye(cls, n: int) -> "RatMatrix":
+        return cls._lowest(np.eye(n, dtype=int).astype(object), 1)
+
+    @classmethod
+    def block(cls, rows) -> "RatMatrix":
+        """Block matrix from a nested list of RatMatrix, as ``np.block``."""
+        den = math.lcm(*(a.den for row in rows for a in row))
+        return cls._lowest(np.block([[a.num * (den // a.den) for a in row] for row in rows]), den)
 
     shape = property(lambda self: self.num.shape)
     size = property(lambda self: self.num.size)
@@ -154,16 +151,15 @@ class RatMatrix:
 
     __rmul__ = __mul__
 
-    @_exact_operand
     def __matmul__(self, other):
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
         return RatMatrix(self.num @ other.num, self.den * other.den)
-
-    @_exact_operand
-    def __rmatmul__(self, other):
-        return other @ self
 
     def _plus(self, other, subtract: bool):
         """``self + other`` (or ``-``) over the lcm of the two denominators."""
+        if not isinstance(other, RatMatrix):
+            return NotImplemented
         a, b, den = self.num, other.num, self.den
         if other.den != den:
             den = math.lcm(den, other.den)
@@ -171,9 +167,11 @@ class RatMatrix:
             b = b if den == other.den else b * (den // other.den)
         return RatMatrix(a - b if subtract else a + b, den)
 
-    __add__ = __radd__ = _exact_operand(lambda self, other: self._plus(other, False))
-    __sub__ = _exact_operand(lambda self, other: self._plus(other, True))
-    __rsub__ = _exact_operand(lambda self, other: other._plus(self, True))
+    def __add__(self, other):
+        return self._plus(other, False)
+
+    def __sub__(self, other):
+        return self._plus(other, True)
 
 
 def as_ratmatrix(a):
@@ -190,91 +188,79 @@ def zeros(shape, exact: bool) -> np.ndarray:
     return np.full(shape, Fraction(0), dtype=object) if exact else np.zeros(shape)
 
 
-def exact_eye(n: int) -> np.ndarray:
-    out = zeros((n, n), True)
-    np.fill_diagonal(out, Fraction(1))
-    return out
+def _rref(M: np.ndarray, ncols: int) -> list[int]:
+    """Fraction-free reduced row echelon form of an object array of Python
+    ints, in place; returns the pivot column list.
 
-
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form; returns the pivot column list.
-
-    Only the first ``ncols`` columns are eligible as pivots; trailing
-    columns ride along as right-hand sides.
+    A pivot clears its column from every other row by integer
+    cross-multiplication, and each changed row is divided by the gcd of
+    its entries, so row ``r`` ends as ``M[r, pivots[r]]`` times row ``r``
+    of the (unique) rational reduced echelon form.  Only the first
+    ``ncols`` columns are eligible as pivots; trailing columns ride along
+    as right-hand sides.
     """
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        # largest entry by magnitude keeps intermediate fractions smaller
-        best, best_mag = -1, Fraction(0)
-        for i in range(r, len(rows)):
-            mag = abs(rows[i][c])
-            if mag > best_mag:
-                best, best_mag = i, mag
-        if best < 0:
+        r = len(pivots)
+        rows = [i for i in range(r, M.shape[0]) if M[i, c]]
+        if not rows:
             continue
-        rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        # the smallest pivot keeps the cross products small
+        best = min(rows, key=lambda i: abs(M[i, c]))
+        M[[r, best]] = M[[best, r]]
+        M[r] //= math.gcd(*M[r])
+        p = M[r, c]
+        for i in range(M.shape[0]):
+            if i != r and M[i, c]:
+                g = math.gcd(p, M[i, c])
+                row = M[i] * (p // g) - M[r] * (M[i, c] // g)
+                M[i] = row // (math.gcd(*row) or 1)
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == M.shape[0]:
             break
     return pivots
 
 
-def solve_exact(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve ``A x = B`` exactly; A may be rectangular.
+def solve_exact(A: RatMatrix, B: RatMatrix) -> RatMatrix:
+    """Solve ``A X = B`` exactly; A may be rectangular.
 
     Requires the system to be consistent with a unique solution (full
-    column rank); raises ValueError otherwise.  B may be a vector or a
-    matrix of stacked right-hand sides.
+    column rank); raises ValueError otherwise.
     """
-    A = np.asarray(A, dtype=object)
-    b_was_vector = B.ndim == 1
-    Bm = B.reshape(-1, 1) if b_was_vector else B
     nr, nc = A.shape
-    if Bm.shape[0] != nr:
+    if B.shape[0] != nr:
         raise ValueError("right-hand side has wrong length")
-    rows = [[frac(A[i, j]) for j in range(nc)] + [frac(Bm[i, k]) for k in range(Bm.shape[1])]
-            for i in range(nr)]
-    pivots = _rref(rows, nc)
-    if len(pivots) < nc:
+    # A X = B  <=>  (B.den A.num) X = A.den B.num, all integers
+    M = np.concatenate([A.num * B.den, B.num * A.den], axis=1)
+    if len(_rref(M, nc)) < nc:
         raise ValueError("exact solve: system is underdetermined (rank deficient)")
-    for i in range(len(pivots), nr):
-        if any(x != 0 for x in rows[i][nc:]):
-            raise ValueError("exact solve: system is inconsistent")
-    out = zeros((nc, Bm.shape[1]), True)
-    for r, c in enumerate(pivots):
-        for k in range(Bm.shape[1]):
-            out[c, k] = rows[r][nc + k]
-    return out[:, 0] if b_was_vector else out
+    if any(M[nc:, nc:].flat):
+        raise ValueError("exact solve: system is inconsistent")
+    piv = [M[c, c] for c in range(nc)]
+    den = math.lcm(*piv)
+    return RatMatrix(M[:nc, nc:] * np.array([den // p for p in piv], dtype=object)[:, None], den)
 
 
-def nullspace_exact(A: np.ndarray) -> np.ndarray:
+def nullspace_exact(A: RatMatrix) -> RatMatrix:
     """Basis for the exact nullspace of A, as columns; shape (n, dim)."""
-    A = np.asarray(A, dtype=object)
-    nr, nc = A.shape
-    rows = [[frac(A[i, j]) for j in range(nc)] for i in range(nr)]
-    pivots = _rref(rows, nc)
+    M = A.num.copy()
+    nc = A.shape[1]
+    pivots = _rref(M, nc)
     free = [c for c in range(nc) if c not in pivots]
-    basis = zeros((nc, len(free)), True)
+    den = math.lcm(*(M[r, c] for r, c in enumerate(pivots)))
+    basis = np.zeros((nc, len(free)), dtype=object)
     for k, fc in enumerate(free):
-        basis[fc, k] = Fraction(1)
+        basis[fc, k] = den
         for r, pc in enumerate(pivots):
-            basis[pc, k] = -rows[r][fc]
-    return basis
+            basis[pc, k] = -M[r, fc] * (den // M[r, pc])
+    return RatMatrix(basis, den)
 
 
-def inverse_exact(A: np.ndarray) -> np.ndarray:
+def inverse_exact(A: RatMatrix) -> RatMatrix:
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("inverse of a non-square matrix")
-    return solve_exact(A, exact_eye(n))
+    return solve_exact(A, RatMatrix.eye(n))
 
 
 # -- model documents ----------------------------------------------------------

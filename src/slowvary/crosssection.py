@@ -17,7 +17,9 @@ products.  Where a discretisation calls for quadrature weights they are
 folded into the left basis ``Z0`` rather than kept as a separate metric.
 
 In exact mode the matrices are dense numpy object arrays of
-``fractions.Fraction``.  Float families hold float64 arrays or, for a
+``fractions.Fraction``; the exact split computes in
+:class:`~slowvary._rational.RatMatrix` arithmetic and stores its bases
+as Fraction arrays again.  Float families hold float64 arrays or, for a
 sparse input such as a cell problem, float CSR matrices that every step
 of the reduction takes as they are; only small or inherently dense
 computations (the dense eigen-split, block Taylor checks, simulation
@@ -343,8 +345,8 @@ def _dense_split(L0: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
 
 
 def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
-    L0f = rat.as_float(L0x)
-    evals = sla.eigvals(L0f)
+    L0 = rat.as_ratmatrix(L0x)
+    evals = sla.eigvals(rat.as_float(L0x))
     alpha, beta, m, centre = _classify(evals, N, alpha)
     radius = float(np.abs(evals).max()) if evals.size else 0.0
     lam_centre = evals[centre]
@@ -359,10 +361,10 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
         f = Fraction(float(lam)).limit_denominator(10**9)
         if f not in cands:
             cands.append(f)
-    n = L0x.shape[0]
+    eye = rat.RatMatrix.eye(L0.shape[0])
     blocks_V, blocks_Z = [], []
     for lam in cands:
-        B = L0x - lam * rat.exact_eye(n)
+        B = L0 - eye * lam
         kern = rat.nullspace_exact(B)
         if kern.shape[1] == 0:
             raise UnsupportedSplit(
@@ -370,8 +372,8 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
             )
         blocks_V.append(kern)
         blocks_Z.append(rat.nullspace_exact(B.T))
-    V0 = np.concatenate(blocks_V, axis=1)
-    Z0raw = np.concatenate(blocks_Z, axis=1)
+    V0 = rat.RatMatrix.block([blocks_V])
+    Z0raw = rat.RatMatrix.block([blocks_Z])
     if V0.shape[1] != m:
         raise UnsupportedSplit(
             "exact mode supports only semisimple centre clusters; "
@@ -384,7 +386,8 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
         raise DefectiveNormalisation(
             "left/right centre bases pair singularly in exact arithmetic"
         ) from None
-    A0 = Z0.T @ L0x @ V0
+    A0 = Z0.T @ L0 @ V0
+    V0, Z0, A0 = (rat.as_fractions(x) for x in (V0, Z0, A0))
     return SpectralSplit(m, V0, Z0, A0, alpha, beta, evals, True)
 
 

@@ -122,24 +122,16 @@ def modal_transform_check(
     if physical.M != modal.M or physical.dimU != modal.dimU:
         raise ValueError("families do not share a state space")
     exact = physical.is_exact and modal.is_exact
-    T = modal_transform(exact=exact)
-    if exact:
-        Tinv = rat.inverse_exact(T)
-    else:
-        Tinv = np.linalg.inv(T)
+    matrix = rat.as_ratmatrix if exact else rat.as_float
+    T = matrix(modal_transform(exact=exact))
+    Tinv = rat.inverse_exact(T) if exact else np.linalg.inv(T)
     worst = 0.0
     for k in sorted(set(physical.support) | set(modal.support)):
         P = physical.operator(k)
         Q = modal.operator(k)
         if P is None or Q is None:
             raise ValueError(f"operator {k} present in only one family")
-        if exact:
-            R = T @ P @ Tinv - Q
-            worst = max(worst, float(max(abs(x) for x in R.reshape(-1))))
-        else:
-            Pf = rat.as_float(P)
-            Qf = rat.as_float(Q)
-            worst = max(worst, float(np.abs(T @ Pf @ Tinv - Qf).max()))
+        worst = max(worst, float(abs(T @ matrix(P) @ Tinv - matrix(Q)).max()))
     return worst
 
 

@@ -37,13 +37,13 @@ solves every exponent.  Both give bitwise-equal ``A_n`` and ``V^n``; the
 higher exponents of the second route are solved, not formed, so tests
 compare them with ``V^{n-k} / k!``.
 
-Exact families (Fraction object arrays, ``--exact``) run the same code:
-the recursion, the Sylvester solve and :func:`check_invariance` convert
-their inputs to :class:`~slowvary._rational.RatMatrix` (integer
-numerators over one denominator) on entry, and the recursion converts
-``A_n`` and the polynomials back to Fraction arrays on exit, so models,
-bases and their files hold Fractions as before.  Each exact solve must
-leave a zero residual.
+Exact families (Fraction object arrays, ``--exact``) run the same code
+in :class:`~slowvary._rational.RatMatrix` arithmetic (integer numerators
+over one denominator), the only exact arithmetic type: the recursion,
+the Sylvester solve and :func:`check_invariance` convert their Fraction
+inputs on entry, and the recursion and the solve convert their results
+back on exit, so models, bases and their files hold Fractions.  Each
+exact solve must leave a zero residual.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class _BorderedSylvester:
 
     def __init__(self, L0, A0, Z0, tol: float = DEFAULT_TOL):
         L0, A0, Z0 = (rat.as_ratmatrix(x) for x in (L0, A0, Z0))
-        self.exact = rat.is_exact(L0)
+        self.exact = isinstance(L0, rat.RatMatrix)
         self.L0, self.A0, self.Z0 = L0, A0, Z0
         self.d, self.m = L0.shape[0], A0.shape[0]
         self.tol = 0 if self.exact else tol
@@ -173,10 +173,10 @@ class _BorderedSylvester:
         d, m = self.d, self.m
         try:
             if self.exact:
-                L0, Z0 = rat.as_fractions(self.L0), rat.as_fractions(self.Z0)
-                inv = rat.as_ratmatrix(rat.inverse_exact(np.block(
-                    [[L0 - t * rat.exact_eye(d), Z0], [Z0.T, rat.zeros((m, m), True)]]
-                )))
+                R = rat.RatMatrix
+                inv = rat.inverse_exact(R.block(
+                    [[self.L0 - R.eye(d) * t, self.Z0], [self.Z0.T, R.zeros((m, m))]]
+                ))
                 return inv[:d, :d], inv[:d, d:]
             Z0s = sparse.csc_matrix(self.Z0)
             return spla.splu(sparse.bmat(
@@ -204,13 +204,14 @@ class _BorderedSylvester:
             if j:
                 b = b + W @ self._T[:j, j:j + 1]
             w = P @ b + Q @ constraint[:, j:j + 1]
-            W = rat.RatMatrix.hstack([W, w]) if j else w
+            W = rat.RatMatrix.block([[W, w]]) if j else w
         return W
 
     def solve(self, rhs, constraint=None):
         """Return the unique V; ``constraint`` is the target of Z0.T V."""
         if constraint is None:
-            constraint = rat.zeros((self.m, self.m), self.exact)
+            zeros = rat.RatMatrix.zeros if self.exact else np.zeros
+            constraint = zeros((self.m, self.m))
         rhs, constraint = rat.as_ratmatrix(rhs), rat.as_ratmatrix(constraint)
         sweep = self._exact_sweep if self.exact else self._schur_sweep
         V = sweep(rhs, constraint)
@@ -225,11 +226,11 @@ class _BorderedSylvester:
             float(abs(rhs).max()) if rhs.size else 0.0,
             float(abs(V).max()) * self._size,
         )
-        if res1 > self.tol * scale or res2 > self.tol * scale:
+        bound = self.tol * scale
+        if not (res1 <= bound and res2 <= bound):  # a NaN residual fails too
             raise SylvesterInconsistent(
                 f"constrained Sylvester residuals {float(res1):.3g} (equation) / "
-                f"{float(res2):.3g} (constraint) exceed tol*scale = "
-                f"{self.tol * scale:.3g}"
+                f"{float(res2):.3g} (constraint) exceed tol*scale = {bound:.3g}"
             )
 
 
@@ -450,7 +451,8 @@ def _reduce(family, split, table, tol, every_exponent):
     m = split.m
     ops = {k: rat.as_ratmatrix(L) for k, L in family.ops.items() if k != zero}
     V0, Z0, A0 = (rat.as_ratmatrix(x) for x in (split.V0, split.Z0, split.A0))
-    eye_m = rat.as_ratmatrix(rat.exact_eye(m) if exact else np.eye(m))
+    zeros, eye = (rat.RatMatrix.zeros, rat.RatMatrix.eye) if exact else (np.zeros, np.eye)
+    eye_m = eye(m)
     poly = {zero: {zero: V0}}
     A = {zero: A0}
     solver = _BorderedSylvester(family.L0, A0, Z0, tol)
@@ -463,7 +465,7 @@ def _reduce(family, split, table, tol, every_exponent):
                 term = Z0.T @ (ops[k] @ poly[index_sub(n, k)][zero])
                 An = term if An is None else An + term
         if An is None:
-            An = rat.zeros((m, m), exact)
+            An = zeros((m, m))
         A[n] = An
         rhs = _poly_rmul(poly[zero], An)
         for ell in below:
@@ -480,7 +482,7 @@ def _reduce(family, split, table, tol, every_exponent):
         for e in exponents:
             rhs_e = rhs.get(e)
             if rhs_e is None:
-                rhs_e = rat.zeros((family.dimU, m), exact)
+                rhs_e = zeros((family.dimU, m))
             coeff = solver.solve(rhs_e, target if e == n else None)
             if e == zero or coeff.any():
                 terms[e] = coeff

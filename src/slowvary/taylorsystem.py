@@ -33,7 +33,7 @@ from .multiindex import (
     format_index,
     index_factorial,
     index_sub,
-    partial_leq,
+    lower_sets,
 )
 from .slowreduce import GeneratingBasis, ReducedModel
 
@@ -75,16 +75,14 @@ class BlockOperator:
 def _assemble(table: IndexTable, inner: int, pick, exact: bool) -> np.ndarray:
     size = len(table) * inner
     out = rat.zeros((size, size), exact)
-    for i, n in enumerate(table):
-        for j, k in enumerate(table):
-            if partial_leq(n, k):
-                blockmat = pick(index_sub(k, n))
-                if sparse.issparse(blockmat):  # a CSR family operator
-                    blockmat = blockmat.toarray()
-                if blockmat is not None:
-                    out[
-                        i * inner : (i + 1) * inner, j * inner : (j + 1) * inner
-                    ] = blockmat
+    for j, (k, below) in enumerate(lower_sets(table).items()):
+        for n in below:
+            blockmat = pick(index_sub(k, n))
+            if sparse.issparse(blockmat):  # a CSR family operator
+                blockmat = blockmat.toarray()
+            if blockmat is not None:
+                i = table.position(n)
+                out[i * inner : (i + 1) * inner, j * inner : (j + 1) * inner] = blockmat
     return out
 
 

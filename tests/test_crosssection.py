@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sparse
 
 import slowvary as sv
+from slowvary._rational import frac_matrix
 from slowvary.crosssection import _binormalise
 from slowvary.errors import (
     DefectiveNormalisation,
@@ -125,6 +126,12 @@ def test_jordan_centre_block():
     assert np.abs(split.A0).max() > 0.1
     res = fam.L0 @ split.V0 - split.V0 @ split.A0
     assert np.abs(res).max() < 1e-10
+
+
+def test_exact_jordan_centre_is_unsupported():
+    L0 = frac_matrix([[0, 1, 0], [0, 0, 0], [0, 0, -1]])
+    with pytest.raises(UnsupportedSplit, match="semisimple"):
+        sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=2)
 
 
 def test_rotation_centre_block():

@@ -293,6 +293,15 @@ def test_coefficient_lookup_missing_index(walker):
     assert np.abs(model.coefficient((5, 5))).max() == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_sylvester_non_finite_rhs_raises(walker, bad):
+    split = sv.spectral_split(walker, N=2)
+    rhs = np.zeros((walker.dimU, split.m))
+    rhs[1, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(SylvesterInconsistent):
+        solve_constrained_sylvester(walker.L0, split.A0, split.Z0, rhs)
+
+
 _ARITHMETIC = pytest.mark.parametrize(
     "convert", [np.array, frac_matrix], ids=["float", "exact"]
 )
@@ -466,3 +475,26 @@ def test_exact_invariance_against_fraction_oracle(walker_exact, case, method):
     moved = sv.ReducedModel(M=model.M, N=model.N, m=model.m, A=A)
     assert _fraction_invariance_residual(fam, moved, basis) > 0
     assert sv.check_invariance(fam, moved, basis) > 0
+
+
+@pytest.mark.parametrize("seed, M, N, m, support", [
+    (4200, 1, 4, 1, [(0,), (2,)]),
+    (4201, 2, 3, 2, [(0, 0), (2, 0), (0, 2)]),
+], ids=["M1-0-2", "M2-00-20-02"])
+def test_exact_family_with_support_gaps(seed, M, N, m, support):
+    """Operators missing from the support leave ``A_n`` without a term and
+    right-hand sides without an exponent: the recursion's exact zeros."""
+    rng = np.random.default_rng(seed)
+    full = random_rational_family(rng, dimU=int(rng.integers(m + 2, 6)), M=M, m=m)
+    fam = sv.OperatorFamily({k: full.ops[k] for k in support})
+    (mv, bv), (mg, bg) = (sv.construct_reduction(fam, N=N, method=method)
+                          for method in ("vectors", "generating"))
+    assert mv.is_exact and mg.is_exact and mv.A.keys() == mg.A.keys()
+    for n in mv.A:
+        assert mv.A[n].tolist() == mg.A[n].tolist(), n
+    assert sv.check_invariance(fam, mv, bv) == 0
+    assert sv.check_invariance(fam, mg, bg) == 0
+    if M == 1:
+        split = bv.split
+        assert mv.A[(1,)].tolist() == np.zeros((m, m)).tolist()
+        assert mv.A[(2,)].tolist() == (split.Z0.T @ fam.ops[(2,)] @ split.V0).tolist()
