@@ -29,13 +29,26 @@ obeys a shifted convolution
                           + sum_{0 < k <= n} Vt^{n-k} A_k,
     Z0.T Vt^n = xi^n / n!,
 
-solved coefficient by coefficient.  Exponent 0 of ``Vt^n`` is ``V^n`` and
+solved for every exponent at once.  Exponent 0 of ``Vt^n`` is ``V^n`` and
 couples only to exponent 0, where the shifted convolution is the
 recursion above term for term.  ``method="vectors"`` solves only that
 exponent and forms the others as ``V^{n-k} / k!``; ``method="generating"``
 solves every exponent.  Both give bitwise-equal ``A_n`` and ``V^n``; the
 higher exponents of the second route are solved, not formed, so tests
 compare them with ``V^{n-k} / k!``.
+
+Inside this module a polynomial is a list of its exponents and one
+coefficient stack of shape ``(K, dimU, m)``, slice i holding the
+coefficient of exponent i.  Each term of the recursion is one array
+operation on a whole stack (``L_l @ stack`` or ``stack @ A_k``), added
+into the exponent positions of ``n`` in the recursion's order, and the
+Sylvester solve takes the stack of right-hand sides.  Results leave as
+dicts mapping exponents to ``(dimU, m)`` coefficients.  Float results
+are bitwise equal to solving one coefficient at a time: numpy multiplies
+each slice of a stack as it multiplies a lone matrix, CSR multiplies
+each column of a block as it multiplies a lone column, sums start from
+their first term (see :func:`_sum_at`) and each float slice keeps its
+own LU solve.
 
 Exact families (Fraction object arrays, ``--exact``) run the same code
 in :class:`~slowvary._rational.RatMatrix` arithmetic (integer numerators
@@ -48,6 +61,7 @@ exact solve must leave a zero residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,55 +95,47 @@ __all__ = [
 ]
 
 
-# -- polynomial helpers ----------------------------------------------------
+# -- coefficient stacks -----------------------------------------------------
 #
-# A polynomial in the reconstruction variables is a dict mapping monomial
-# exponent tuples to (dimU, m) coefficient arrays.  Zero coefficients are
-# simply absent.
+# A polynomial in the reconstruction variables is a list of monomial
+# exponent tuples and a stack of shape (K, dimU, m) whose slice i is the
+# coefficient of exponent i: a float array, or a RatMatrix in exact mode.
+# Every step multiplies or accumulates whole stacks, never one coefficient
+# at a time.
 
 
-def _poly_add(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, c in q.items():
-        out[k] = out[k] + c if k in out else c
-    return out
+def _lmul(L, stack):
+    """``L @ c`` for every coefficient ``c`` of a stack.
+
+    A sparse ``L`` multiplies the stack laid side by side as one
+    ``dimU x K*m`` block; CSR computes each column as it would alone.
+    """
+    if not sparse.issparse(L):
+        return L @ stack
+    K, d, m = stack.shape
+    wide = stack.transpose(1, 0, 2).reshape(d, K * m)
+    return (L @ wide).reshape(d, K, m).transpose(1, 0, 2)
 
 
-def _poly_sub(p: dict, q: dict) -> dict:
-    out = dict(p)
-    for k, c in q.items():
-        out[k] = out[k] - c if k in out else -c
-    return out
+def _sum_at(shape, terms, exact: bool):
+    """Zeros of ``shape`` plus each term ``(pos, sign, stack)``, in order:
+    ``sign * stack`` added at the exponent positions ``pos``.
 
-
-def _poly_lmul(L: np.ndarray, p: dict) -> dict:
-    return {k: L @ c for k, c in p.items()}
-
-
-def _poly_rmul(p: dict, A: np.ndarray) -> dict:
-    return {k: c @ A for k, c in p.items()}
-
-
-def _poly_diff(p: dict, ell: tuple[int, ...]) -> dict:
-    """Apply the monomial derivative d^ell; exact falling factorials."""
-    out = {}
-    for k, c in p.items():
-        if not partial_leq(ell, k):
-            continue
-        fall = 1
-        for ki, li in zip(k, ell):
-            for j in range(ki, ki - li, -1):
-                fall *= j
-        out[index_sub(k, ell)] = c * fall
-    return out
-
-
-def _poly_maxabs(p: dict) -> float:
-    worst = 0.0
-    for c in p.values():
-        if c.size:
-            worst = max(worst, float(abs(c).max()))
-    return worst
+    Float positions that some term reaches start from ``-0.0``, the
+    additive identity (``-0.0 + x`` is ``x`` for every x, ``+0.0`` too), so
+    each sum carries the bits, signed zeros included, of one that starts
+    from its first term; the other positions hold ``+0.0``.
+    """
+    if exact:
+        return rat.RatMatrix.sum_at(shape, terms)
+    acc = np.zeros(shape)
+    acc[sorted({i for pos, _, _ in terms for i in pos})] = -0.0
+    for pos, sign, stack in terms:
+        if sign > 0:
+            acc[pos] += stack
+        else:
+            acc[pos] -= stack
+    return acc
 
 
 # -- the bordered Sylvester solver -----------------------------------------
@@ -151,6 +157,9 @@ class _BorderedSylvester:
     blocks ``P, Q`` of the exact inverse that give ``w_j = P b + Q g``.
     Exact mode accepts only a zero residual, so a nonzero multiplier (an
     inconsistent system) raises.
+
+    :meth:`solve` takes stacks: K right-hand sides of shape (K, dimU, m)
+    and K constraints of shape (K, m, m), one system per slice.
     """
 
     def __init__(self, L0, A0, Z0, tol: float = DEFAULT_TOL):
@@ -191,46 +200,51 @@ class _BorderedSylvester:
     def _schur_sweep(self, rhs, constraint):
         d, T = self.d, self._T
         RU, GU = rhs @ self._U, constraint @ self._U
-        W = np.zeros((d, self.m), dtype=RU.dtype)
+        W = np.zeros(RU.shape, dtype=RU.dtype)
         for j, lu_solve in enumerate(self._solves):
-            b = RU[:, j] + W[:, :j] @ T[:j, j]
-            W[:, j] = lu_solve(np.concatenate([b, GU[:, j]]))[:d]
+            B = RU[:, :, j] + W[:, :, :j] @ T[:j, j]
+            # one solve per slice: a multi-column SuperLU solve rounds differently
+            for i, b in enumerate(B):
+                W[i, :, j] = lu_solve(np.concatenate([b, GU[i, :, j]]))[:d]
         return (W @ self._U.conj().T).real
 
     def _exact_sweep(self, rhs, constraint):
         W = None
         for j, (P, Q) in enumerate(self._solves):
-            b = rhs[:, j:j + 1]
+            b = rhs[:, :, j:j + 1]
             if j:
                 b = b + W @ self._T[:j, j:j + 1]
-            w = P @ b + Q @ constraint[:, j:j + 1]
+            w = P @ b + Q @ constraint[:, :, j:j + 1]
             W = rat.RatMatrix.block([[W, w]]) if j else w
         return W
 
-    def solve(self, rhs, constraint=None):
-        """Return the unique V; ``constraint`` is the target of Z0.T V."""
-        if constraint is None:
-            zeros = rat.RatMatrix.zeros if self.exact else np.zeros
-            constraint = zeros((self.m, self.m))
-        rhs, constraint = rat.as_ratmatrix(rhs), rat.as_ratmatrix(constraint)
+    def solve(self, rhs, constraint):
+        """Return the unique stack V; ``constraint`` is the target of Z0.T V."""
         sweep = self._exact_sweep if self.exact else self._schur_sweep
         V = sweep(rhs, constraint)
         self._check(V, rhs, constraint)
         return V
 
     def _check(self, V, rhs, constraint) -> None:
-        res1 = abs(self.L0 @ V - V @ self.A0 - rhs).max()
-        res2 = abs(self.Z0.T @ V - constraint).max()
-        scale = max(
-            1.0,
-            float(abs(rhs).max()) if rhs.size else 0.0,
-            float(abs(V).max()) * self._size,
-        )
-        bound = self.tol * scale
-        if not (res1 <= bound and res2 <= bound):  # a NaN residual fails too
+        """Bound each slice's residuals by tol times that slice's scale;
+        exact mode accepts only zero residuals."""
+        axes = (1, 2)
+        R1 = _lmul(self.L0, V) - V @ self.A0 - rhs
+        R2 = self.Z0.T @ V - constraint
+        if self.exact:
+            bound = np.zeros(V.shape[0])
+            bad = R1.any(axis=axes) | R2.any(axis=axes)
+        else:
+            scale = np.maximum(np.maximum(1.0, np.abs(rhs).max(axis=axes)),
+                               np.abs(V).max(axis=axes) * self._size)
+            bound = self.tol * scale
+            ok = (np.abs(R1).max(axis=axes) <= bound) & (np.abs(R2).max(axis=axes) <= bound)
+            bad = ~ok  # a NaN residual fails too
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
             raise SylvesterInconsistent(
-                f"constrained Sylvester residuals {float(res1):.3g} (equation) / "
-                f"{float(res2):.3g} (constraint) exceed tol*scale = {bound:.3g}"
+                f"constrained Sylvester residuals {float(abs(R1[i]).max()):.3g} (equation) / "
+                f"{float(abs(R2[i]).max()):.3g} (constraint) exceed tol*scale = {bound[i]:.3g}"
             )
 
 
@@ -249,7 +263,11 @@ def solve_constrained_sylvester(
     constraint removes exactly that nullspace.  Raises
     :class:`SylvesterInconsistent` when no solution meets the tolerance.
     """
-    return rat.as_fractions(_BorderedSylvester(L0, A0, Z0, tol).solve(rhs, constraint))
+    solver = _BorderedSylvester(L0, A0, Z0, tol)
+    if constraint is None:
+        constraint = rat.zeros((solver.m, solver.m), solver.exact)
+    rhs, constraint = rat.as_ratmatrix(rhs), rat.as_ratmatrix(constraint)
+    return rat.as_fractions(solver.solve(rhs[None], constraint[None])[0])
 
 
 # -- result types -----------------------------------------------------------
@@ -443,54 +461,62 @@ def _reduce(family, split, table, tol, every_exponent):
     without ``every_exponent`` only that coefficient is solved and
     ``poly`` is formed from the vectors by :func:`generating_vectors`.
     With it every exponent is solved, and exponent ``n`` carries the
-    constraint ``Z0.T Vt^n = xi^n / n!``.  Exact matrices are converted to
+    constraint ``Z0.T Vt^n = xi^n / n!``.  Each ``Vt^n`` is held as an
+    exponent list and a coefficient stack; a nonzero exponent whose
+    solved coefficient is zero is dropped.  Every term of a right-hand
+    side is one stack product, added into the exponent positions of
+    ``n`` in the order of the recursion.  Exact matrices are converted to
     RatMatrix on entry and back to Fraction arrays on exit.
     """
     zero = (0,) * family.M
     exact = family.is_exact
-    m = split.m
+    d, m = family.dimU, split.m
     ops = {k: rat.as_ratmatrix(L) for k, L in family.ops.items() if k != zero}
     V0, Z0, A0 = (rat.as_ratmatrix(x) for x in (split.V0, split.Z0, split.A0))
     zeros, eye = (rat.RatMatrix.zeros, rat.RatMatrix.eye) if exact else (np.zeros, np.eye)
     eye_m = eye(m)
-    poly = {zero: {zero: V0}}
+    poly = {zero: ([zero], V0[None])}
     A = {zero: A0}
     solver = _BorderedSylvester(family.L0, A0, Z0, tol)
     for n, below in lower_sets(table).items():
         if n == zero:
             continue
+        rest = {k: poly[index_sub(n, k)] for k in below if k != zero}  # Vt^{n-k}
         An = None
         for k in below:
             if k in ops:
-                term = Z0.T @ (ops[k] @ poly[index_sub(n, k)][zero])
+                term = Z0.T @ (ops[k] @ rest[k][1][0])
                 An = term if An is None else An + term
         if An is None:
             An = zeros((m, m))
         A[n] = An
-        rhs = _poly_rmul(poly[zero], An)
+        # every exponent below lies on the right-hand side; exponent n, of
+        # higher order than all of them, only carries the constraint
+        exps = sorted({e for es, _ in rest.values() for e in es}, key=lambda t: (order(t), t))
+        pos = {e: i for i, e in enumerate(exps)}
+        terms = [([0], 1, (V0 @ An)[None])]
         for ell in below:
             if ell in ops:
-                rhs = _poly_sub(rhs, _poly_lmul(ops[ell], poly[index_sub(n, ell)]))
+                es, stack = rest[ell]
+                terms.append(([pos[e] for e in es], -1, _lmul(ops[ell], stack)))
         for k in below:
             if k != zero and k != n:
-                rhs = _poly_add(rhs, _poly_rmul(poly[index_sub(n, k)], A[k]))
-        target = eye_m * _reciprocal(index_factorial(n), exact)
-        exponents = (
-            sorted(set(rhs) | {n}, key=lambda t: (order(t), t)) if every_exponent else [zero]
-        )
-        terms = {}
-        for e in exponents:
-            rhs_e = rhs.get(e)
-            if rhs_e is None:
-                rhs_e = zeros((family.dimU, m))
-            coeff = solver.solve(rhs_e, target if e == n else None)
-            if e == zero or coeff.any():
-                terms[e] = coeff
-        poly[n] = terms
-    if not every_exponent:
-        poly = generating_vectors({n: p[zero] for n, p in poly.items()})
+                es, stack = rest[k]
+                terms.append(([pos[e] for e in es], 1, stack @ A[k]))
+        K = len(exps) + every_exponent
+        rhs = _sum_at((K, d, m), terms, exact)
+        target = [([K - 1], 1, (eye_m * _reciprocal(index_factorial(n), exact))[None])]
+        constraint = _sum_at((K, m, m), target if every_exponent else [], exact)
+        exps += [n] if every_exponent else []
+        V = solver.solve(rhs, constraint)
+        nonzero = V.any(axis=(1, 2))
+        keep = [i for i, e in enumerate(exps) if e == zero or nonzero[i]]
+        poly[n] = ([exps[i] for i in keep], V if len(keep) == len(exps) else V[keep])
     A = {n: rat.as_fractions(An) for n, An in A.items()}
-    return A, {n: {e: rat.as_fractions(c) for e, c in p.items()} for n, p in poly.items()}
+    if not every_exponent:
+        formed = generating_vectors({n: V[0] for n, (_, V) in poly.items()})
+        return A, {n: {e: rat.as_fractions(c) for e, c in p.items()} for n, p in formed.items()}
+    return A, {n: dict(zip(es, rat.as_fractions(V))) for n, (es, V) in poly.items()}
 
 
 def construct_reduction(
@@ -557,21 +583,38 @@ def check_invariance(
     ``sum_l L_l d^l Vt^n = sum_{k <= n} Vt^{n-k} A_k`` coefficient by
     coefficient; the derivative on the left is evaluated as an actual
     polynomial derivative, so this is an independent check of the
-    construction, not a restatement of it.  Returns the largest absolute
-    residual entry (exactly 0.0 in exact mode when everything is right;
-    exact inputs are evaluated in RatMatrix arithmetic).
+    construction, not a restatement of it.  Each polynomial is stacked as
+    in the recursion: ``d^l`` gathers the coefficients of exponents
+    ``k >= l``, weights them by the falling factorials and moves them to
+    ``k - l``.  Returns the largest absolute residual entry (exactly 0.0
+    in exact mode when everything is right; exact inputs are evaluated in
+    RatMatrix arithmetic; NaN if any entry is NaN).
     """
+    exact = basis.is_exact
     ops = {ell: rat.as_ratmatrix(L) for ell, L in family.ops.items()}
-    poly = {n: {k: rat.as_ratmatrix(c) for k, c in p.items()} for n, p in basis.poly.items()}
+    poly = {n: (list(p), rat.as_ratmatrix(np.stack(list(p.values()))))
+            for n, p in basis.poly.items()}
     A = {k: rat.as_ratmatrix(model.coefficient(k)) for k in poly}
+    # d^l takes exponent k >= l to k - l with weight prod_i k_i! / (k_i - l_i)!
+    shifts = {(k, ell): (index_sub(k, ell), math.prod(map(math.perm, k, ell)))
+              for k in {e for es, _ in poly.values() for e in es}
+              for ell in ops if partial_leq(ell, k)}
     worst = 0.0
     for n, below in lower_sets(poly).items():
-        lhs: dict = {}
+        exps, stack = poly[n]
+        pos: dict = {}
+        lhs_terms, rhs_terms = [], []
         for ell, L in ops.items():
-            lhs = _poly_add(lhs, _poly_lmul(L, _poly_diff(poly[n], ell)))
-        rhs: dict = {}
+            hit = [(i, *shifts[k, ell]) for i, k in enumerate(exps) if (k, ell) in shifts]
+            if hit:
+                idx, targets, weights = zip(*hit)
+                derivative = stack[list(idx)] * np.array(weights).reshape(-1, 1, 1)
+                at = [pos.setdefault(e, len(pos)) for e in targets]
+                lhs_terms.append((at, 1, _lmul(L, derivative)))
         for k in below:
-            rhs = _poly_add(rhs, _poly_rmul(poly[index_sub(n, k)], A[k]))
-        diff = _poly_sub(lhs, rhs)
-        worst = max(worst, _poly_maxabs(diff))
-    return worst
+            es, part = poly[index_sub(n, k)]
+            rhs_terms.append(([pos.setdefault(e, len(pos)) for e in es], 1, part @ A[k]))
+        shape = (len(pos), basis.dimU, basis.m)
+        diff = _sum_at(shape, lhs_terms, exact) - _sum_at(shape, rhs_terms, exact)
+        worst = np.maximum(worst, float(abs(diff).max()))
+    return float(worst)

@@ -118,13 +118,15 @@ def block_spectrum_check(block: BlockOperator, family: OperatorFamily) -> float:
     expect = np.sort_complex(np.tile(sla.eigvals(L0), len(block.table)))
     if got.size != expect.size:
         raise ValueError("spectrum size mismatch; wrong family for this block")
-    remaining = list(expect)
+    used = np.zeros(expect.size, dtype=bool)
     worst = 0.0
     for lam in got:
-        dist = [abs(lam - mu) for mu in remaining]
-        j = int(np.argmin(dist))
+        diff = lam - expect
+        dist = np.hypot(diff.real, diff.imag)  # np.abs of complex rounds unlike abs()
+        dist[used] = np.inf
+        j = int(np.argmin(dist))  # the first nearest, in the order of expect
         worst = max(worst, float(dist[j]))
-        remaining.pop(j)
+        used[j] = True
     return worst
 
 
@@ -153,11 +155,15 @@ def verify_slow_subspace(
 
     Zero (to rounding) exactly when the flattened generating basis spans an
     invariant subspace of the grouped generator on which the dynamics is
-    the grouped closure.
+    the grouped closure.  Exact inputs are evaluated in RatMatrix
+    arithmetic, so they give exactly 0.0 when everything is right; with a
+    float among them all three are taken as float.
     """
-    S = slow_subspace_matrix(basis)
-    resid = rat.as_float(block.matrix @ S - S @ block_A.matrix)
-    return float(np.abs(resid).max()) if resid.size else 0.0
+    mats = (block.matrix, block_A.matrix, slow_subspace_matrix(basis))
+    convert = rat.as_ratmatrix if all(map(rat.is_exact, mats)) else rat.as_float
+    L, A, S = map(convert, mats)
+    resid = L @ S - S @ A
+    return float(abs(resid).max()) if resid.size else 0.0
 
 
 def block_to_csv(block: BlockOperator, path) -> None:

@@ -498,3 +498,42 @@ def test_exact_family_with_support_gaps(seed, M, N, m, support):
         split = bv.split
         assert mv.A[(1,)].tolist() == np.zeros((m, m)).tolist()
         assert mv.A[(2,)].tolist() == (split.Z0.T @ fam.ops[(2,)] @ split.V0).tolist()
+
+
+def _moved_basis(basis, n, e, delta):
+    """A copy of ``basis`` with the largest entry of ``poly[n][e]`` moved by ``delta``."""
+    poly = {j: dict(p) for j, p in basis.poly.items()}
+    c = poly[n][e] = poly[n][e].copy()
+    i = np.unravel_index(np.argmax(np.abs(c.astype(float))), c.shape)
+    c[i] += delta(c[i])
+    return sv.GeneratingBasis(M=basis.M, N=basis.N, m=basis.m, dimU=basis.dimU,
+                              vectors=basis.vectors, poly=poly, split=basis.split)
+
+
+@pytest.mark.parametrize("method", ["vectors", "generating"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_invariance_reports_every_moved_coefficient(walker_exact, method, exact):
+    """Moving any one coefficient of any polynomial, exponent 0 (``V^n``) or
+    higher, shows in the residual: above 0 in exact mode, above the CLI's
+    threshold in float.  An exponent dropped by a gather or a scatter
+    would leave some of these moves unseen."""
+    if exact:
+        fam, threshold = walker_exact, 0
+        delta = lambda x: F(1, 10**9)  # noqa: E731
+    else:
+        rng = np.random.default_rng(2100)
+        fam = random_gap_family(rng, dimU=7, M=2, m=2, centre="rotation")
+        threshold = 1e-10 * max(1.0, max(float(np.abs(op).max()) for op in fam.ops.values()))
+        delta = lambda x: 1e-8 * abs(x)  # noqa: E731
+    model, basis = sv.construct_reduction(fam, N=3, method=method)
+    assert sv.check_invariance(fam, model, basis) <= threshold
+    moves = [(n, e) for n, p in basis.poly.items() for e in p]
+    assert any(e != (0, 0) for _, e in moves)
+    for n, e in moves:
+        assert sv.check_invariance(fam, model, _moved_basis(basis, n, e, delta)) > threshold, (n, e)
+
+
+def test_invariance_residual_is_nan_for_a_nan_entry(walker):
+    model, basis = sv.construct_reduction(walker, N=2)
+    moved = _moved_basis(basis, (1, 0), (0, 0), lambda x: np.nan)
+    assert math.isnan(sv.check_invariance(walker, model, moved))

@@ -127,3 +127,46 @@ def test_one_dimensional_block(walker):
     model, basis = sv.construct_reduction(fam, N=2)
     blockA = sv.build_block_A(model)
     assert sv.verify_slow_subspace(block, blockA, basis) < 1e-12
+
+
+def test_exact_slow_subspace_residual_is_zero_and_sensitive(walker_exact):
+    model, basis = sv.construct_reduction(walker_exact, N=6)
+    block = sv.build_block_operator(walker_exact, N=6)
+    assert block.matrix.shape == (84, 84) and block.is_exact
+    assert sv.verify_slow_subspace(block, sv.build_block_A(model), basis) == 0
+    n = sorted(model.A)[len(model.A) // 2]
+    A = dict(model.A)
+    A[n] = A[n].copy()
+    A[n][0, 0] += F(1, 10**9)
+    moved = sv.ReducedModel(M=model.M, N=model.N, m=model.m, A=A)
+    assert sv.verify_slow_subspace(block, sv.build_block_A(moved), basis) > 0
+
+
+def _pairing_by_list(block, family):
+    """The greedy nearest-first pairing as a plain Python loop over a list."""
+    import scipy.linalg as sla
+
+    got = np.sort_complex(sla.eigvals(np.asarray(block.matrix, dtype=float)))
+    expect = np.sort_complex(np.tile(sla.eigvals(np.asarray(family.L0, dtype=float)),
+                                     len(block.table)))
+    remaining = list(expect)
+    worst = 0.0
+    for lam in got:
+        dist = [abs(lam - mu) for mu in remaining]
+        j = int(np.argmin(dist))
+        worst = max(worst, float(dist[j]))
+        remaining.pop(j)
+    return worst
+
+
+@pytest.mark.parametrize("seed, centre, m, N", [(7000, "zero", 1, 3), (7001, "rotation", 2, 2),
+                                                (7002, "jordan", 2, 3), (7003, "zero", 3, 2)])
+def test_block_spectrum_pairing_matches_list_loop(seed, centre, m, N, walker):
+    from conftest import random_gap_family
+
+    rng = np.random.default_rng(seed)
+    fam = random_gap_family(rng, dimU=int(rng.integers(m + 2, 12)), M=2, m=m, centre=centre)
+    for family in (fam, walker):
+        block = sv.build_block_operator(family, N=N)
+        got, want = sv.block_spectrum_check(block, family), _pairing_by_list(block, family)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
