@@ -97,11 +97,14 @@ from .slowreduce import (
 )
 from .taylorsystem import (
     BlockOperator,
+    SymbolOrder,
     block_spectrum_check,
     block_to_csv,
     build_block_A,
     build_block_operator,
     slow_subspace_matrix,
+    slow_subspace_scale,
+    symbol_order_check,
     verify_slow_subspace,
 )
 
@@ -129,6 +132,9 @@ __all__ = [
     "block_spectrum_check",
     "slow_subspace_matrix",
     "verify_slow_subspace",
+    "slow_subspace_scale",
+    "symbol_order_check",
+    "SymbolOrder",
     "block_to_csv",
     # multi-indices
     "IndexTable",

@@ -30,6 +30,7 @@ import contextlib
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sparse
@@ -304,6 +305,19 @@ def _decode_entry(x, exact: bool):
     raise ValueError(f"matrix entry {x!r} is not a finite float64")
 
 
+def _decode_floats(rows) -> np.ndarray | None:
+    """Float64 matrix of rows of JSON numbers in one pass of C loops (a type
+    scan, one conversion, one finiteness test); None when an entry is not
+    an int or a float, or not finite as a float64, or the rows are ragged."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        return None
+    try:
+        out = np.array(rows, dtype=float)
+    except (ValueError, OverflowError):  # ragged rows, an int beyond float64
+        return None
+    return out if np.isfinite(out).all() else None
+
+
 def decode_matrix(rows, exact: bool = False, shape=None) -> np.ndarray:
     """Matrix from document rows: Fractions if ``exact``, else float64.
 
@@ -312,8 +326,10 @@ def decode_matrix(rows, exact: bool = False, shape=None) -> np.ndarray:
     """
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise ValueError("matrix is not a non-empty list of rows")
-    data = [[_decode_entry(x, exact) for x in row] for row in rows]
-    out = _matrix(data, object if exact else float)
+    out = None if exact else _decode_floats(rows)
+    if out is None:  # exact, or some entry is bad: decode one by one to name it
+        data = [[_decode_entry(x, exact) for x in row] for row in rows]
+        out = _matrix(data, object if exact else float)
     if shape is not None and out.shape != tuple(shape):
         raise ValueError(f"matrix has shape {out.shape}, expected {tuple(shape)}")
     return out

@@ -53,8 +53,9 @@ BUILTIN_MODELS = (
     "homogenise-checkerboard",
 )
 
-# above this many block rows the dense cross-check matrices are not worth
-# building (they grow as (N_indices * dimU)^2)
+# above this many block rows the dense block matrices of the slow-subspace
+# check are not worth building (they grow as (N_indices * dimU)^2); the
+# symbol-order check runs under the same limit
 _BLOCK_CHECK_LIMIT = 2000
 
 
@@ -284,8 +285,9 @@ def _coeff_table(model) -> dict:
 
 # -- subcommands --------------------------------------------------------------
 # A body gets the family, its cell problem (or None), the split and the
-# constructed model and basis (None for ``validate``), fills ``report`` and
-# returns the exit code; ``_run`` maps what it raises.
+# constructed model and basis (None for ``validate``), fills ``report``
+# (and ``meta``, the run_meta.json record) and returns the exit code;
+# ``_run`` maps what it raises.
 
 
 def _split_fields(family, split) -> dict:
@@ -299,7 +301,8 @@ def _split_fields(family, split) -> dict:
     }
 
 
-def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
+def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+            meta: dict) -> int:
     import numpy as np
 
     from . import slowreduce, taylorsystem
@@ -316,17 +319,27 @@ def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> 
 
     nblock = len(basis.poly) * family.dimU
     if nblock <= _BLOCK_CHECK_LIMIT:
+        modelf, basisf = model.to_float(), basis.to_float()
         block = taylorsystem.build_block_operator(famf, cfg.N)
-        blockA = taylorsystem.build_block_A(model.to_float())
-        spec_dist = taylorsystem.block_spectrum_check(block, famf)
-        sub_res = taylorsystem.verify_slow_subspace(block, blockA, basis.to_float())
-        checks["block_spectrum_distance"] = _sig(spec_dist)
-        checks["block_spectrum_pass"] = bool(spec_dist <= threshold * 100)
+        blockA = taylorsystem.build_block_A(modelf)
+        sub_res = taylorsystem.verify_slow_subspace(block, blockA, basisf)
+        sub_scale = taylorsystem.slow_subspace_scale(block, blockA, basisf)
+        start = time.perf_counter()
+        order = taylorsystem.symbol_order_check(famf, split, modelf, cfg.N)
+        meta["symbol_order"] = {"rungs": order.rungs, "max_iterations": order.iterations,
+                                "seconds": time.perf_counter() - start}
         checks["slow_subspace_residual"] = _sig(sub_res)
-        checks["slow_subspace_pass"] = bool(sub_res <= threshold)
+        checks["slow_subspace_pass"] = bool(sub_res <= cfg.tol * sub_scale)
+        # 3 digits: the fitted slope's trailing digits vary with BLAS threading
+        checks["symbol_order_slope"] = None if order.slope is None else _sig(order.slope, 2)
+        checks["symbol_order_pass"] = order.passed
+        if not order.passed:
+            print(f"slowvary: symbol_order_check: {order.message}", file=sys.stderr)
     else:
-        checks["block_spectrum_distance"] = "skipped"
         checks["slow_subspace_residual"] = "skipped"
+        checks["symbol_order_slope"] = "skipped"
+        meta["symbol_order"] = {"skipped": f"{nblock} block rows exceed the "
+                                           f"{_BLOCK_CHECK_LIMIT}-row limit of the block checks"}
 
     report.update(_split_fields(family, split))
     report.update({
@@ -360,7 +373,8 @@ def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> 
     return EXIT_OK
 
 
-def _validate(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
+def _validate(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+              meta: dict) -> int:
     from .crosssection import validate_family
 
     vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
@@ -376,7 +390,8 @@ def _validate(cfg: RunConfig, family, cell, split, model, basis, report: dict) -
     return EXIT_OK
 
 
-def _simulate(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
+def _simulate(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+              meta: dict) -> int:
     import numpy as np
 
     from . import simulate
@@ -416,7 +431,8 @@ def _simulate(cfg: RunConfig, family, cell, split, model, basis, report: dict) -
     return EXIT_OK
 
 
-def _converge(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
+def _converge(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+              meta: dict) -> int:
     from . import simulate
 
     study = simulate.closure_order_study(
@@ -452,7 +468,8 @@ def _converge(cfg: RunConfig, family, cell, split, model, basis, report: dict) -
     return EXIT_OK
 
 
-def _demo(cfg: RunConfig, family, cell, split, model, basis, report: dict) -> int:
+def _demo(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+          meta: dict) -> int:
     import numpy as np
 
     from . import models, slowreduce
@@ -539,7 +556,7 @@ def _run(cfg: RunConfig) -> int:
             model, basis = slowreduce.construct_reduction(
                 family, cfg.N, split=split, tol=cfg.tol, method=cfg.method
             )
-        code = body(cfg, family, cell, split, model, basis, report)
+        code = body(cfg, family, cell, split, model, basis, report, meta)
     except (ConfigError, FamilyValidationError, NumericalCheckError) as exc:
         check = "config" if isinstance(exc, ConfigError) else type(exc).__name__
         code = EXIT_NUMERICAL if isinstance(exc, NumericalCheckError) else EXIT_INVALID

@@ -14,19 +14,26 @@ retained index.  The reduced closure has the same structure with blocks
 ``S`` satisfying ``(grouped L) S = S (grouped A)``.  The functions here
 assemble those matrices and measure how well the identities hold, which is
 the main end-to-end consistency check of a constructed reduction.
+
+:func:`symbol_order_check` is the second, independent check: it follows
+the slow invariant subspace of the micro symbol ``S(kappa)`` at finite
+wavenumbers and measures the order to which the model's symbol
+reproduces the dynamics on it.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 
 from . import _rational as rat
-from .crosssection import OperatorFamily
+from .crosssection import OperatorFamily, SpectralSplit
 from .multiindex import (
     IndexTable,
     enumerate_indices,
@@ -34,6 +41,7 @@ from .multiindex import (
     index_factorial,
     index_sub,
     lower_sets,
+    order,
 )
 from .slowreduce import GeneratingBasis, ReducedModel
 
@@ -44,6 +52,9 @@ __all__ = [
     "block_spectrum_check",
     "slow_subspace_matrix",
     "verify_slow_subspace",
+    "slow_subspace_scale",
+    "SymbolOrder",
+    "symbol_order_check",
     "block_to_csv",
 ]
 
@@ -107,10 +118,14 @@ def build_block_A(model: ReducedModel) -> BlockOperator:
 def block_spectrum_check(block: BlockOperator, family: OperatorFamily) -> float:
     """Largest distance pairing the block spectrum against tiled L_0 modes.
 
-    The grouped generator must have every eigenvalue of ``L_0`` repeated
-    once per retained index.  Both spectra are computed, then matched
-    greedily nearest-first; the returned value is the worst matched
-    distance (small means the multiset structure holds).
+    The grouped generator is block upper triangular with ``L_0`` on every
+    diagonal block, so its spectrum is that of ``L_0`` repeated once per
+    retained index by construction.  Both spectra are computed with a
+    dense ``eigvals``, then matched greedily nearest-first; the returned
+    value is the worst matched distance.  It reads neither the model nor
+    the basis and so measures only LAPACK's accuracy on a block-triangular
+    matrix (about ``sqrt(eps)`` on a Jordan centre).  ``reduce`` no longer
+    runs it; :func:`symbol_order_check` checks the model instead.
     """
     mat = rat.as_float(block.matrix)
     L0 = rat.as_float(family.L0)
@@ -164,6 +179,219 @@ def verify_slow_subspace(
     L, A, S = map(convert, mats)
     resid = L @ S - S @ A
     return float(abs(resid).max()) if resid.size else 0.0
+
+
+# -- the symbol-order oracle --------------------------------------------------
+
+_RUNGS = 4  # |kappa| = kappa0 * 2^-j for j = 0 .. _RUNGS - 1
+_CHORD_TOL = 1e-13  # relative residual max|S V - V B| / (|S|_inf max|V|)
+_CHORD_MAXIT = 100
+_FLOOR = 1e3 * np.finfo(float).eps  # rounding floor of the scaled coefficients
+
+
+@dataclass
+class SymbolOrder:
+    """Outcome of :func:`symbol_order_check`.
+
+    ``slopes`` maps each direction to the fitted slope of the error
+    against ``|kappa|``, or None when fewer than two of its rungs lie above
+    the rounding floor; ``slope`` is the smallest fitted slope (None when
+    no direction has one).  ``iterations`` is the largest number of chord
+    iterations any rung needed, ``message`` says why the check failed.
+    """
+
+    passed: bool
+    slope: float | None
+    rungs: int
+    iterations: int
+    slopes: dict = field(default_factory=dict)
+    message: str = ""
+
+
+def _norm2(L) -> float:
+    """Spectral norm of a dense or CSR matrix, estimated from below by ten
+    power steps on ``L.T L`` from a fixed random start."""
+    v = np.random.default_rng(0).standard_normal(L.shape[1])
+    v /= np.linalg.norm(v)
+    s = 0.0
+    for _ in range(10):
+        w = L.T @ (L @ v)
+        s = float(np.linalg.norm(w))
+        if s == 0.0:
+            break
+        v = w / s
+    return math.sqrt(s)
+
+
+def _kappa_top(nu: dict, u, gap: float) -> float:
+    """A quarter of the largest ``|kappa|`` at which each of the Q terms of
+    ``sum_q c_q |kappa|^q``, a bound on ``|S(kappa u) - L_0|_2``, is at most
+    ``gap / Q``; ``c_q`` sums ``|u^k| nu_k`` over ``|k| = q``."""
+    c: dict = {}
+    for k, x in nu.items():
+        c[order(k)] = c.get(order(k), 0.0) + abs(math.prod(map(pow, u, k))) * x
+    c = {q: cq for q, cq in c.items() if cq > 0}
+    return 0.25 * min(((gap / (len(c) * cq)) ** (1.0 / q) for q, cq in c.items()), default=4.0)
+
+
+def _fmt(u) -> str:
+    return "(" + ", ".join(f"{x:.3g}" for x in u) + ")"
+
+
+def _sylvester_inverse(L0, A0, Z0):
+    """Solver for ``L0 Y - Y A0 = R`` with ``Z0.T Y = 0``, R a complex
+    ``(dimU, K, m)`` array of K right-hand sides.
+
+    On the complex Schur form ``A0 = U T U^H`` column j of ``Y U`` solves
+    the bordered system of ``L0 - T_jj I``, as in the construction's
+    solver, here factorised once by SuperLU (which runs on one thread, so
+    the many small solves pay no BLAS thread start-up) and solved for all
+    K right-hand sides at once.  A singular system gives non-finite
+    output, which the caller's residual test rejects.
+    """
+    d, m = Z0.shape
+    T, U = sla.schur(A0, output="complex")
+    border = np.block([[rat.as_float(L0), Z0], [Z0.T, np.zeros((m, m))]]).astype(complex)
+    diag = border.diagonal()[:d].copy()
+    solves = []
+    for t in np.diag(T):
+        border[range(d), range(d)] = diag - t
+        try:
+            solves.append(spla.splu(sparse.csc_matrix(border)).solve)
+        except RuntimeError:  # exactly singular
+            solves.append(lambda b: np.full_like(b, np.nan))
+
+    def solve(R):
+        RU = (R.reshape(-1, m) @ U).reshape(R.shape)
+        W = np.zeros_like(RU)
+        for j, lu_solve in enumerate(solves):
+            b = RU[:, :, j] + W[:, :, :j] @ T[:j, j]
+            W[:, :, j] = lu_solve(np.vstack([b, np.zeros((m, b.shape[1]))]))[:d]
+        return (W.reshape(-1, m) @ U.conj().T).reshape(R.shape)
+
+    return solve
+
+
+def _charpoly(stack) -> np.ndarray:
+    """Characteristic-polynomial coefficients of each matrix of a stack,
+    computed as ``np.poly`` does: multiplied out from the eigenvalues."""
+    lam = np.linalg.eigvals(stack)
+    c = np.zeros(lam.shape[:1] + (lam.shape[1] + 1,), dtype=complex)
+    c[:, 0] = 1.0
+    for j in range(lam.shape[1]):
+        c[:, 1:j + 2] -= lam[:, j:j + 1] * c[:, :j + 1]
+    return c
+
+
+def symbol_order_check(
+    family: OperatorFamily, split: SpectralSplit, model: ReducedModel, N: int
+) -> SymbolOrder:
+    """Measure the order to which ``model`` follows the slow symbol branch.
+
+    The micro symbol ``S(kappa) = sum_k L_k (i kappa)^k`` has an
+    m-dimensional slow invariant subspace ``V(kappa)`` near ``V0``; with
+    ``Z0.T V = I`` the dynamics on it is ``B(kappa) = Z0.T S V``.  An
+    order-N model reproduces it to ``O(|kappa|^(N+1))``.  The check takes
+    ``|kappa| = kappa0 2^-j`` (j = 0..3) along each axis and, for M >= 2,
+    along the all-ones diagonal.  Per direction, ``kappa0`` keeps a bound
+    on ``|S(kappa) - L_0|`` (power-iteration estimates of ``|L_k|_2``) well
+    below the gap ``beta`` (:func:`_kappa_top`).
+
+    At every rung, ``V`` is found by the chord (Riccati) iteration
+    ``V -= C^-1 (S V - V B)`` from ``V0``, where ``C`` is the constrained
+    Sylvester operator ``Y -> L_0 Y - Y A_0`` with ``Z0.T Y = 0``, set up
+    once per call; all rungs iterate together as one stack.  A rung stops
+    only when its residual ``S V - V B``, computed directly, is below
+    ``1e-13`` relative to ``|S|_inf max|V|``, so the fixed point is the
+    true slow subspace whatever the solver does.  The characteristic
+    polynomials of ``B / beta`` and of the model's symbol
+    ``sum_n A_n (i kappa)^n / beta`` are compared (they are well
+    conditioned on Jordan centres, where eigenvalues are not), and the
+    slope of the error against ``|kappa|`` is fitted on the leading rungs
+    above a rounding floor.  The check passes when every fitted slope is
+    at least ``N + 0.5``; a direction with fewer than two rungs above the
+    floor passes.  A rung whose iteration does not converge fails the
+    check, with a message.  Costs ``O(rungs * iterations * dimU^2 * m)``
+    plus one inverse of size ``dimU + m`` per centre mode.
+    """
+    fam = family.to_float()
+    V0, Z0, A0 = (rat.as_float(x) for x in (split.V0, split.Z0, split.A0))
+    zero = fam.zero_index
+    d, m, M = fam.dimU, split.m, fam.M
+    gap = split.beta if math.isfinite(split.beta) else 1.0
+    nu = {k: _norm2(L) for k, L in fam.ops.items() if k != zero}
+    dirs = [tuple(e) for e in np.eye(M).tolist()] + ([(M ** -0.5,) * M] if M > 1 else [])
+    ladder = np.array([_kappa_top(nu, u, gap) for u in dirs])[:, None] * 2.0 ** -np.arange(_RUNGS)
+    kv = (ladder[:, :, None] * np.array(dirs)[:, None, :]).reshape(-1, M)  # (R, M)
+    R = len(kv)
+    # V, S V and the residual are (dimU, R, m) arrays; S V is sum_k f_k (L_k V),
+    # each L_k V one real product with the interleaved view of V
+    terms = [(np.prod((1j * kv) ** np.array(k), axis=1)[:, None], L)
+             for k, L in fam.ops.items()]
+    Snorm = sum(np.abs(f[:, 0]) * abs(L).sum(axis=1).max() for f, L in terms)
+    correction = _sylvester_inverse(fam.L0, A0, Z0)
+    V = np.repeat(V0[:, None, :], R, axis=1).astype(complex)
+    done = np.zeros(R, dtype=bool)
+    iters = np.zeros(R, dtype=int)
+    with np.errstate(all="ignore"):
+        for it in range(_CHORD_MAXIT + 1):
+            wide = V.view(float).reshape(d, -1)
+            SV = sum(f * (L @ wide).view(complex).reshape(d, R, m) for f, L in terms)
+            B = (Z0.T @ SV.reshape(d, -1)).reshape(m, R, m).transpose(1, 0, 2)
+            resid = SV - np.einsum("dri,rij->drj", V, B)
+            scale = np.maximum(Snorm * np.abs(V).max(axis=(0, 2)), np.finfo(float).tiny)
+            rel = np.abs(resid).max(axis=(0, 2)) / scale
+            new = (rel <= _CHORD_TOL) & ~done
+            iters[new] = it
+            done |= new
+            if (done | ~np.isfinite(rel)).all() or it == _CHORD_MAXIT:
+                break
+            V[:, ~done] -= correction(resid[:, ~done])
+    if not done.all():
+        r = int(np.flatnonzero(~done)[0])
+        return SymbolOrder(False, None, R, it, message=(
+            f"chord iteration for the slow subspace did not converge at |kappa| = "
+            f"{ladder.flat[r]:.3g} along {_fmt(dirs[r // _RUNGS])} (relative residual "
+            f"{rel[r]:.3g} after {it} iterations)"))
+    # the model's symbol sum_n A_n (i kappa)^n at every rung
+    exps = np.array(list(model.A))
+    coeffs = np.array([rat.as_float(An) for An in model.A.values()])
+    Ahat = np.prod((1j * kv[:, None, :]) ** exps, axis=2) @ coeffs.reshape(len(exps), -1)
+    err = np.abs(_charpoly(B / gap) - _charpoly(Ahat.reshape(R, m, m) / gap)).max(axis=1)
+    slopes = {}
+    for i, u in enumerate(dirs):
+        e = err[i * _RUNGS:(i + 1) * _RUNGS]
+        above = int(np.argmin(e > _FLOOR)) if (e <= _FLOOR).any() else _RUNGS
+        slopes[u] = (float(np.polyfit(np.log2(ladder[i, :above]), np.log2(e[:above]), 1)[0])
+                     if above >= 2 else None)
+    fitted = [(x, u) for u, x in slopes.items() if x is not None]
+    slope, worst = min(fitted, default=(None, None))
+    passed = slope is None or slope >= N + 0.5
+    message = "" if passed else (
+        f"the slow symbol branch error falls like |kappa|^{slope:.3g} along {_fmt(worst)}, "
+        f"below the order N + 0.5 = {N + 0.5} of an order-{N} model")
+    return SymbolOrder(passed, slope, R, int(iters.max()), slopes, message)
+
+
+def slow_subspace_scale(
+    block: BlockOperator, block_A: BlockOperator, basis: GeneratingBasis
+) -> float:
+    """Largest entry of ``|grouped L| |S| + |S| |grouped A|``.
+
+    These are the two products whose difference
+    :func:`verify_slow_subspace` measures, taken in absolute values: the
+    size their rounding scales with, so the residual can be judged relative
+    to the closure it checks.  The triangular layout never multiplies a
+    high-order block of ``S`` with a high-order block of ``A``, so this is
+    far smaller than the product of the largest entries when the
+    coefficients grow with the order.  Block ``(n, j)`` of either product
+    depends only on ``j - n`` (up to rounding in ``S``), so only the first
+    block row, that of the zero index, is formed.
+    """
+    d = block.inner_dim
+    L, A, S = (abs(rat.as_float(x)) for x in
+               (block.matrix[:d], block_A.matrix, slow_subspace_matrix(basis)))
+    return float((L @ S + S[:d] @ A).max()) if S.size else 0.0
 
 
 def block_to_csv(block: BlockOperator, path) -> None:

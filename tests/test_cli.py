@@ -382,3 +382,106 @@ def test_invalid_input_exits_two_with_report(tmp_path, capsys, argv, check):
         assert report["pass"] is False
         assert report["error"]["check"] == check
     assert f"FAIL [{check}]" in capsys.readouterr().err
+
+
+def _family_file(path, family):
+    family.save(path)
+    return str(path)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_reduce_jordan_centre_passes_every_check(tmp_path, seed):
+    """A Jordan centre under the block-check limit (384 block rows) passes;
+    eigenvalues of such a centre are accurate only to sqrt(eps), so the
+    checks compare characteristic polynomials and invariant subspaces."""
+    from conftest import random_gap_family
+    from slowvary.cli import main
+
+    family = random_gap_family(np.random.default_rng(seed), dimU=64, M=2, m=2,
+                               centre="jordan")
+    out = tmp_path / "run"
+    argv = ["reduce", "--model", _family_file(tmp_path / "jordan.json", family),
+            "-N", "2", "--alpha", "1e-6", "--out", str(out)]
+    assert main(argv) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert checks["symbol_order_pass"] is True
+    assert 2.5 <= checks["symbol_order_slope"] <= 3.5
+    meta = json.loads((out / "run_meta.json").read_text())["symbol_order"]
+    assert meta["rungs"] == 12 and 0 < meta["max_iterations"] < 100 and meta["seconds"] > 0
+
+
+def test_reduce_never_runs_the_block_spectrum_eig(tmp_path, monkeypatch):
+    from slowvary import taylorsystem
+    from slowvary.cli import main
+
+    def refuse(*args):
+        raise AssertionError("reduce must not call block_spectrum_check")
+
+    monkeypatch.setattr(taylorsystem, "block_spectrum_check", refuse)
+    out = tmp_path / "run"
+    assert main(["reduce", "--model", "walker-modal", "-N", "3", "--out", str(out)]) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert sorted(checks) == ["invariance_pass", "invariance_residual",
+                              "slow_subspace_pass", "slow_subspace_residual",
+                              "symbol_order_pass", "symbol_order_slope"]
+
+
+def test_reduce_above_the_block_limit_skips_and_says_why(tmp_path):
+    from conftest import random_gap_family
+    from slowvary.cli import main
+
+    # 10 indices at N = 3 times dimU 201: 2010 block rows
+    family = random_gap_family(np.random.default_rng(5), dimU=201, M=2, m=1, max_order=1)
+    out = tmp_path / "run"
+    argv = ["reduce", "--model", _family_file(tmp_path / "big.json", family), "-N", "3",
+            "--out", str(out)]
+    assert main(argv) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert checks["slow_subspace_residual"] == checks["symbol_order_slope"] == "skipped"
+    assert "symbol_order_pass" not in checks and "slow_subspace_pass" not in checks
+    meta = json.loads((out / "run_meta.json").read_text())["symbol_order"]
+    assert meta == {"skipped": "2010 block rows exceed the 2000-row limit of the block checks"}
+
+
+def _scaled_benchmark_rational_family(path):
+    """The benchmark's seed-2 rational family (dimU 6, m = 1) with every
+    L_k, k != 0, multiplied by 32."""
+    import importlib.util
+    from fractions import Fraction
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(inputs)  # registered first: its dataclasses look it up
+    fam = inputs.rational_family(np.random.default_rng(2), path, 6, 1)
+    doc = json.loads(fam.path.read_text())
+    for key, rows in doc["operators"].items():
+        if key != "0,0":
+            doc["operators"][key] = [[str(32 * Fraction(x)) for x in row] for row in rows]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_large_rational_closure_passes_the_relative_threshold(tmp_path):
+    """Order-6 coefficients near 2e8 leave a block residual of about 2e-7,
+    1e-15 relative: an absolute threshold failed it, the relative one
+    does not, and it still catches a 1e-8 error in the largest A_n."""
+    from slowvary.cli import main
+
+    model_file = _scaled_benchmark_rational_family(tmp_path / "r.json")
+    out = tmp_path / "run"
+    assert main(["reduce", "--model", model_file, "-N", "6", "--exact",
+                 "--out", str(out)]) == 0
+    model = sv.ReducedModel.load(out / "model.json", exact=True).to_float()
+    assert max(np.abs(A).max() for A in model.A.values()) > 1e8
+    family = sv.OperatorFamily.load(model_file, exact=True)
+    _, basis = sv.construct_reduction(family, 6)
+    block = sv.build_block_operator(family.to_float(), 6)
+    basisf = basis.to_float()
+    bound = 1e-10 * sv.slow_subspace_scale(block, sv.build_block_A(model), basisf)
+    n = max(model.A, key=lambda k: np.abs(model.A[k]).max())
+    A = dict(model.A)
+    A[n] = A[n] * (1 + 1e-8)
+    moved = sv.ReducedModel(M=model.M, N=model.N, m=model.m, A=A)
+    assert sv.verify_slow_subspace(block, sv.build_block_A(moved), basisf) > bound

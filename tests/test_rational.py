@@ -9,8 +9,11 @@ import pytest
 
 from slowvary._rational import (
     RatMatrix,
+    _decode_entry,
+    _matrix,
     as_fractions,
     as_ratmatrix,
+    decode_matrix,
     inverse_exact,
     nullspace_exact,
     solve_exact,
@@ -250,3 +253,37 @@ def test_property_ratmatrix_stacks_match_fraction_arrays(seed):
         want[pos] += sign * T
     _assert_equal(RatMatrix.sum_at((K + 1, d, m), terms), want)
     _assert_equal(RatMatrix.sum_at((K, d, m), []), np.full((K, d, m), Fraction(0), dtype=object))
+
+
+def _decode_one_by_one(rows):
+    return _matrix([[_decode_entry(x, False) for x in row] for row in rows], float)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_decode_matches_entry_by_entry(seed):
+    """The vectorised float decode gives the bits of decoding each entry
+    alone: ints (also beyond 2^53), floats, signed zeros."""
+    from slowvary._rational import decode_matrix
+
+    rng = np.random.default_rng(seed)
+    pool = [0, -0.0, 1, -7, 2**53 + 1, 3**40, 10**300, 1e-310, -2.5e17, 0.1]
+    rows = [[pool[i] if i < len(pool) else float(rng.standard_normal()) * 10.0 ** int(i)
+             for i in rng.integers(0, 2 * len(pool), 5)] for _ in range(4)]
+    got, want = decode_matrix(rows), _decode_one_by_one(rows)
+    assert got.dtype == want.dtype and got.shape == want.shape == (4, 5)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1.0, True]], "matrix entry True is not a finite float64"),
+    ([[1.0, "2"], [float("nan"), 0]], "matrix entry nan is not a finite float64"),
+    ([[1, 10**400]], f"matrix entry {10**400} is not a finite float64"),
+    ([[float("inf")]], "matrix entry inf is not a finite float64"),
+    ([[None]], "matrix entry None is not a finite float64"),
+    ([[[1]]], "matrix entry [1] is not a finite float64"),
+    ([[1, 2], [3]], "matrix has ragged rows"),
+])
+def test_float_decode_names_the_first_bad_entry(rows, message):
+    with pytest.raises(ValueError) as err:
+        decode_matrix(rows)
+    assert str(err.value) == message

@@ -170,3 +170,92 @@ def test_block_spectrum_pairing_matches_list_loop(seed, centre, m, N, walker):
         block = sv.build_block_operator(family, N=N)
         got, want = sv.block_spectrum_check(block, family), _pairing_by_list(block, family)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# -- the symbol-order oracle -------------------------------------------------
+
+
+def _gap_case(seed, centre, m, N, dimU=8, M=2, alpha=None):
+    from conftest import random_gap_family
+
+    fam = random_gap_family(np.random.default_rng(seed), dimU=dimU, M=M, m=m, centre=centre)
+    split = sv.spectral_split(fam, N, alpha)
+    model, basis = sv.construct_reduction(fam, N, split=split)
+    return fam, split, model, basis
+
+
+def _moved(model, n, rel):
+    """``model`` with the largest entry of ``A_n`` moved by ``rel`` of itself."""
+    A = {k: np.array(v, dtype=float) for k, v in model.A.items()}
+    i = np.unravel_index(np.abs(A[n]).argmax(), A[n].shape)
+    A[n][i] *= 1 + rel
+    return sv.ReducedModel(M=model.M, N=model.N, m=model.m, A=A)
+
+
+@pytest.mark.parametrize("seed, centre, m, M, N, alpha", [
+    (7100, "zero", 1, 2, 2, None), (7101, "zero", 3, 2, 3, None),
+    (7102, "rotation", 2, 2, 2, None), (7103, "jordan", 2, 2, 2, 1e-6),
+    (7104, "zero", 2, 1, 3, None), (7105, "zero", 1, 3, 1, None),
+])
+def test_symbol_order_check_measures_the_order(seed, centre, m, M, N, alpha):
+    fam, split, model, _ = _gap_case(seed, centre, m, N, M=M, alpha=alpha)
+    got = sv.symbol_order_check(fam, split, model, N)
+    assert got.passed, got.message
+    assert N + 0.5 <= got.slope <= N + 1.5
+    assert len(got.slopes) == M + (M > 1) and got.rungs == 4 * len(got.slopes)
+    assert 0 < got.iterations < 100
+
+
+def test_symbol_order_check_on_exact_walker(walker_exact):
+    split = sv.spectral_split(walker_exact, 6)
+    model, _ = sv.construct_reduction(walker_exact, 6, split=split)
+    got = sv.symbol_order_check(walker_exact, split, model, 6)
+    assert got.passed and 6.5 <= got.slope <= 7.5
+
+
+@pytest.mark.parametrize("n, hit, spared", [((1, 0), [0, 2], 1), ((0, 2), [1, 2], 0)])
+def test_symbol_order_check_fails_a_moved_coefficient(n, hit, spared):
+    """A 1e-3 relative error in a grade-1 or a grade-2 coefficient shows as
+    a low slope along the directions whose symbol contains it."""
+    fam, split, model, _ = _gap_case(7110, "zero", 2, 3)
+    got = sv.symbol_order_check(fam, split, _moved(model, n, 1e-3), 3)
+    slopes = list(got.slopes.values())  # x axis, y axis, diagonal
+    assert not got.passed and "falls like" in got.message
+    assert all(slopes[i] < 3.5 for i in hit)
+    assert slopes[spared] >= 3.5
+
+
+def test_symbol_order_check_reports_no_convergence(monkeypatch):
+    from slowvary import taylorsystem
+
+    fam, split, model, _ = _gap_case(7120, "zero", 1, 2)
+    monkeypatch.setattr(taylorsystem, "_CHORD_MAXIT", 1)
+    got = sv.symbol_order_check(fam, split, model, 2)
+    assert not got.passed and got.slope is None
+    assert "did not converge" in got.message
+
+
+def test_symbol_order_check_takes_csr_families():
+    from slowvary import models
+
+    cell = models.CellProblem.from_expression("layered_cos", n=8, amplitude=0.5)
+    fam = models.homogenisation_cell(cell)
+    split = models.cell_spectral_split(fam, N=2)
+    model, _ = sv.construct_reduction(fam, 2, split=split)
+    got = sv.symbol_order_check(fam, split, model, 2)
+    assert got.passed and got.slope >= 2.5
+
+
+def test_slow_subspace_threshold_is_relative_and_still_sensitive(walker_exact):
+    """The residual is judged against ``tol * slow_subspace_scale``; one
+    coefficient moved by 1e-8 of the largest still fails that bound."""
+    for fam, N in ((walker_exact, 4), (_gap_case(7130, "zero", 2, 3)[0], 3)):
+        model, basis = sv.construct_reduction(fam, N)
+        famf, modelf, basisf = fam.to_float(), model.to_float(), basis.to_float()
+        block = sv.build_block_operator(famf, N)
+        blockA = sv.build_block_A(modelf)
+        bound = 1e-10 * sv.slow_subspace_scale(block, blockA, basisf)
+        assert sv.verify_slow_subspace(block, blockA, basisf) <= bound
+        n = max(modelf.A, key=lambda k: np.abs(modelf.A[k]).max() if any(k) else 0)
+        moved = sv.build_block_A(_moved(modelf, n, 1e-8))
+        assert sv.verify_slow_subspace(block, moved, basisf) > bound
