@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 _GROWTH_LIMIT = 1e6
+# bytes of projected slow amplitudes per block of samples in the diagnostics;
+# their temporaries take about ten times this
+_BLOCK_BYTES = 1 << 19
 
 
 def _check_box(lengths, grid):
@@ -233,7 +236,8 @@ def _integrate(S, values0, T, samples, grid, lengths, kind):
     amp0 = max(float(np.abs(u.view(float)).max()), 1e-300)
     for s in range(1, samples + 1):
         u = np.einsum("mij,mj->mi", P, u)
-        if np.abs(u.view(float)).max() > _GROWTH_LIMIT * amp0:
+        # written so that a NaN or infinite amplitude fails the check too
+        if not np.abs(u.view(float)).max() <= _GROWTH_LIMIT * amp0:
             top = np.abs(u).max(axis=1).argmax()
             kappa = ", ".join(f"{kv.flat[top]:.6g}" for kv in _wavevectors(lengths, grid))
             raise StabilityViolation(
@@ -310,6 +314,11 @@ def simulate_macro(
     )
 
 
+def _block_length(grid, m: int) -> int:
+    """Samples per block of the diagnostics: ``_BLOCK_BYTES`` of slow amplitudes."""
+    return max(1, _BLOCK_BYTES // (8 * m * int(np.prod(grid))))
+
+
 def project(split: SpectralSplit, values: np.ndarray) -> np.ndarray:
     """Slow amplitudes ``Z0.T u`` of full-state values (last axis dimU)."""
     Z0 = rat.as_float(split.Z0)
@@ -361,8 +370,7 @@ def emergence_error(
     if isk >= samples:
         raise ValueError("t_skip leaves no observation window")
     t_skip = float(micro.times[isk])
-    U_mic = project(split, micro.values)
-    macro0 = MacroField(field0.lengths, U_mic[isk])
+    macro0 = MacroField(field0.lengths, project(split, micro.values[isk]))
     macro = simulate_macro(
         model,
         macro0,
@@ -370,9 +378,15 @@ def emergence_error(
         dt=dt,
         samples=samples - isk,
     )
-    space_axes = tuple(range(1, U_mic.ndim))
-    diff = np.sqrt(np.mean((U_mic[isk:] - macro.values) ** 2, axis=space_axes))
-    ref = np.sqrt(np.mean(macro.values**2, axis=space_axes))
+    space_axes = tuple(range(1, micro.values.ndim))
+    step = _block_length(micro.grid, model.m)
+    diff, ref = [], []
+    for lo in range(0, samples + 1 - isk, step):
+        U = project(split, micro.values[isk + lo : isk + lo + step])
+        V = macro.values[lo : lo + step]
+        diff.append(np.sqrt(np.mean((U - V) ** 2, axis=space_axes)))
+        ref.append(np.sqrt(np.mean(V**2, axis=space_axes)))
+    diff, ref = np.concatenate(diff), np.concatenate(ref)
     floor = 1e-12 * max(float(ref[0]), 1e-300)
     err = diff / np.maximum(ref, floor)
     return EmergenceResult(micro.times[isk:], err, t_skip, micro, macro)
@@ -399,24 +413,28 @@ def closure_residual(
     The time derivative is a centred difference on the uniform sample
     grid; spatial derivatives are spectral.  Returned ratio is the median
     of residual over rate across the second half of the samples, where
-    transients no longer dominate.
+    transients no longer dominate.  Samples are projected and checked a
+    block at a time, so the work space does not grow with their number.
     """
-    U = project(split, micro.values)
-    nt = U.shape[0]
+    nt = len(micro.times)
     if nt < 3:
         raise ValueError("need at least three samples for a centred difference")
     dt = float(micro.times[1] - micro.times[0])
     kvecs = _wavevectors(micro.lengths, micro.grid)
     S = _symbol_table(model.A, kvecs, model.m)
-    space = tuple(range(1, U.ndim - 1))
-    Uhat = np.fft.fftn(U, axes=space)
-    rhs_hat = np.einsum("...ij,t...j->t...i", S, Uhat)
-    rhs = np.real(np.fft.ifftn(rhs_hat, axes=space))
-    dU = (U[2:] - U[:-2]) / (2 * dt)
-    resid = dU - rhs[1:-1]
-    axes = tuple(range(1, resid.ndim))
-    res_rms = np.sqrt(np.mean(resid**2, axis=axes))
-    rate_rms = np.sqrt(np.mean(dU**2, axis=axes))
+    space = tuple(range(1, micro.values.ndim - 1))
+    axes = tuple(range(1, micro.values.ndim))
+    step = _block_length(micro.grid, model.m)
+    res_rms, rate_rms = [], []
+    for lo in range(1, nt - 1, step):
+        # the block's interior samples plus one neighbour on either side
+        U = project(split, micro.values[lo - 1 : lo + step + 1])
+        rhs_hat = np.einsum("...ij,t...j->t...i", S, np.fft.fftn(U[1:-1], axes=space))
+        dU = (U[2:] - U[:-2]) / (2 * dt)
+        resid = dU - np.real(np.fft.ifftn(rhs_hat, axes=space))
+        res_rms.append(np.sqrt(np.mean(resid**2, axis=axes)))
+        rate_rms.append(np.sqrt(np.mean(dU**2, axis=axes)))
+    res_rms, rate_rms = np.concatenate(res_rms), np.concatenate(rate_rms)
     tail = slice(res_rms.size // 2, None)
     ratio = float(
         np.median(res_rms[tail] / np.maximum(rate_rms[tail], 1e-300))

@@ -126,6 +126,32 @@ def test_report_bytes_are_deterministic(tmp_path):
     assert (fa / "report.json").read_bytes() == (fb / "report.json").read_bytes()
 
 
+def test_simulate_output_bytes_are_deterministic(tmp_path):
+    # a 64x32 grid spans several blocks of samples in the diagnostics
+    args = ("simulate", "--model", "walker-modal", "-N", "2", "--grid", "64,32",
+            "--wavelengths", "64", "--T", "20")
+    a, b = tmp_path / "a", tmp_path / "b"
+    r1 = run_cli(*args, "--out", a, env_extra={"SLOWVARY_THREADS": "1"})
+    r2 = run_cli(*args, "--out", b, env_extra={"SLOWVARY_THREADS": "1"})
+    assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
+    for name in ("report.json", "emergence.csv", "frames.bin"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_simulate_non_finite_state_exits_three(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "report.json").write_text("stale")
+    res = run_cli("simulate", "--model", "walker-modal", "-N", "2", "--grid", "8,8",
+                  "--T", "1e300", "--out", out)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "FAIL [StabilityViolation]" in res.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False
+    assert report["error"]["check"] == "StabilityViolation"
+
+
 def test_validate_builtin_models():
     for name in ("walker-modal", "walker-physical"):
         res = run_cli("validate", "--model", name)

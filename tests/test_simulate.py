@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,32 @@ def test_stability_violation_raised():
     with pytest.raises(StabilityViolation,
                        match=r"by t = 28, largest at wavevector kappa = \(0\.628319\)"):
         sv.simulate_micro(fam, f0, T=40.0, samples=50)
+
+
+def test_non_finite_state_fails_the_growth_check(walker_setup):
+    fam, _, split = walker_setup
+    f0 = slow_seed((16.0, 16.0), (8, 8), split)
+    # the propagator over a span of 5e297 overflows to NaN, which compares
+    # False against any limit
+    with pytest.raises(StabilityViolation, match=r"by t = 5e\+297"):
+        sv.simulate_micro(fam, f0, T=1e300, samples=200)
+
+
+def test_closure_residual_work_space_does_not_grow_with_samples(walker_setup):
+    fam, model, split = walker_setup
+    f0 = slow_seed((64.0, 64.0), (64, 64), split)
+    sizes, peaks = [], []
+    for samples in (100, 400):
+        traj = sv.simulate_micro(fam, f0, T=10.0, samples=samples)
+        tracemalloc.start()  # counts from zero: the trajectory is not included
+        try:
+            sv.closure_residual(traj, model, split)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(traj.values.nbytes)
+    assert sizes[1] > 3.9 * sizes[0]
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 def test_closure_residual_small_for_slow_data(walker_setup):
