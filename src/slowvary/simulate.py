@@ -6,7 +6,8 @@ evolves independently under the family symbol ``S(kappa) = sum_k L_k (i
 kappa)^k``.  Time integration is exact up to rounding: one batched matrix
 exponential ``expm(S(kappa) span)`` per run (scaling and squaring, Al-Mohy
 & Higham 2009) advances every mode from one sample to the next, so there
-is no time step to choose.
+is no time step to choose.  Fields and operators are real, so only the
+half spectrum of ``rfftn`` is propagated (see :func:`_integrate`).
 
 The diagnostics here quantify how well a reduced model tracks the full
 system: the emergence error between the projected micro solution and an
@@ -160,11 +161,13 @@ class Trajectory:
 # -- spectral machinery -------------------------------------------------------
 
 
+def _frequencies(lengths, grid):
+    """Angular wavenumbers of each axis, in ``fftfreq`` order."""
+    return [2 * np.pi * np.fft.fftfreq(g, d=L / g) for g, L in zip(grid, lengths)]
+
+
 def _wavevectors(lengths, grid):
-    axes = [
-        2 * np.pi * np.fft.fftfreq(g, d=L / g) for g, L in zip(grid, lengths)
-    ]
-    return np.meshgrid(*axes, indexing="ij")
+    return np.meshgrid(*_frequencies(lengths, grid), indexing="ij")
 
 
 def _symbol_table(ops: dict, kvecs, dim: int) -> np.ndarray:
@@ -220,33 +223,95 @@ def _filter_mask(grid) -> np.ndarray:
     return out
 
 
-def _integrate(S, values0, T, samples, grid, lengths, kind):
-    """Advance every Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``."""
+def _half_spectrum(lengths, grid):
+    """Rows that propagate a real field: the half spectrum plus mirror rows.
+
+    The last axis is halved as ``rfftn`` halves it, and ``shape`` is that
+    half grid.  ``rows[:, r]`` is the full-grid index of row r: the modes of
+    the half grid in C order, then a second row for each mode in ``twin``,
+    one with a Nyquist index on another axis and an interior index on the
+    last.  ``fftfreq`` puts a Nyquist index at ``-pi g / L``, so that mode is
+    its own mirror on that axis.  The real part of the full spectrum
+    averages its evolution with the conjugate of its mirror's, which is the
+    evolution from the same coefficient under ``S`` at ``+pi g / L`` on those
+    axes: ``kvecs`` holds the wavevector each row evolves under.
+    """
+    shape = grid[:-1] + (grid[-1] // 2 + 1,)
+    rows = np.indices(shape).reshape(len(grid), -1)
+    nyq = np.array([(r == g // 2) & (g > 1) for r, g in zip(rows, grid)])
+    nyq[-1] = False
+    twin = np.flatnonzero(nyq.any(axis=0) & (rows[-1] > 0) & (2 * rows[-1] < grid[-1]))
+    rows = np.concatenate([rows, rows[:, twin]], axis=1)
+    flip = np.concatenate([np.zeros_like(nyq), nyq[:, twin]], axis=1)
+    kvecs = [
+        np.where(f, -kv[r], kv[r])
+        for kv, r, f in zip(_frequencies(lengths, grid), rows, flip)
+    ]
+    return shape, rows, kvecs, twin
+
+
+def _integrate(ops, values0, T, samples, lengths, kind, keep=None):
+    """Advance every Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``.
+
+    The field and every operator are real, so a mode's mirror evolves as
+    its conjugate, and only the rows of :func:`_half_spectrum` are
+    propagated: ``rfftn`` of ``values0``, one batched ``expm`` and one
+    ``einsum`` per sample over ``g0 ... (g_last / 2 + 1)`` modes plus the
+    mirror rows.  Each sample is the ``irfftn`` of the half spectrum with
+    the mean of the two evolutions stored at the modes that have a mirror
+    row, which is the real part of the full-spectrum ``ifftn``.  The last
+    axis's own 0 and Nyquist columns need no mirror row, because
+    ``irfftn`` takes their Hermitian part from stored modes.  Modes outside
+    the full-grid boolean mask ``keep``, when given, do not evolve.
+    """
     if T < 0:
         raise ValueError("integration span must be >= 0")
-    dim = values0.shape[-1]
+    grid, dim = values0.shape[:-1], values0.shape[-1]
     axes = tuple(range(len(grid)))
-    u = np.fft.fftn(values0, axes=axes).reshape(-1, dim)
+    shape, rows, kvecs, twin = _half_spectrum(lengths, grid)
+    n = int(np.prod(shape))
+    S = _symbol_table(ops, kvecs, dim)
+    if keep is not None:
+        S = S * keep[tuple(rows)][:, None, None]
+    u = np.fft.rfftn(values0, axes=axes).reshape(-1, dim)
+    u = np.concatenate([u, u[twin]])
     span = T / samples if samples else 0.0
-    P = sla.expm(S.reshape(-1, dim, dim) * span)
+    P = sla.expm(S * span)
     out_t = span * np.arange(samples + 1)
     out_v = np.empty((samples + 1,) + grid + (dim,))
     out_v[0] = values0
-    # amplitude: largest real or imaginary part, cheaper than |u| per sample
+    # amplitude: largest real or imaginary part, cheaper than |u| per sample;
+    # the rows hold each such value of the full spectrum up to sign
     amp0 = max(float(np.abs(u.view(float)).max()), 1e-300)
     for s in range(1, samples + 1):
         u = np.einsum("mij,mj->mi", P, u)
         # written so that a NaN or infinite amplitude fails the check too
         if not np.abs(u.view(float)).max() <= _GROWTH_LIMIT * amp0:
-            top = np.abs(u).max(axis=1).argmax()
-            kappa = ", ".join(f"{kv.flat[top]:.6g}" for kv in _wavevectors(lengths, grid))
-            raise StabilityViolation(
-                f"solution grew beyond {_GROWTH_LIMIT:.0e} times its initial "
-                f"amplitude by t = {out_t[s]:.6g}, largest at wavevector "
-                f"kappa = ({kappa}); check the model"
-            )
-        out_v[s] = np.real(np.fft.ifftn(u.reshape(S.shape[:-1]), axes=axes))
+            raise _growth_violation(u, kvecs, n, out_t[s])
+        half = u[:n].copy()
+        half[twin] = (u[twin] + u[n:]) / 2
+        out_v[s] = np.fft.irfftn(half.reshape(shape + (dim,)), s=grid, axes=axes)
     return Trajectory(out_t, out_v, lengths, kind)
+
+
+def _growth_violation(u, kvecs, n, t) -> StabilityViolation:
+    """The error for rows ``u`` that failed the growth check at time t.
+
+    Names a non-finite row if there is one, else the largest.  A mirror row
+    (``r >= n``) is the conjugate of the mode at minus its wavevector.
+    """
+    bad = ~np.isfinite(u).all(axis=1)
+    if bad.any():
+        r, what = bad.argmax(), f"became non-finite by t = {t:.6g}, including"
+    else:
+        r = np.abs(u).max(axis=1).argmax()
+        what = (f"grew beyond {_GROWTH_LIMIT:.0e} times its initial amplitude "
+                f"by t = {t:.6g}, largest")
+    # 0.0 - k, not -k, keeps a zero component from printing as -0
+    kappa = ", ".join(f"{kv[r] if r < n else 0.0 - kv[r]:.6g}" for kv in kvecs)
+    return StabilityViolation(
+        f"solution {what} at wavevector kappa = ({kappa}); check the model"
+    )
 
 
 def simulate_micro(
@@ -261,19 +326,20 @@ def simulate_micro(
     Returns ``samples + 1`` uniformly spaced snapshots including t = 0.
     Each Fourier mode advances by its exact propagator
     ``expm(S(kappa) T / samples)`` per sample, so ``dt`` is ignored; it is
-    kept for compatibility.  Raises :class:`StabilityViolation` once the
-    solution grows beyond 1e6 times its initial amplitude.
+    kept for compatibility.  Only the half spectrum of ``rfftn`` is
+    propagated, plus a second row for each mode with a Nyquist index on a
+    leading axis and an interior index on the last, whose two evolutions
+    the real part averages; the result is the real part of the
+    full-spectrum run.  Raises
+    :class:`StabilityViolation` once the solution grows beyond 1e6 times
+    its initial amplitude or becomes non-finite.
     """
     fam = family.to_float()
     if field0.dimU != fam.dimU:
         raise ValueError(f"field has {field0.dimU} components, family {fam.dimU}")
     if len(field0.lengths) != fam.M:
         raise ValueError(f"field box is {len(field0.lengths)}-dimensional, family {fam.M}")
-    kvecs = _wavevectors(field0.lengths, field0.grid)
-    S = _symbol_table(fam.ops, kvecs, fam.dimU)
-    return _integrate(
-        S, field0.values, float(T), samples, field0.grid, field0.lengths, "micro"
-    )
+    return _integrate(fam.ops, field0.values, float(T), samples, field0.lengths, "micro")
 
 
 def simulate_macro(
@@ -298,19 +364,16 @@ def simulate_macro(
         raise ValueError(f"field box is {len(field0.lengths)}-dimensional, model {model.M}")
     if spectral_filter is None:
         spectral_filter = bool(model.N % 2)
-    kvecs = _wavevectors(field0.lengths, field0.grid)
-    S = _symbol_table(model.A, kvecs, model.m)
-    values0 = field0.values
+    values0, mask = field0.values, None
     if spectral_filter:
         mask = _filter_mask(field0.grid)
-        S = S * mask[..., None, None]
         vhat = np.fft.fftn(values0, axes=tuple(range(len(field0.grid))))
         vhat *= mask[..., None]
         values0 = np.real(
             np.fft.ifftn(vhat, axes=tuple(range(len(field0.grid))))
         )
     return _integrate(
-        S, values0, float(T), samples, field0.grid, field0.lengths, "macro"
+        model.A, values0, float(T), samples, field0.lengths, "macro", keep=mask
     )
 
 

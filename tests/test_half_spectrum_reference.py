@@ -1,0 +1,201 @@
+"""Half-spectrum propagation against the full-spectrum integrator.
+
+``simulate_micro`` and ``simulate_macro`` once propagated every Fourier
+mode of the full ``fftn`` grid and kept the real part of each ``ifftn``.
+That code is kept below, unchanged but for its imports, as the reference.
+The half-spectrum code must agree with it to 1e-12 of the largest value
+of the reference trajectory, a bound fixed before measuring (the two
+differ by the rounding of ``rfftn``/``irfftn`` against ``fftn``/``ifftn``
+and of the mean at the mirror rows).  The cases are chosen so that every
+kind of row occurs: M = 1, 2, 3; grids with a length-1 and a length-2
+axis; zero, Jordan and rotation centres whose odd-order ``L_k`` make a
+Nyquist mode's two evolutions differ; and ``simulate_macro`` with and
+without its filter.  In two dimensions, a field that is constant along
+the last axis has only the last axis's 0 column, where both transforms do
+the same arithmetic, so its trajectory is bitwise equal.  (In three,
+``irfftn`` takes the leading axes in the opposite order to ``ifftn``.)
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+import slowvary as sv
+from slowvary.errors import StabilityViolation
+from slowvary.simulate import (
+    _GROWTH_LIMIT,
+    Trajectory,
+    _filter_mask,
+    _symbol_table,
+    _wavevectors,
+)
+
+from conftest import random_gap_family
+
+
+def _integrate_full(S, values0, T, samples, grid, lengths, kind):
+    """Advance every Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``."""
+    if T < 0:
+        raise ValueError("integration span must be >= 0")
+    dim = values0.shape[-1]
+    axes = tuple(range(len(grid)))
+    u = np.fft.fftn(values0, axes=axes).reshape(-1, dim)
+    span = T / samples if samples else 0.0
+    P = sla.expm(S.reshape(-1, dim, dim) * span)
+    out_t = span * np.arange(samples + 1)
+    out_v = np.empty((samples + 1,) + grid + (dim,))
+    out_v[0] = values0
+    # amplitude: largest real or imaginary part, cheaper than |u| per sample
+    amp0 = max(float(np.abs(u.view(float)).max()), 1e-300)
+    for s in range(1, samples + 1):
+        u = np.einsum("mij,mj->mi", P, u)
+        # written so that a NaN or infinite amplitude fails the check too
+        if not np.abs(u.view(float)).max() <= _GROWTH_LIMIT * amp0:
+            top = np.abs(u).max(axis=1).argmax()
+            kappa = ", ".join(f"{kv.flat[top]:.6g}" for kv in _wavevectors(lengths, grid))
+            raise StabilityViolation(
+                f"solution grew beyond {_GROWTH_LIMIT:.0e} times its initial "
+                f"amplitude by t = {out_t[s]:.6g}, largest at wavevector "
+                f"kappa = ({kappa}); check the model"
+            )
+        out_v[s] = np.real(np.fft.ifftn(u.reshape(S.shape[:-1]), axes=axes))
+    return Trajectory(out_t, out_v, lengths, kind)
+
+
+def _micro_full(family, field0, T, samples):
+    fam = family.to_float()
+    kvecs = _wavevectors(field0.lengths, field0.grid)
+    S = _symbol_table(fam.ops, kvecs, fam.dimU)
+    return _integrate_full(
+        S, field0.values, float(T), samples, field0.grid, field0.lengths, "micro"
+    )
+
+
+def _macro_full(model, field0, T, samples, spectral_filter=None):
+    if spectral_filter is None:
+        spectral_filter = bool(model.N % 2)
+    kvecs = _wavevectors(field0.lengths, field0.grid)
+    S = _symbol_table(model.A, kvecs, model.m)
+    values0 = field0.values
+    if spectral_filter:
+        mask = _filter_mask(field0.grid)
+        S = S * mask[..., None, None]
+        vhat = np.fft.fftn(values0, axes=tuple(range(len(field0.grid))))
+        vhat *= mask[..., None]
+        values0 = np.real(
+            np.fft.ifftn(vhat, axes=tuple(range(len(field0.grid))))
+        )
+    return _integrate_full(
+        S, values0, float(T), samples, field0.grid, field0.lengths, "macro"
+    )
+
+
+RTOL = 1e-12
+
+_FAMILIES = {
+    "zero-m1": (4, 1, "zero"),
+    "jordan-m2": (5, 2, "jordan"),
+    "rotation-m2": (5, 2, "rotation"),
+}
+
+_GRIDS = {
+    1: [(16,), (2,), (1,)],
+    2: [(8, 8), (4, 16), (8, 1), (1, 8), (2, 8), (8, 2)],
+    3: [(4, 2, 4), (4, 4, 2), (2, 1, 8)],
+}
+
+
+def _family(name, M):
+    """Seeded family with odd-order ``L_k`` up to order 3."""
+    dimU, m, centre = _FAMILIES[name]
+    rng = np.random.default_rng([M, dimU, m, len(centre)])
+    return random_gap_family(rng, dimU=dimU, M=M, m=m, max_order=3, centre=centre)
+
+
+def _close(got, want):
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.values.shape == want.values.shape
+    scale = np.abs(want.values).max()
+    assert np.abs(got.values - want.values).max() <= RTOL * scale
+
+
+def _lengths(grid):
+    # long enough boxes keep the third-order symbols of the random families
+    # from growing past the growth check over the run
+    return tuple(5.0 * g for g in grid)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+@pytest.mark.parametrize(
+    "grid", [g for M in sorted(_GRIDS) for g in _GRIDS[M]], ids=str
+)
+def test_micro_matches_full_spectrum(name, grid):
+    fam = _family(name, len(grid))
+    rng = np.random.default_rng(list(grid))
+    field0 = sv.MicroField(_lengths(grid), rng.standard_normal(grid + (fam.dimU,)))
+    want = _micro_full(fam, field0, 3.0, 6)
+    got = sv.simulate_micro(fam, field0, 3.0, samples=6)
+    _close(got, want)
+
+
+@pytest.mark.parametrize("grid", [(8, 8), (2, 8), (8, 1)], ids=str)
+def test_walker_micro_matches_full_spectrum(walker, grid):
+    rng = np.random.default_rng(3)
+    field0 = sv.MicroField((16.0, 12.0), rng.standard_normal(grid + (3,)))
+    _close(sv.simulate_micro(walker, field0, 4.0, samples=8),
+           _micro_full(walker, field0, 4.0, 8))
+
+
+@pytest.mark.parametrize("spectral_filter", [None, True, False])
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+@pytest.mark.parametrize("grid", [(8, 8), (2, 8), (8, 1)], ids=str)
+def test_macro_matches_full_spectrum(name, N, spectral_filter, grid):
+    fam = _family(name, 2)
+    split = sv.spectral_split(fam, N)
+    model, _ = sv.construct_reduction(fam, N, split=split)
+    model = model.to_float()
+    rng = np.random.default_rng([N, len(name)])
+    field0 = sv.MacroField(_lengths(grid), rng.standard_normal(grid + (model.m,)))
+    want = _macro_full(model, field0, 3.0, 6, spectral_filter)
+    got = sv.simulate_macro(model, field0, 3.0, samples=6, spectral_filter=spectral_filter)
+    _close(got, want)
+
+
+@pytest.mark.parametrize(
+    "grid, mode",
+    [((16, 16), (1, 0)), ((8, 8), (4, 0)), ((2, 8), (1, 0)), ((32, 1), (1, 0))],
+    ids=str,
+)
+def test_plane_wave_constant_along_last_axis_is_bitwise(walker, grid, mode):
+    lengths = _lengths(grid)
+    profile = sv.plane_wave(lengths, grid, 1, mode=mode)
+    rng = np.random.default_rng(5)
+    field0 = sv.MicroField(lengths, profile * rng.standard_normal(walker.dimU))
+    want = _micro_full(walker, field0, 2.0, 8)
+    got = sv.simulate_micro(walker, field0, 2.0, samples=8)
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, -1.0])
+def test_growth_message_names_the_mode_the_full_spectrum_names(c):
+    """Only the modes (2, +-1) of a 4x4 grid are seeded; one grows.
+
+    ``S = -c kappa_x kappa_y``: mode (2, 1) grows for c > 0 and its mirror
+    (2, 3) for c < 0.  The mirror is not stored; its conjugate is the
+    mirror row of (2, 1), which must be named by (2, 3)'s wavevector.
+    """
+    fam = sv.OperatorFamily({(0, 0): np.zeros((1, 1)), (1, 1): np.array([[c]])})
+    x = np.array([1.0, -1.0, 1.0, -1.0])
+    y = np.array([1.0, 0.0, -1.0, 0.0])
+    field0 = sv.MicroField((4.0, 8.0), np.outer(x, y)[..., None])
+    with pytest.raises(StabilityViolation) as want:
+        _micro_full(fam, field0, 20.0, 20)
+    with pytest.raises(StabilityViolation) as got:
+        sv.simulate_micro(fam, field0, 20.0, samples=20)
+    assert str(got.value) == str(want.value)
+    kappa_y = "0.785398" if c > 0 else "-0.785398"
+    assert f"kappa = (-3.14159, {kappa_y})" in str(got.value)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -231,6 +232,22 @@ def test_non_finite_state_fails_the_growth_check(walker_setup):
     # False against any limit
     with pytest.raises(StabilityViolation, match=r"by t = 5e\+297"):
         sv.simulate_micro(fam, f0, T=1e300, samples=200)
+
+
+def test_non_finite_state_names_a_non_finite_mode(walker_setup):
+    fam, _, split = walker_setup
+    f0 = slow_seed((16.0, 16.0), (8, 8), split)
+    with pytest.raises(StabilityViolation, match="became non-finite by t = 5e") as err:
+        sv.simulate_micro(fam, f0, T=1e300, samples=200)
+    assert "grew beyond" not in str(err.value)
+    named = re.search(r"kappa = \(([^)]*)\)", str(err.value)).group(1)
+    # the named grid mode, advanced from its initial coefficient by the span
+    freqs = 2 * np.pi * np.fft.fftfreq(8, d=2.0)
+    idx = tuple(int(np.abs(freqs - float(k)).argmin()) for k in named.split(","))
+    kappa = freqs[list(idx)]
+    np.testing.assert_allclose(kappa, [float(k) for k in named.split(",")], rtol=1e-5)
+    u0 = np.fft.fftn(f0.values, axes=(0, 1))[idx]
+    assert not np.isfinite(sv.mode_evolution_oracle(fam, kappa, 5e297, u0=u0)).all()
 
 
 def test_closure_residual_work_space_does_not_grow_with_samples(walker_setup):
