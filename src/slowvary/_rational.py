@@ -352,32 +352,33 @@ def json_number(doc: dict, key: str, default: float) -> float:
     raise ValueError(f"{key!r} must be a number, got {x!r}")
 
 
-_SCALARS = (str, int, float, bool, type(None))
+_SCALARS = {str, int, float, bool, type(None)}
 
 
 def _is_matrix(obj) -> bool:
-    return (isinstance(obj, list) and bool(obj)
-            and all(isinstance(row, list) and row for row in obj)
-            and all(isinstance(x, _SCALARS) for row in obj for x in row))
+    return (isinstance(obj, list) and bool(obj) and set(map(type, obj)) == {list}
+            and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS)
 
 
-def _indented(obj, ind: str) -> str:
+def _indented(obj, ind: str, seen: dict) -> str:
     r"""``json.dumps(obj, indent=2, sort_keys=True)`` nested at indent ``ind``.
 
     A matrix (a list of non-empty lists of scalars) takes one call of the C
-    encoder with the item separator ``",\n"``.  JSON strings hold no raw
-    newline, so each ``",\n"`` is a separator, and the ones between rows
-    are exactly those inside ``"],\n["``; both get indented by hand.
+    encoder with the separator ``"\n"``.  JSON text holds no raw newline or
+    NUL, so once the row breaks ``"]\n["`` are NULs, two ``str.replace``
+    calls indent it.  ``seen`` keeps each matrix of the document by id with
+    that text, so a matrix placed at several depths is encoded once.
     """
     if isinstance(obj, dict) and all(isinstance(k, str) for k in obj) and obj:
         inner = ind + "  "
-        items = (f"{inner}{json.dumps(k)}: {_indented(obj[k], inner)}" for k in sorted(obj))
+        items = (f"{inner}{json.dumps(k)}: {_indented(obj[k], inner, seen)}" for k in sorted(obj))
         return "{\n" + ",\n".join(items) + "\n" + ind + "}"
-    if _is_matrix(obj):
+    if id(obj) not in seen and _is_matrix(obj):
+        seen[id(obj)] = obj, json.dumps(obj, separators=("\n", ":"))[2:-2].replace("]\n[", "\0")
+    if id(obj) in seen:
         i1, i2 = ind + "  ", ind + "    "
-        rows = json.dumps(obj, separators=(",\n", ": "))[2:-2].split("],\n[")
-        rows = (f"{i1}[\n{i2}" + row.replace(",\n", ",\n" + i2) + f"\n{i1}]" for row in rows)
-        return "[\n" + ",\n".join(rows) + "\n" + ind + "]"
+        rows = seen[id(obj)][1].replace("\n", ",\n" + i2).replace("\0", f"\n{i1}],\n{i1}[\n{i2}")
+        return f"[\n{i1}[\n{i2}{rows}\n{i1}]\n{ind}]"
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + ind)
 
 
@@ -385,7 +386,7 @@ def save_json(path, doc: dict) -> None:
     """Write ``doc`` as ``json.dump(doc, indent=2, sort_keys=True)`` would,
     plus a newline, with matrices encoded by the C encoder."""
     with open(path, "w") as fh:
-        fh.write(_indented(doc, "") + "\n")
+        fh.write(_indented(doc, "", {}) + "\n")
 
 
 def load_json(path):

@@ -313,9 +313,9 @@ def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict,
     scale = max(1.0, max(float(abs(op).max()) for op in famf.ops.values()))
     threshold = cfg.tol * scale
 
-    inv = slowreduce.check_invariance(family, model, basis)
+    inv, inv_scale = slowreduce.check_invariance(family, model, basis, with_scale=True)
     checks = {"invariance_residual": _sig(inv),
-              "invariance_pass": bool(inv <= threshold)}
+              "invariance_pass": bool(inv <= cfg.tol * inv_scale)}
 
     nblock = len(basis.poly) * family.dimU
     if nblock <= _BLOCK_CHECK_LIMIT:

@@ -61,6 +61,7 @@ exact solve must leave a zero residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -377,7 +378,9 @@ class GeneratingBasis:
 
     ``vectors[n]`` is the (dimU, m) coefficient ``V^n``; ``poly[n]`` maps a
     monomial exponent ``k`` to the coefficient of ``xi^k`` in the generating
-    polynomial, which by construction equals ``V^{n-k} / k!``.
+    polynomial, which by construction equals ``V^{n-k} / k!``.  The two share
+    arrays (``vectors[n]`` is ``poly[n][0]``, and on the vectors route so is
+    ``poly[n+k][k]`` where ``k! == 1``), so neither is written into.
     """
 
     M: int
@@ -419,13 +422,15 @@ class GeneratingBasis:
         )
 
     def to_json(self) -> dict:
+        distinct = {id(c): c for p in (self.vectors, *self.poly.values()) for c in p.values()}
+        rows = {key: rat.encode_matrix(c) for key, c in distinct.items()}  # each array once
         return {
             "N": self.N,
             "m": self.m,
             "dimU": self.dimU,
-            "vectors": {format_index(n): rat.encode_matrix(v) for n, v in self.vectors.items()},
+            "vectors": {format_index(n): rows[id(v)] for n, v in self.vectors.items()},
             "poly": {
-                format_index(n): {format_index(k): rat.encode_matrix(c) for k, c in p.items()}
+                format_index(n): {format_index(k): rows[id(c)] for k, c in p.items()}
                 for n, p in self.poly.items()
             },
         }
@@ -438,11 +443,17 @@ def generating_vectors(vectors: dict) -> dict:
     """Generating polynomials from plain basis vectors.
 
     For each stored index ``n`` the polynomial coefficient at exponent
-    ``k <= n`` is ``V^{n-k} / k!``; other exponents vanish.
+    ``k <= n`` is ``V^{n-k} / k!``; other exponents vanish.  Each distinct
+    ``V^j / q`` is formed once and shared; ``V^j / 1`` is ``V^j`` itself.
     """
     exact = rat.is_exact(next(iter(vectors.values())))
+
+    @functools.cache
+    def coefficient(j, q):
+        return vectors[j] if q == 1 else vectors[j] * _reciprocal(q, exact)
+
     return {
-        n: {k: vectors[index_sub(n, k)] * _reciprocal(index_factorial(k), exact) for k in below}
+        n: {k: coefficient(index_sub(n, k), index_factorial(k)) for k in below}
         for n, below in lower_sets(vectors).items()
     }
 
@@ -514,8 +525,7 @@ def _reduce(family, split, table, tol, every_exponent):
         poly[n] = ([exps[i] for i in keep], V if len(keep) == len(exps) else V[keep])
     A = {n: rat.as_fractions(An) for n, An in A.items()}
     if not every_exponent:
-        formed = generating_vectors({n: V[0] for n, (_, V) in poly.items()})
-        return A, {n: {e: rat.as_fractions(c) for e, c in p.items()} for n, p in formed.items()}
+        return A, generating_vectors({n: rat.as_fractions(V[0]) for n, (_, V) in poly.items()})
     return A, {n: dict(zip(es, rat.as_fractions(V))) for n, (es, V) in poly.items()}
 
 
@@ -574,9 +584,8 @@ def construct_reduction(
     return model, basis
 
 
-def check_invariance(
-    family: OperatorFamily, model: ReducedModel, basis: GeneratingBasis
-) -> float:
+def check_invariance(family: OperatorFamily, model: ReducedModel, basis: GeneratingBasis,
+                     with_scale: bool = False):
     """Residual of the slow-subspace invariance identity.
 
     For every retained index ``n`` the generating polynomials must satisfy
@@ -589,21 +598,27 @@ def check_invariance(
     ``k - l``.  Returns the largest absolute residual entry (exactly 0.0
     in exact mode when everything is right; exact inputs are evaluated in
     RatMatrix arithmetic; NaN if any entry is NaN).
+
+    With ``with_scale`` it returns ``(residual, scale)``, the scale being the
+    largest entry of ``sum_l |L_l| |d^l Vt^n| + sum_k |Vt^{n-k}| |A_k|``,
+    the size rounding scales with (0.0 for exact inputs: no rounding).
     """
     exact = basis.is_exact
     ops = {ell: rat.as_ratmatrix(L) for ell, L in family.ops.items()}
     poly = {n: (list(p), rat.as_ratmatrix(np.stack(list(p.values()))))
             for n, p in basis.poly.items()}
     A = {k: rat.as_ratmatrix(model.coefficient(k)) for k in poly}
+    mag_ops, mag_A = ({}, {}) if exact else (
+        {ell: abs(L) for ell, L in ops.items()}, {k: np.abs(a) for k, a in A.items()})
     # d^l takes exponent k >= l to k - l with weight prod_i k_i! / (k_i - l_i)!
     shifts = {(k, ell): (index_sub(k, ell), math.prod(map(math.perm, k, ell)))
               for k in {e for es, _ in poly.values() for e in es}
               for ell in ops if partial_leq(ell, k)}
-    worst = 0.0
+    worst = scale = 0.0
     for n, below in lower_sets(poly).items():
         exps, stack = poly[n]
         pos: dict = {}
-        lhs_terms, rhs_terms = [], []
+        lhs_terms, rhs_terms, mag_terms = [], [], []
         for ell, L in ops.items():
             hit = [(i, *shifts[k, ell]) for i, k in enumerate(exps) if (k, ell) in shifts]
             if hit:
@@ -611,10 +626,16 @@ def check_invariance(
                 derivative = stack[list(idx)] * np.array(weights).reshape(-1, 1, 1)
                 at = [pos.setdefault(e, len(pos)) for e in targets]
                 lhs_terms.append((at, 1, _lmul(L, derivative)))
+                if not exact:
+                    mag_terms.append((at, 1, _lmul(mag_ops[ell], abs(derivative))))
         for k in below:
             es, part = poly[index_sub(n, k)]
-            rhs_terms.append(([pos.setdefault(e, len(pos)) for e in es], 1, part @ A[k]))
+            at = [pos.setdefault(e, len(pos)) for e in es]
+            rhs_terms.append((at, 1, part @ A[k]))
+            if not exact:
+                mag_terms.append((at, 1, abs(part) @ mag_A[k]))
         shape = (len(pos), basis.dimU, basis.m)
         diff = _sum_at(shape, lhs_terms, exact) - _sum_at(shape, rhs_terms, exact)
         worst = np.maximum(worst, float(abs(diff).max()))
-    return float(worst)
+        scale = np.maximum(scale, _sum_at(shape, mag_terms, False).max())
+    return (float(worst), float(scale)) if with_scale else float(worst)

@@ -511,3 +511,25 @@ def test_large_rational_closure_passes_the_relative_threshold(tmp_path):
     A[n] = A[n] * (1 + 1e-8)
     moved = sv.ReducedModel(M=model.M, N=model.N, m=model.m, A=A)
     assert sv.verify_slow_subspace(block, sv.build_block_A(moved), basisf) > bound
+
+
+def test_float_reduce_of_a_large_rational_closure_passes_invariance(tmp_path):
+    """The same family reduced in float: its invariance residual (about 4e-6)
+    is rounding of coefficients near 2e8.  It failed the absolute
+    ``--tol * max|L_k|`` threshold; against the size of the two sides of
+    the identity it passes, and a 1e-8 error in the largest A_n fails."""
+    from slowvary.cli import main
+
+    model_file = _scaled_benchmark_rational_family(tmp_path / "r.json")
+    out = tmp_path / "run"
+    assert main(["reduce", "--model", model_file, "-N", "6", "--out", str(out)]) == 0
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    assert checks["invariance_pass"] is True and checks["invariance_residual"] > 1e-7
+    family = sv.OperatorFamily.load(model_file)
+    model, basis = sv.construct_reduction(family, 6)
+    n = max(model.A, key=lambda k: np.abs(model.A[k]).max())
+    A = dict(model.A)
+    A[n] = A[n] * (1 + 1e-8)
+    moved = sv.ReducedModel(M=model.M, N=model.N, m=model.m, A=A)
+    residual, scale = sv.check_invariance(family, moved, basis, with_scale=True)
+    assert residual > 1e-10 * scale

@@ -8,6 +8,7 @@ import pytest
 import slowvary as sv
 from slowvary._rational import frac_matrix, save_json
 from slowvary.errors import SylvesterInconsistent
+from slowvary.multiindex import index_factorial, index_sub
 from slowvary.slowreduce import generating_vectors, solve_constrained_sylvester
 
 from conftest import random_gap_family, random_rational_family
@@ -537,3 +538,51 @@ def test_invariance_residual_is_nan_for_a_nan_entry(walker):
     model, basis = sv.construct_reduction(walker, N=2)
     moved = _moved_basis(basis, (1, 0), (0, 0), lambda x: np.nan)
     assert math.isnan(sv.check_invariance(walker, model, moved))
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_vectors_route_shares_coefficients(walker, walker_exact, exact):
+    """On the vectors route ``poly[n][k]`` is the array ``vectors[n-k]``
+    where ``k! == 1``; every other coefficient equals the separately formed
+    ``vectors[n-k] * (1/k!)`` (bitwise in float, as Fractions in exact
+    mode), and each distinct ``V^j / q`` is one array."""
+    fam = walker_exact if exact else walker
+    _, basis = sv.construct_reduction(fam, N=4)
+    formed = {}
+    for n, p in basis.poly.items():
+        assert p[(0, 0)] is basis.vectors[n]
+        for k, c in p.items():
+            j, q = index_sub(n, k), index_factorial(k)
+            V = basis.vectors[j]
+            if q == 1:
+                assert c is V
+            elif exact:
+                assert c.tolist() == (V * F(1, q)).tolist()
+            else:
+                assert c.tobytes() == (V * (1.0 / q)).tobytes()
+            assert formed.setdefault((j, q), c) is c
+    assert any(q > 1 for _, q in formed)
+
+
+@pytest.mark.parametrize("case", ["walker", "rotation"])
+def test_shared_coefficients_keep_the_invariance_residual(walker, case):
+    """The residual and scale of check_invariance are bitwise those of a
+    basis whose every coefficient is its own ``vectors[n-k] * (1.0/k!)``,
+    as the vectors route formed them before it shared arrays."""
+    fam = walker if case == "walker" else random_gap_family(
+        np.random.default_rng(2100), dimU=7, M=2, m=2, centre="rotation")
+    model, basis = sv.construct_reduction(fam, N=4)
+    poly = {n: {k: basis.vectors[index_sub(n, k)] * (1.0 / index_factorial(k)) for k in p}
+            for n, p in basis.poly.items()}
+    separate = sv.GeneratingBasis(M=basis.M, N=basis.N, m=basis.m, dimU=basis.dimU,
+                                  vectors={n: p[(0, 0)] for n, p in poly.items()},
+                                  poly=poly, split=basis.split)
+    got = sv.check_invariance(fam, model, basis, with_scale=True)
+    want = sv.check_invariance(fam, model, separate, with_scale=True)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert 0 < got[0] < 1e-12 * got[1]
+
+
+def test_invariance_scale_is_zero_for_exact_inputs(walker_exact):
+    model, basis = sv.construct_reduction(walker_exact, N=3)
+    assert sv.check_invariance(walker_exact, model, basis, with_scale=True) == (0.0, 0.0)
