@@ -3,9 +3,13 @@
 ``closure_residual`` and ``emergence_error`` once projected every sample of
 the micro trajectory and transformed them in one go.  That code is kept
 below, unchanged but for its imports, as the reference: the blocked code
-must give bitwise-equal times, residual and rate series, ratio, error
-series and plateau, whatever the number of samples is relative to the
-block length.
+must give bitwise-equal times, error series, plateau and rate series,
+whatever the number of samples is relative to the block length.  The closure reference transforms with full complex
+``fftn``/``ifftn``, where ``closure_residual`` now uses the half spectrum
+of ``rfftn``/``irfftn``; their residual series must agree to 1e-12 of the
+largest rate, a bound fixed before measuring.  A second closure
+reference, all at once on the half spectrum, must match the blocked code
+bitwise, so that the blocking itself is still held to the bit.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from slowvary.simulate import (
     ClosureResult,
     EmergenceResult,
     MacroField,
+    _half_spectrum,
     _symbol_table,
     _wavevectors,
     project,
@@ -75,6 +80,50 @@ def _closure_reference(micro, model, split):
     return ClosureResult(micro.times[1:-1], res_rms, rate_rms, ratio)
 
 
+def _closure_half_reference(micro, model, split):
+    """All samples at once, on the half spectrum as ``closure_residual`` is."""
+    U = project(split, micro.values)
+    dt = float(micro.times[1] - micro.times[0])
+    grid = micro.grid
+    shape, _, kvecs, twin = _half_spectrum(micro.lengths, grid)
+    n = int(np.prod(shape))
+    S = _symbol_table(model.A, kvecs, model.m)
+    S[twin] = (S[twin] + S[n:]) / 2
+    S = S[:n].reshape(shape + (model.m, model.m))
+    space = tuple(range(1, U.ndim - 1))
+    rhs_hat = np.einsum("...ij,t...j->t...i", S, np.fft.rfftn(U, axes=space))
+    rhs = np.fft.irfftn(rhs_hat, s=grid, axes=space)
+    dU = (U[2:] - U[:-2]) / (2 * dt)
+    resid = dU - rhs[1:-1]
+    axes = tuple(range(1, resid.ndim))
+    res_rms = np.sqrt(np.mean(resid**2, axis=axes))
+    rate_rms = np.sqrt(np.mean(dU**2, axis=axes))
+    tail = slice(res_rms.size // 2, None)
+    ratio = float(
+        np.median(res_rms[tail] / np.maximum(rate_rms[tail], 1e-300))
+    )
+    return ClosureResult(micro.times[1:-1], res_rms, rate_rms, ratio)
+
+
+def _check_closure(got, micro, model, split):
+    """Bitwise against the half-spectrum reference, to 1e-12 against the full one."""
+    want = _closure_half_reference(micro, model, split)
+    _same(got.times, want.times)
+    _same(got.residual_rms, want.residual_rms)
+    _same(got.rate_rms, want.rate_rms)
+    _same(got.ratio, want.ratio)
+    full = _closure_reference(micro, model, split)
+    _same(got.times, full.times)
+    _same(got.rate_rms, full.rate_rms)
+    scale = full.rate_rms.max()
+    assert np.abs(got.residual_rms - full.residual_rms).max() <= RTOL * scale
+    tail = full.rate_rms[full.rate_rms.size // 2 :]
+    assert abs(got.ratio - full.ratio) <= RTOL * scale / tail.min()
+
+
+RTOL = 1e-12
+
+
 def _same(a, b):
     """Bitwise equality, signed zeros and NaN payloads included."""
     a, b = np.asarray(a), np.asarray(b)
@@ -129,13 +178,9 @@ def test_blocked_diagnostics_match_reference(case, samples, monkeypatch):
     _same(got.error, want.error)
     _same(got.plateau(), want.plateau())
     _same(got.macro.values, want.macro.values)
-    want_c = _closure_reference(want.micro, model, split)
     got_c = sv.closure_residual(got.micro, model, split)
     assert got_c.times.size == samples - 1
-    _same(got_c.times, want_c.times)
-    _same(got_c.residual_rms, want_c.residual_rms)
-    _same(got_c.rate_rms, want_c.rate_rms)
-    _same(got_c.ratio, want_c.ratio)
+    _check_closure(got_c, want.micro, model, split)
 
 
 def test_default_block_length_matches_reference():
@@ -149,8 +194,26 @@ def test_default_block_length_matches_reference():
     got = sv.emergence_error(fam, model, split, field0, 24.0, t_skip=12.0, samples=80)
     _same(got.error, want.error)
     _same(got.plateau(), want.plateau())
-    want_c = _closure_reference(want.micro, model, split)
-    got_c = sv.closure_residual(got.micro, model, split)
-    _same(got_c.residual_rms, want_c.residual_rms)
-    _same(got_c.rate_rms, want_c.rate_rms)
-    _same(got_c.ratio, want_c.ratio)
+    _check_closure(sv.closure_residual(got.micro, model, split), want.micro, model, split)
+
+
+@pytest.mark.parametrize("block", [2, 5, 17, None])
+@pytest.mark.parametrize("case", ["walker", (7102, "zero", 1, 3)], ids=_ids)
+def test_blocked_frames_match_one_sample_blocks(case, block, monkeypatch):
+    """Frames transformed a block at a time equal frames transformed one by one.
+
+    ``None`` keeps the module's own budget, which holds every sample here.
+    """
+    fam, model, split, grid = _problem(case)
+    rng = np.random.default_rng(len(grid))
+    field0 = sv.MicroField((64.0,) * len(grid), rng.standard_normal(grid + (fam.dimU,)))
+    frame = 8 * fam.dimU * int(np.prod(grid))
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", frame)
+    want = sv.simulate_micro(fam, field0, 5.1, samples=17)
+    if block is None:
+        monkeypatch.undo()
+        assert simulate._block_length(grid, fam.dimU) > 17
+    else:
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES", block * frame)
+    got = sv.simulate_micro(fam, field0, 5.1, samples=17)
+    _same(got.values, want.values)
