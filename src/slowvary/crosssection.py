@@ -400,9 +400,24 @@ def _sparse_symmetric_split(L0, N: int, alpha: float | None) -> SpectralSplit:
             f"base operator of size {n} exceeds the dense eigenanalysis limit "
             f"({_DENSE_EIG_LIMIT}) and is not symmetric; cannot split its spectrum"
         )
+    # one fixed start vector for every ARPACK call makes the split, and so
+    # every output downstream of it, the same on each run (a vector of ones
+    # would be the cells' exact null vector, on which Lanczos breaks down)
+    v0 = np.random.default_rng(0).standard_normal(n)
+
+    def eigsh(call: str, **kwargs):
+        try:
+            return spla.eigsh(A, v0=v0, **kwargs)
+        except spla.ArpackError as exc:  # ArpackNoConvergence included
+            raise UnsupportedSplit(
+                f"ARPACK {call} failed on the base operator of size {n}: {exc}"
+            ) from None
+
     diag = A.diagonal()
     scale = max(float(np.abs(diag).max()), 1.0)
-    lam_bot = float(spla.eigsh(A, k=1, which="SA", return_eigenvectors=False)[0])
+    lam_bot = float(
+        eigsh("eigsh(which='SA')", k=1, which="SA", return_eigenvectors=False)[0]
+    )
     # Gershgorin: no eigenvalue exceeds max_i (a_ii + sum_{j != i} |a_ij|).
     # When that bound settles lam_top <= alpha it stands in for lam_top
     # (the default alpha's radius is |lam_bot| either way); otherwise
@@ -410,14 +425,9 @@ def _sparse_symmetric_split(L0, N: int, alpha: float | None) -> SpectralSplit:
     lam_top = float((diag - np.abs(diag) + np.asarray(absA.sum(axis=1)).ravel()).max())
     band = 1e-9 * max(abs(lam_top), abs(lam_bot)) if alpha is None else alpha
     if lam_top > band:
-        lam_top = float(spla.eigsh(A, k=1, which="LA", return_eigenvectors=False)[0])
-    k = min(16, n - 2)
-    # shift slightly above the spectrum top so the factorisation is regular
-    # and the Lanczos sweep returns the eigenvalues closest to zero
-    sigma = max(1e-6 * scale, 1e-3 * abs(lam_top), 1e-12)
-    vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM")
-    order_ = np.argsort(-vals)
-    vals, vecs = vals[order_], vecs[:, order_]
+        lam_top = float(
+            eigsh("eigsh(which='LA')", k=1, which="LA", return_eigenvectors=False)[0]
+        )
     radius = max(abs(lam_top), abs(lam_bot))
     if alpha is None:
         alpha = 1e-9 * radius
@@ -426,6 +436,30 @@ def _sparse_symmetric_split(L0, N: int, alpha: float | None) -> SpectralSplit:
         raise UnstableMode(
             f"largest eigenvalue Re = {lam_top:.6g} > alpha = {alpha:.6g}"
         )
+    # shift slightly above the spectrum top so the factorisation is regular
+    # and the Lanczos sweep returns the eigenvalues closest to zero; the
+    # minimum-degree ordering on A + A.T suits the symmetric pattern and
+    # fills about half what eigsh's own COLAMD factorisation does
+    sigma = max(1e-6 * scale, 1e-3 * abs(lam_top), 1e-12)
+    try:
+        lu = spla.splu((A - sigma * sparse.eye(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise UnsupportedSplit(
+            f"cannot factorise the base operator shifted by {sigma:.6g}: {exc}"
+        ) from None
+    OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
+    # a few more eigenpairs than a single centre mode needs; more only
+    # while every computed value still sits inside the centre band
+    k = min(4, n - 2)
+    while True:
+        vals, vecs = eigsh(
+            "shift-invert eigsh", k=k, sigma=sigma, which="LM", OPinv=OPinv
+        )
+        if not (np.abs(vals) <= alpha).all() or k == n - 2:
+            break
+        k = min(2 * k, n - 2)
+    order_ = np.argsort(-vals)
+    vals, vecs = vals[order_], vecs[:, order_]
     centre = np.abs(vals) <= alpha
     m = int(centre.sum())
     if m == 0:
@@ -472,7 +506,8 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
 
     Raises
     ------
-    NoCentreMode, UnstableMode, GapViolation, DefectiveNormalisation
+    NoCentreMode, UnstableMode, GapViolation, DefectiveNormalisation,
+    UnsupportedSplit
     """
     if N < 0:
         raise ValueError("truncation order must be >= 0")

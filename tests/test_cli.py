@@ -126,6 +126,36 @@ def test_report_bytes_are_deterministic(tmp_path):
     assert (fa / "report.json").read_bytes() == (fb / "report.json").read_bytes()
 
 
+def test_sparse_cell_reduce_bytes_are_deterministic(tmp_path):
+    # n = 32 gives dimU 1024, above the dense eigenanalysis limit, so the
+    # split runs ARPACK; its fixed start vector makes every file repeat
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        res = run_cli("reduce", "--model", "homogenise-layered", "--grid", "32",
+                      "--out", out)
+        assert res.returncode == 0, res.stderr
+    for name in ("report.json", "model.json", "basis.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert json.loads((a / "report.json").read_text())["dimU"] == 1024
+
+
+def test_reduce_zero_operator_above_dense_limit_exits_two(tmp_path, capsys):
+    from slowvary.cli import main
+
+    n = 602
+    model = tmp_path / "zero.json"
+    model.write_text(json.dumps({"M": 1, "dimU": n, "operators": {
+        "0": np.zeros((n, n), dtype=int).tolist(),
+        "1": np.eye(n, dtype=int).tolist()}}))
+    out = tmp_path / "run"
+    # ARPACK's failure is an input the sparse split cannot handle: exit 2,
+    # not an exception out of main
+    assert main(["reduce", "--model", str(model), "--out", str(out)]) == 2
+    assert "FAIL [UnsupportedSplit] ARPACK eigsh(which='SA') failed" in capsys.readouterr().err
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["check"] == "UnsupportedSplit"
+
+
 def test_simulate_output_bytes_are_deterministic(tmp_path):
     # a 64x32 grid spans several blocks of samples in the diagnostics
     args = ("simulate", "--model", "walker-modal", "-N", "2", "--grid", "64,32",

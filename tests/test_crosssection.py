@@ -171,25 +171,34 @@ def _cycle_laplacian(n):
 
 @pytest.fixture
 def arpack_calls(monkeypatch):
-    """The ``which`` of every ``eigsh`` call the sparse split makes."""
+    """The ``which``, ``k``, ``sigma`` and ``v0`` of every ``eigsh`` call the
+    sparse split makes."""
     from slowvary import crosssection
 
     calls = []
     eigsh = crosssection.spla.eigsh
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("which"))
+        calls.append({key: kwargs.get(key) for key in ("which", "k", "sigma", "v0")})
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(crosssection.spla, "eigsh", spy)
     return calls
 
 
+def _which(calls):
+    return [call["which"] for call in calls]
+
+
+def _shift_invert_k(calls):
+    return [call["k"] for call in calls if call["sigma"] is not None]
+
+
 def test_sparse_split_gershgorin_settles_stability(arpack_calls):
     # diagonally dominant, non-positive diagonal: the bound is 0 <= alpha
     fam = sv.OperatorFamily({(0,): _cycle_laplacian(700)})
     assert sv.spectral_split(fam, N=1).m == 1
-    assert "LA" not in arpack_calls
+    assert "LA" not in _which(arpack_calls)
 
 
 def test_sparse_split_falls_back_to_arpack_for_positive_eigenvalue(arpack_calls):
@@ -199,7 +208,7 @@ def test_sparse_split_falls_back_to_arpack_for_positive_eigenvalue(arpack_calls)
     L0[0, 0] = 1.0
     with pytest.raises(UnstableMode, match="largest eigenvalue"):
         sv.spectral_split(sv.OperatorFamily({(0,): L0.tocsr()}), N=1)
-    assert "LA" in arpack_calls
+    assert "LA" in _which(arpack_calls)
 
 
 def test_sparse_split_falls_back_to_arpack_without_dominance(arpack_calls):
@@ -209,10 +218,73 @@ def test_sparse_split_falls_back_to_arpack_without_dominance(arpack_calls):
     lap = _cycle_laplacian(n)
     fam = sv.OperatorFamily({(0,): (lap - lap @ lap).tocsr()})
     split = sv.spectral_split(fam, N=2)
-    assert "LA" in arpack_calls
+    assert "LA" in _which(arpack_calls)
     assert split.m == 1
     mu = 2.0 - 2.0 * np.cos(2 * np.pi / n)
     assert split.beta == pytest.approx(mu + mu**2, rel=1e-8)
+
+
+@pytest.mark.parametrize("sizes, ks", [
+    ((100, 120, 140, 160, 180), [4, 8]),
+    ((25, 35, 45, 55, 65, 75, 85, 95, 105, 115), [4, 8, 16]),
+], ids=["5-components", "10-components"])
+def test_sparse_split_doubles_k_while_all_values_are_centre(arpack_calls, sizes, ks):
+    # a block-diagonal sum of cycle Laplacians has one zero mode per cycle,
+    # so k = 4 shift-invert eigenpairs are all centre and k must double
+    assert sum(sizes) == 700
+    L0 = sparse.block_diag([_cycle_laplacian(s) for s in sizes], format="csr")
+    split = sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=2)
+    assert split.m == len(sizes)
+    gap = 2.0 - 2.0 * np.cos(2 * np.pi / max(sizes))
+    assert split.beta == pytest.approx(gap, rel=1e-8)
+    assert np.abs(L0 @ split.V0).max() < 1e-8
+    assert np.abs(split.Z0.T @ split.V0 - np.eye(len(sizes))).max() < 1e-10
+    assert _shift_invert_k(arpack_calls) == ks
+    v0 = arpack_calls[0]["v0"]
+    assert v0 is not None and v0.shape == (700,)
+    assert all(np.array_equal(call["v0"], v0) for call in arpack_calls)
+
+
+def test_sparse_split_doubling_stops_at_n_minus_two(arpack_calls):
+    # 600 zero modes of 602: every k up to n - 2 is all centre
+    diag = np.zeros(602)
+    diag[:2] = [-1.0, -2.0]
+    fam = sv.OperatorFamily({(0,): sparse.diags(diag).tocsr()})
+    with pytest.raises(UnsupportedSplit, match="all 600 computed slow eigenvalues"):
+        sv.spectral_split(fam, N=1)
+    assert _shift_invert_k(arpack_calls) == [4, 8, 16, 32, 64, 128, 256, 512, 600]
+
+
+@pytest.mark.parametrize("expr", ["layered_cos", "checkerboard_smooth"])
+def test_sparse_cell_split_is_deterministic_and_matches_dense_oracle(expr):
+    from slowvary.models import CellProblem, homogenisation_cell
+
+    fam = homogenisation_cell(CellProblem.from_expression(expr, n=32))
+    assert fam.dimU == 1024 and fam.storage == "csr"
+    split = sv.spectral_split(fam, N=2)
+    assert not split.spectrum_complete  # the sparse path ran
+    assert split.m == 1
+    dense = np.linalg.eigvalsh(fam.L0.toarray())
+    assert split.beta == pytest.approx(-dense[-2], rel=1e-10)
+    again = sv.spectral_split(fam, N=2)
+    assert np.array_equal(again.V0, split.V0) and np.array_equal(again.A0, split.A0)
+    assert again.beta == split.beta and again.alpha == split.alpha
+
+
+def test_sparse_split_arpack_failure_is_unsupported():
+    # on the zero operator Lanczos finds no Krylov space past the start vector
+    with pytest.raises(UnsupportedSplit, match=r"ARPACK eigsh\(which='SA'\) failed"):
+        sv.spectral_split(sv.OperatorFamily({(0,): sparse.csr_matrix((602, 602))}), N=1)
+
+
+def test_sparse_split_singular_shift_is_unsupported():
+    # an eigenvalue exactly at the shift 1e-6 (inside the centre band
+    # alpha = 1e-5) leaves the shifted operator singular
+    diag = -np.ones(602)
+    diag[:2] = [1e-6, 0.0]
+    fam = sv.OperatorFamily({(0,): sparse.diags(diag).tocsr()})
+    with pytest.raises(UnsupportedSplit, match="cannot factorise"):
+        sv.spectral_split(fam, N=1, alpha=1e-5)
 
 
 def test_large_nonsymmetric_split_is_unsupported():
