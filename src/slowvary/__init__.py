@@ -4,9 +4,10 @@ Given a family of constant matrices ``L_k`` defining a spatially discrete
 or continuum system ``du/dt = sum_k L_k d^k u`` with a spectral gap, this
 package constructs the coefficients ``A_n`` of the emergent macroscale
 equation ``dU/dt = sum_n A_n d^n U`` to any requested order, together
-with the generating polynomials of the slow subspace, block-operator
-cross-checks, and simulation utilities that verify the reduction against
-the full dynamics.
+with the generating polynomials of the slow subspace, its invariance and
+symbol-order checks (the block Taylor system is the test reference of the
+first), and simulation utilities that verify the reduction against the
+full dynamics.
 """
 
 import os as _os
@@ -99,11 +100,9 @@ from .taylorsystem import (
     BlockOperator,
     SymbolOrder,
     block_spectrum_check,
-    block_to_csv,
     build_block_A,
     build_block_operator,
     slow_subspace_matrix,
-    slow_subspace_scale,
     symbol_order_check,
     verify_slow_subspace,
 )
@@ -125,17 +124,15 @@ __all__ = [
     "construct_reduction",
     "check_invariance",
     "solve_constrained_sylvester",
-    # block cross-checks
+    # the block Taylor system (check_invariance's test reference), symbol order
     "BlockOperator",
     "build_block_operator",
     "build_block_A",
     "block_spectrum_check",
     "slow_subspace_matrix",
     "verify_slow_subspace",
-    "slow_subspace_scale",
     "symbol_order_check",
     "SymbolOrder",
-    "block_to_csv",
     # multi-indices
     "IndexTable",
     "enumerate_indices",

@@ -53,9 +53,8 @@ BUILTIN_MODELS = (
     "homogenise-checkerboard",
 )
 
-# above this many block rows the dense block matrices of the slow-subspace
-# check are not worth building (they grow as (N_indices * dimU)^2); the
-# symbol-order check runs under the same limit
+# reduce runs the symbol-order check only up to this many block rows
+# (retained indices times dimU) and reports it skipped above
 _BLOCK_CHECK_LIMIT = 2000
 
 
@@ -67,7 +66,6 @@ class RunConfig:
     alpha: float | None = None
     tol: float = 1e-10
     grid: tuple = (32,)
-    dt: float | None = None
     T: float = 26.0
     wavelengths: tuple = (16.0, 32.0, 64.0, 128.0)
     out: Path | None = None
@@ -104,9 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="residual tolerance for numerical checks")
         p.add_argument("--grid", type=_parse_grid, default=(32,),
                        help="grid points, comma separated per direction")
-        p.add_argument("--dt", type=float, default=None,
-                       help="ignored (each Fourier mode advances exactly); "
-                            "kept for compatibility, must be positive")
         p.add_argument("--T", type=float, default=26.0,
                        help="simulation span")
         p.add_argument("--wavelengths", type=_parse_wavelengths,
@@ -142,7 +137,6 @@ def _config_from_args(args) -> RunConfig:
         alpha=args.alpha,
         tol=args.tol,
         grid=args.grid,
-        dt=args.dt,
         T=args.T,
         wavelengths=args.wavelengths,
         out=args.out,
@@ -319,27 +313,20 @@ def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict,
 
     nblock = len(basis.poly) * family.dimU
     if nblock <= _BLOCK_CHECK_LIMIT:
-        modelf, basisf = model.to_float(), basis.to_float()
-        block = taylorsystem.build_block_operator(famf, cfg.N)
-        blockA = taylorsystem.build_block_A(modelf)
-        sub_res = taylorsystem.verify_slow_subspace(block, blockA, basisf)
-        sub_scale = taylorsystem.slow_subspace_scale(block, blockA, basisf)
         start = time.perf_counter()
-        order = taylorsystem.symbol_order_check(famf, split, modelf, cfg.N)
+        order = taylorsystem.symbol_order_check(famf, split, model.to_float(), cfg.N)
         meta["symbol_order"] = {"rungs": order.rungs, "max_iterations": order.iterations,
                                 "seconds": time.perf_counter() - start}
-        checks["slow_subspace_residual"] = _sig(sub_res)
-        checks["slow_subspace_pass"] = bool(sub_res <= cfg.tol * sub_scale)
         # 3 digits: the fitted slope's trailing digits vary with BLAS threading
         checks["symbol_order_slope"] = None if order.slope is None else _sig(order.slope, 2)
         checks["symbol_order_pass"] = order.passed
         if not order.passed:
             print(f"slowvary: symbol_order_check: {order.message}", file=sys.stderr)
     else:
-        checks["slow_subspace_residual"] = "skipped"
         checks["symbol_order_slope"] = "skipped"
         meta["symbol_order"] = {"skipped": f"{nblock} block rows exceed the "
-                                           f"{_BLOCK_CHECK_LIMIT}-row limit of the block checks"}
+                                           f"{_BLOCK_CHECK_LIMIT}-row limit of the "
+                                           "symbol-order check"}
 
     report.update(_split_fields(family, split))
     report.update({
@@ -406,9 +393,7 @@ def _simulate(cfg: RunConfig, family, cell, split, model, basis, report: dict,
     values0 = np.einsum("...m,dm->...d", profile, np.asarray(split.V0, float))
     field0 = simulate.MicroField(lengths, values0)
 
-    res = simulate.emergence_error(
-        famf, modelf, split, field0, T=cfg.T, dt=cfg.dt, samples=200
-    )
+    res = simulate.emergence_error(famf, modelf, split, field0, T=cfg.T, samples=200)
     closure = simulate.closure_residual(res.micro, modelf, split)
 
     report.update({
@@ -525,13 +510,14 @@ def _run(cfg: RunConfig) -> int:
             raise ConfigError(f"slowvary: --out {cfg.out} is not a directory")
         if cfg.N < 1:
             raise ConfigError("slowvary: --order must be at least 1")
-        if cfg.alpha is not None and cfg.alpha < 0:
-            raise ConfigError("slowvary: --alpha must be >= 0")
+        if cfg.alpha is not None and not 0 <= cfg.alpha < math.inf:
+            raise ConfigError(f"slowvary: --alpha must be non-negative and finite, "
+                              f"got {cfg.alpha}")
         if min(cfg.grid) < 1:
             raise ConfigError("slowvary: --grid entries must be at least 1")
-        for flag, value in (("--dt", cfg.dt), ("--T", cfg.T), ("--tol", cfg.tol),
+        for flag, value in (("--T", cfg.T), ("--tol", cfg.tol),
                             *(("--wavelengths", L) for L in cfg.wavelengths)):
-            if value is not None and not 0 < value < math.inf:
+            if not 0 < value < math.inf:
                 raise ConfigError(f"slowvary: {flag} must be positive and finite, "
                                   f"got {value}")
         if cfg.command in ("simulate", "converge") and any(g & (g - 1) for g in cfg.grid):

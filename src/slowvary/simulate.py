@@ -145,25 +145,6 @@ class Trajectory:
     def ncomp(self) -> int:
         return self.values.shape[-1]
 
-    def to_csv(self, path) -> None:
-        """Long-format dump: one row per time and grid point."""
-        grid = self.grid
-        axes = [np.arange(g) * (L / g) for g, L in zip(grid, self.lengths)]
-        coords = np.meshgrid(*axes, indexing="ij")
-        flat_coords = [c.reshape(-1) for c in coords]
-        ncomp = self.ncomp
-        with open(path, "w") as fh:
-            head = ["t"] + [f"x{j + 1}" for j in range(len(grid))]
-            head += [f"c{j}" for j in range(ncomp)]
-            fh.write(",".join(head) + "\n")
-            for it, t in enumerate(self.times):
-                vals = self.values[it].reshape(-1, ncomp)
-                for p in range(vals.shape[0]):
-                    row = [repr(float(t))]
-                    row += [repr(float(c[p])) for c in flat_coords]
-                    row += [repr(float(v)) for v in vals[p]]
-                    fh.write(",".join(row) + "\n")
-
 
 # -- spectral machinery -------------------------------------------------------
 
@@ -483,21 +464,19 @@ def simulate_micro(
     family: OperatorFamily,
     field0: MicroField,
     T: float,
-    dt: float | None = None,
     samples: int = 50,
 ) -> Trajectory:
     """Integrate the full system from ``field0`` to time T.
 
     Returns ``samples + 1`` uniformly spaced snapshots including t = 0.
     Each Fourier mode advances by its exact propagator
-    ``expm(S(kappa) T / samples)`` per sample, so ``dt`` is ignored; it is
-    kept for compatibility.  Only the half spectrum of ``rfftn`` is
-    propagated, plus a second row for each mode with a Nyquist index on a
-    leading axis and an interior index on the last, whose two evolutions
-    the real part averages; the result is the real part of the
-    full-spectrum run.  Raises
-    :class:`StabilityViolation` once the solution grows beyond 1e6 times
-    its initial amplitude or becomes non-finite.
+    ``expm(S(kappa) T / samples)`` per sample.  Only the half spectrum of
+    ``rfftn`` is propagated, plus a second row for each mode with a Nyquist
+    index on a leading axis and an interior index on the last, whose two
+    evolutions the real part averages; the result is the real part of the
+    full-spectrum run.  Raises :class:`StabilityViolation` once the
+    solution grows beyond 1e6 times its initial amplitude or becomes
+    non-finite.
     """
     fam = family.to_float()
     if field0.dimU != fam.dimU:
@@ -511,7 +490,6 @@ def simulate_macro(
     model: ReducedModel,
     field0: MacroField,
     T: float,
-    dt: float | None = None,
     samples: int = 50,
     spectral_filter: bool | None = None,
 ) -> Trajectory:
@@ -521,7 +499,7 @@ def simulate_macro(
     amplified; by default (``spectral_filter=None``) the highest third of
     wavenumbers per direction is therefore truncated when ``model.N`` is
     odd, and kept when it is even.  Pass True or False to force.
-    Propagation is exact as in :func:`simulate_micro`; ``dt`` is ignored.
+    Propagation is exact as in :func:`simulate_micro`.
     """
     if field0.m != model.m:
         raise ValueError(f"field has {field0.m} components, model {model.m}")
@@ -580,7 +558,6 @@ def emergence_error(
     T: float,
     t_skip: float | None = None,
     samples: int = 200,
-    dt: float | None = None,
 ) -> EmergenceResult:
     """Run micro and macro side by side and compare slow amplitudes.
 
@@ -588,12 +565,11 @@ def emergence_error(
     default six decades of decay, capped at half the span) from the
     projected micro state at that instant.  The error at each later sample
     is ``||Z0.T u_micro - U_macro|| / ||U_macro||`` in the grid RMS norm.
-    Both runs propagate exactly, so ``dt`` is ignored.
     """
     if t_skip is None:
         beta = split.beta if np.isfinite(split.beta) else 1.0
         t_skip = min(0.5 * T, 6 * np.log(10.0) / max(beta, 1e-12))
-    micro = simulate_micro(family, field0, T, dt=dt, samples=samples)
+    micro = simulate_micro(family, field0, T, samples=samples)
     isk = int(np.argmin(np.abs(micro.times - t_skip)))
     if isk >= samples:
         raise ValueError("t_skip leaves no observation window")
@@ -603,7 +579,6 @@ def emergence_error(
         model,
         macro0,
         float(micro.times[-1] - t_skip),
-        dt=dt,
         samples=samples - isk,
     )
     space_axes = tuple(range(1, micro.values.ndim))

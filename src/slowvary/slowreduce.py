@@ -584,25 +584,11 @@ def construct_reduction(
     return model, basis
 
 
-def check_invariance(family: OperatorFamily, model: ReducedModel, basis: GeneratingBasis,
-                     with_scale: bool = False):
-    """Residual of the slow-subspace invariance identity.
-
-    For every retained index ``n`` the generating polynomials must satisfy
-    ``sum_l L_l d^l Vt^n = sum_{k <= n} Vt^{n-k} A_k`` coefficient by
-    coefficient; the derivative on the left is evaluated as an actual
-    polynomial derivative, so this is an independent check of the
-    construction, not a restatement of it.  Each polynomial is stacked as
-    in the recursion: ``d^l`` gathers the coefficients of exponents
-    ``k >= l``, weights them by the falling factorials and moves them to
-    ``k - l``.  Returns the largest absolute residual entry (exactly 0.0
-    in exact mode when everything is right; exact inputs are evaluated in
-    RatMatrix arithmetic; NaN if any entry is NaN).
-
-    With ``with_scale`` it returns ``(residual, scale)``, the scale being the
-    largest entry of ``sum_l |L_l| |d^l Vt^n| + sum_k |Vt^{n-k}| |A_k|``,
-    the size rounding scales with (0.0 for exact inputs: no rounding).
-    """
+def _invariance_residuals(family: OperatorFamily, model: ReducedModel,
+                          basis: GeneratingBasis):
+    """Yield ``(n, exponents, diff, mag)`` for every retained index ``n``:
+    at ``exponents``, the coefficients of the residual of
+    :func:`check_invariance` for ``Vt^n`` and of its scale (zeros if exact)."""
     exact = basis.is_exact
     ops = {ell: rat.as_ratmatrix(L) for ell, L in family.ops.items()}
     poly = {n: (list(p), rat.as_ratmatrix(np.stack(list(p.values()))))
@@ -614,7 +600,6 @@ def check_invariance(family: OperatorFamily, model: ReducedModel, basis: Generat
     shifts = {(k, ell): (index_sub(k, ell), math.prod(map(math.perm, k, ell)))
               for k in {e for es, _ in poly.values() for e in es}
               for ell in ops if partial_leq(ell, k)}
-    worst = scale = 0.0
     for n, below in lower_sets(poly).items():
         exps, stack = poly[n]
         pos: dict = {}
@@ -636,6 +621,32 @@ def check_invariance(family: OperatorFamily, model: ReducedModel, basis: Generat
                 mag_terms.append((at, 1, abs(part) @ mag_A[k]))
         shape = (len(pos), basis.dimU, basis.m)
         diff = _sum_at(shape, lhs_terms, exact) - _sum_at(shape, rhs_terms, exact)
+        yield n, list(pos), diff, _sum_at(shape, mag_terms, False)
+
+
+def check_invariance(family: OperatorFamily, model: ReducedModel, basis: GeneratingBasis,
+                     with_scale: bool = False):
+    """Residual of the slow-subspace invariance identity.
+
+    For every retained index ``n`` the generating polynomials must satisfy
+    ``sum_l L_l d^l Vt^n = sum_{k <= n} Vt^{n-k} A_k`` coefficient by
+    coefficient; the derivative on the left is evaluated as an actual
+    polynomial derivative, so this is an independent check of the
+    construction, not a restatement of it.  Each polynomial is stacked as
+    in the recursion: ``d^l`` gathers the coefficients of exponents
+    ``k >= l``, weights them by the falling factorials and moves them to
+    ``k - l``.  Returns the largest absolute residual entry (exactly 0.0
+    in exact mode when everything is right; exact inputs are evaluated in
+    RatMatrix arithmetic; NaN if any entry is NaN).  The tests hold the
+    residual entry by entry against the block Taylor system of
+    :mod:`slowvary.taylorsystem`.
+
+    With ``with_scale`` it returns ``(residual, scale)``, the scale being the
+    largest entry of ``sum_l |L_l| |d^l Vt^n| + sum_k |Vt^{n-k}| |A_k|``,
+    the size rounding scales with (0.0 for exact inputs: no rounding).
+    """
+    worst = scale = 0.0
+    for _, _, diff, mag in _invariance_residuals(family, model, basis):
         worst = np.maximum(worst, float(abs(diff).max()))
-        scale = np.maximum(scale, _sum_at(shape, mag_terms, False).max())
+        scale = np.maximum(scale, mag.max())
     return (float(worst), float(scale)) if with_scale else float(worst)

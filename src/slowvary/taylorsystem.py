@@ -11,19 +11,20 @@ Because the layout is triangular in each grade direction, the spectrum of
 the grouped generator is the spectrum of ``L_0`` repeated once per
 retained index.  The reduced closure has the same structure with blocks
 ``A_{k-n}``, and the generating basis flattens into a slow-subspace matrix
-``S`` satisfying ``(grouped L) S = S (grouped A)``.  The functions here
-assemble those matrices and measure how well the identities hold, which is
-the main end-to-end consistency check of a constructed reduction.
+``S`` satisfying ``(grouped L) S = S (grouped A)``.  Block ``(k, n)`` of
+it is ``k!`` times the exponent-``k`` coefficient of the invariance
+identity of ``Vt^n``, which :func:`slowvary.slowreduce.check_invariance`
+evaluates on the coefficient stacks, so ``reduce`` runs only that check
+and the block functions here are the reference the tests hold it against.
 
-:func:`symbol_order_check` is the second, independent check: it follows
-the slow invariant subspace of the micro symbol ``S(kappa)`` at finite
-wavenumbers and measures the order to which the model's symbol
+:func:`symbol_order_check` is the other check that ``reduce`` runs: it
+follows the slow invariant subspace of the micro symbol ``S(kappa)`` at
+finite wavenumbers and measures the order to which the model's symbol
 reproduces the dynamics on it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -37,7 +38,6 @@ from .crosssection import OperatorFamily, SpectralSplit
 from .multiindex import (
     IndexTable,
     enumerate_indices,
-    format_index,
     index_factorial,
     index_sub,
     lower_sets,
@@ -52,10 +52,8 @@ __all__ = [
     "block_spectrum_check",
     "slow_subspace_matrix",
     "verify_slow_subspace",
-    "slow_subspace_scale",
     "SymbolOrder",
     "symbol_order_check",
-    "block_to_csv",
 ]
 
 
@@ -65,18 +63,11 @@ class BlockOperator:
 
     ``table`` fixes the block layout; ``inner_dim`` is the per-index state
     size (``dimU`` for the full system, ``m`` for the reduced one).
-    ``labels`` names the scalar rows as ``"n1,n2|c"``.
     """
 
     table: IndexTable
     inner_dim: int
     matrix: np.ndarray
-
-    @property
-    def labels(self) -> list[str]:
-        return [
-            f"{format_index(n)}|{c}" for n in self.table for c in range(self.inner_dim)
-        ]
 
     @property
     def is_exact(self) -> bool:
@@ -372,34 +363,3 @@ def symbol_order_check(
         f"below the order N + 0.5 = {N + 0.5} of an order-{N} model")
     return SymbolOrder(passed, slope, R, int(iters.max()), slopes, message)
 
-
-def slow_subspace_scale(
-    block: BlockOperator, block_A: BlockOperator, basis: GeneratingBasis
-) -> float:
-    """Largest entry of ``|grouped L| |S| + |S| |grouped A|``.
-
-    These are the two products whose difference
-    :func:`verify_slow_subspace` measures, taken in absolute values: the
-    size their rounding scales with, so the residual can be judged relative
-    to the closure it checks.  The triangular layout never multiplies a
-    high-order block of ``S`` with a high-order block of ``A``, so this is
-    far smaller than the product of the largest entries when the
-    coefficients grow with the order.  Block ``(n, j)`` of either product
-    depends only on ``j - n`` (up to rounding in ``S``), so only the first
-    block row, that of the zero index, is formed.
-    """
-    d = block.inner_dim
-    L, A, S = (abs(rat.as_float(x)) for x in
-               (block.matrix[:d], block_A.matrix, slow_subspace_matrix(basis)))
-    return float((L @ S + S[:d] @ A).max()) if S.size else 0.0
-
-
-def block_to_csv(block: BlockOperator, path) -> None:
-    """Row-major CSV dump with block labels on both axes."""
-    mat = rat.as_float(block.matrix)
-    labels = block.labels
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row"] + labels)
-        for lab, row in zip(labels, mat):
-            writer.writerow([lab] + [repr(float(x)) for x in row])

@@ -33,7 +33,7 @@ def test_reduce_walker_writes_artifacts(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is True
     assert report["coefficients"]["2,0"] == [[pytest.approx(8 / 27)]]
-    assert report["checks"]["slow_subspace_residual"] != "skipped"
+    assert report["checks"]["symbol_order_slope"] != "skipped"
     model = sv.ReducedModel.load(out / "model.json")
     assert abs(model.A[(1, 0)][0, 0] + 1 / 3) < 1e-12
     assert (out / "basis.json").exists()
@@ -378,13 +378,13 @@ _EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")
                   "--alpha", "40"], "UnsupportedSplit", id="cell-split-unsupported"),
     pytest.param(["reduce", "--model", "walker-modal", "--alpha", "-1"],
                  "config", id="negative-alpha"),
+    *[pytest.param(["reduce", "--model", "walker-modal", "--alpha", alpha], "config",
+                   id=f"alpha-{alpha}")
+      for alpha in ("nan", "inf")],
     pytest.param(["simulate", "--model", "walker-modal", "--grid", "0"],
                  "config", id="zero-grid"),
     pytest.param(["reduce", "--model", "walker-modal", "--order", "0"],
                  "config", id="zero-order"),
-    *[pytest.param(["simulate", "--model", "walker-modal", "--dt", dt], "config",
-                   id=f"dt-{name}")
-      for name, dt in (("zero", "0"), ("nan", "nan"), ("negative", "-1"))],
     pytest.param(["converge", "--model", "walker-modal", "--wavelengths", "64"],
                  "config", id="one-wavelength"),
     *[pytest.param([command, "--model", "walker-modal", "--grid", "6"], "config",
@@ -440,6 +440,21 @@ def test_invalid_input_exits_two_with_report(tmp_path, capsys, argv, check):
     assert f"FAIL [{check}]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dt", ["0", "nan", "-1", "0.01"],
+                         ids=["dt-zero", "dt-nan", "dt-negative", "dt-positive"])
+def test_dt_is_not_an_option(tmp_path, capsys, dt):
+    """Every Fourier mode advances exactly, so there is no time step:
+    argparse rejects ``--dt`` with exit 2, before any report is written."""
+    from slowvary.cli import main
+
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", "walker-modal", "--dt", dt, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _family_file(path, family):
     family.save(path)
     return str(path)
@@ -467,18 +482,23 @@ def test_reduce_jordan_centre_passes_every_check(tmp_path, seed):
 
 
 def test_reduce_never_runs_the_block_spectrum_eig(tmp_path, monkeypatch):
+    """``reduce`` builds no block Taylor system: ``check_invariance`` is its
+    one evaluation of the invariance identity."""
     from slowvary import taylorsystem
     from slowvary.cli import main
 
-    def refuse(*args):
-        raise AssertionError("reduce must not call block_spectrum_check")
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"reduce must not call {name}")
+        return call
 
-    monkeypatch.setattr(taylorsystem, "block_spectrum_check", refuse)
+    for name in ("build_block_operator", "build_block_A", "block_spectrum_check",
+                 "verify_slow_subspace"):
+        monkeypatch.setattr(taylorsystem, name, refuse(name))
     out = tmp_path / "run"
     assert main(["reduce", "--model", "walker-modal", "-N", "3", "--out", str(out)]) == 0
     checks = json.loads((out / "report.json").read_text())["checks"]
     assert sorted(checks) == ["invariance_pass", "invariance_residual",
-                              "slow_subspace_pass", "slow_subspace_residual",
                               "symbol_order_pass", "symbol_order_slope"]
 
 
@@ -493,10 +513,11 @@ def test_reduce_above_the_block_limit_skips_and_says_why(tmp_path):
             "--out", str(out)]
     assert main(argv) == 0
     checks = json.loads((out / "report.json").read_text())["checks"]
-    assert checks["slow_subspace_residual"] == checks["symbol_order_slope"] == "skipped"
-    assert "symbol_order_pass" not in checks and "slow_subspace_pass" not in checks
+    assert sorted(checks) == ["invariance_pass", "invariance_residual", "symbol_order_slope"]
+    assert checks["symbol_order_slope"] == "skipped"
     meta = json.loads((out / "run_meta.json").read_text())["symbol_order"]
-    assert meta == {"skipped": "2010 block rows exceed the 2000-row limit of the block checks"}
+    assert meta == {"skipped": "2010 block rows exceed the 2000-row limit of the "
+                               "symbol-order check"}
 
 
 def _scaled_benchmark_rational_family(path):
@@ -520,9 +541,10 @@ def _scaled_benchmark_rational_family(path):
 
 
 def test_large_rational_closure_passes_the_relative_threshold(tmp_path):
-    """Order-6 coefficients near 2e8 leave a block residual of about 2e-7,
-    1e-15 relative: an absolute threshold failed it, the relative one
-    does not, and it still catches a 1e-8 error in the largest A_n."""
+    """The exact order-6 reduction, with coefficients near 2e8, passes.  In
+    float its invariance residual is rounding, far below ``tol`` times the
+    scale of ``check_invariance``, and a 1e-8 error in the largest A_n
+    still exceeds that bound."""
     from slowvary.cli import main
 
     model_file = _scaled_benchmark_rational_family(tmp_path / "r.json")
@@ -533,14 +555,15 @@ def test_large_rational_closure_passes_the_relative_threshold(tmp_path):
     assert max(np.abs(A).max() for A in model.A.values()) > 1e8
     family = sv.OperatorFamily.load(model_file, exact=True)
     _, basis = sv.construct_reduction(family, 6)
-    block = sv.build_block_operator(family.to_float(), 6)
-    basisf = basis.to_float()
-    bound = 1e-10 * sv.slow_subspace_scale(block, sv.build_block_A(model), basisf)
+    famf, basisf = family.to_float(), basis.to_float()
+    residual, scale = sv.check_invariance(famf, model, basisf, with_scale=True)
+    assert residual <= 1e-10 * scale
     n = max(model.A, key=lambda k: np.abs(model.A[k]).max())
     A = dict(model.A)
     A[n] = A[n] * (1 + 1e-8)
     moved = sv.ReducedModel(M=model.M, N=model.N, m=model.m, A=A)
-    assert sv.verify_slow_subspace(block, sv.build_block_A(moved), basisf) > bound
+    residual, scale = sv.check_invariance(famf, moved, basisf, with_scale=True)
+    assert residual > 1e-10 * scale
 
 
 def test_float_reduce_of_a_large_rational_closure_passes_invariance(tmp_path):

@@ -1,4 +1,3 @@
-import csv
 from fractions import Fraction
 
 import numpy as np
@@ -52,11 +51,6 @@ def test_block_layout(walker):
                 assert np.abs(b).max() == 0
 
 
-def test_block_labels(walker):
-    block = sv.build_block_operator(walker, N=1)
-    assert block.labels[:4] == ["0,0|0", "0,0|1", "0,0|2", "1,0|0"]
-
-
 def test_block_spectrum_multiplicity(walker):
     block = sv.build_block_operator(walker, N=2)
     assert sv.block_spectrum_check(block, walker) < 1e-10
@@ -105,18 +99,6 @@ def test_block_invariance_random_family():
     blockA = sv.build_block_A(model)
     assert sv.block_spectrum_check(block, fam) < 1e-8
     assert sv.verify_slow_subspace(block, blockA, basis) < 1e-10
-
-
-def test_block_csv_export(tmp_path, walker):
-    block = sv.build_block_operator(walker, N=1)
-    path = tmp_path / "block.csv"
-    sv.block_to_csv(block, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][0] == "row"
-    assert rows[0][1:] == block.labels
-    assert len(rows) == 1 + 9
-    assert float(rows[2][2]) == -1.0  # L0[1,1] in the first diagonal block
 
 
 def test_one_dimensional_block(walker):
@@ -247,15 +229,112 @@ def test_symbol_order_check_takes_csr_families():
 
 
 def test_slow_subspace_threshold_is_relative_and_still_sensitive(walker_exact):
-    """The residual is judged against ``tol * slow_subspace_scale``; one
-    coefficient moved by 1e-8 of the largest still fails that bound."""
+    """``reduce`` judges the invariance residual against ``tol`` times the
+    scale of ``check_invariance``; one coefficient moved by 1e-8 of the
+    largest still fails that bound."""
     for fam, N in ((walker_exact, 4), (_gap_case(7130, "zero", 2, 3)[0], 3)):
         model, basis = sv.construct_reduction(fam, N)
         famf, modelf, basisf = fam.to_float(), model.to_float(), basis.to_float()
-        block = sv.build_block_operator(famf, N)
-        blockA = sv.build_block_A(modelf)
-        bound = 1e-10 * sv.slow_subspace_scale(block, blockA, basisf)
-        assert sv.verify_slow_subspace(block, blockA, basisf) <= bound
+        residual, scale = sv.check_invariance(famf, modelf, basisf, with_scale=True)
+        assert residual <= 1e-10 * scale
         n = max(modelf.A, key=lambda k: np.abs(modelf.A[k]).max() if any(k) else 0)
-        moved = sv.build_block_A(_moved(modelf, n, 1e-8))
-        assert sv.verify_slow_subspace(block, moved, basisf) > bound
+        moved = _moved(modelf, n, 1e-8)
+        residual, scale = sv.check_invariance(famf, moved, basisf, with_scale=True)
+        assert residual > 1e-10 * scale
+
+
+# -- the block system as the reference for check_invariance ----------------
+
+
+def _bump(x):
+    """``x`` moved by 1e-3 of itself (by 1e-3 when it is 0), exactly for a Fraction."""
+    return x + (abs(x) or 1) * (F(1, 1000) if isinstance(x, F) else 1e-3)
+
+
+def _moved_largest(mat):
+    mat = mat.copy()
+    i = np.unravel_index(np.abs(mat.astype(float)).argmax(), mat.shape)
+    mat[i] = _bump(mat[i])
+    return mat
+
+
+def _block_and_stack_residuals(fam, model, basis):
+    """Block residual ``L S - S A`` and the same layout filled from the
+    invariance residuals: block ``(k, n)`` is ``k!`` times the exponent-k
+    coefficient of the residual of ``Vt^n`` (zero where it has none).
+    Fraction arrays for exact inputs, float arrays otherwise."""
+    from slowvary import _rational as rat
+    from slowvary.multiindex import index_factorial
+    from slowvary.slowreduce import _invariance_residuals
+
+    block, block_A = sv.build_block_operator(fam, model.N), sv.build_block_A(model)
+    convert = rat.as_ratmatrix if fam.is_exact else rat.as_float
+    L, A, S = map(convert, (block.matrix, block_A.matrix, sv.slow_subspace_matrix(basis)))
+    resid = rat.as_fractions(L @ S - S @ A)
+    assert sv.verify_slow_subspace(block, block_A, basis) == float(abs(resid).max())
+    table, d, m = block.table, basis.dimU, basis.m
+    stacked = rat.zeros(resid.shape, basis.is_exact)
+    for n, exponents, diff, _ in _invariance_residuals(fam, model, basis):
+        j = table.position(n)
+        for e, coeff in zip(exponents, rat.as_fractions(diff)):
+            i = table.position(e)
+            stacked[i * d:(i + 1) * d, j * m:(j + 1) * m] = coeff * index_factorial(e)
+    return resid, stacked
+
+
+_IDENTITY_CASES = [
+    *[pytest.param(("gap", seed, centre, m, M, N), id=f"float-{centre}-m{m}-M{M}-N{N}")
+      for seed, centre, m, M, N in [
+          (7140, "zero", 1, 1, 4), (7141, "zero", 2, 2, 3), (7142, "zero", 1, 3, 2),
+          (7143, "jordan", 2, 1, 3), (7144, "jordan", 2, 2, 2), (7145, "jordan", 2, 3, 2),
+          (7146, "rotation", 2, 1, 3), (7147, "rotation", 2, 2, 2),
+          (7148, "rotation", 2, 3, 2)]],
+    *[pytest.param(("rational", seed, m, M, N), id=f"exact-zero-m{m}-M{M}-N{N}")
+      for seed, m, M, N in [(7150, 1, 1, 4), (7151, 2, 2, 3), (7152, 1, 3, 2)]],
+    pytest.param(("walker", False), id="float-walker-N4"),
+    pytest.param(("walker", True), id="exact-walker-N4"),
+]
+
+
+@pytest.mark.parametrize("case", _IDENTITY_CASES)
+def test_block_residual_is_the_invariance_residual_entrywise(case, walker, walker_exact):
+    """Block ``(k, n)`` of ``(grouped L) S - S (grouped A)`` equals ``k!``
+    times the exponent-k coefficient of the invariance residual of
+    ``Vt^n``, so ``verify_slow_subspace`` and ``check_invariance`` evaluate
+    one identity: exactly for exact inputs, to 1e-12 of the scale of
+    ``check_invariance`` in float.  It holds for the constructed model and
+    when one ``A_n`` or one generating-polynomial coefficient is moved,
+    where the residual is far from 0."""
+    from conftest import random_rational_family
+
+    if case[0] == "walker":
+        fam, N = (walker_exact if case[1] else walker), 4
+        model, basis = sv.construct_reduction(fam, N)
+    elif case[0] == "gap":
+        _, seed, centre, m, M, N = case
+        fam, _, model, basis = _gap_case(seed, centre, m, N, M=M,
+                                         alpha=1e-6 if centre == "jordan" else None)
+    else:
+        _, seed, m, M, N = case
+        rng = np.random.default_rng(seed)
+        fam = random_rational_family(rng, dimU=int(rng.integers(m + 2, 6)), M=M, m=m)
+        model, basis = sv.construct_reduction(fam, N)
+    assert fam.is_exact == model.is_exact == basis.is_exact
+    k = next(k for k in model.A if sum(k) == 1)
+    moved_model = sv.ReducedModel(M=model.M, N=N, m=model.m,
+                                  A={**model.A, k: _moved_largest(model.A[k])})
+    poly = {n: dict(p) for n, p in basis.poly.items()}
+    poly[k][k] = _moved_largest(poly[k][k])
+    moved_basis = sv.GeneratingBasis(M=basis.M, N=N, m=basis.m, dimU=basis.dimU,
+                                     vectors=basis.vectors, poly=poly, split=basis.split)
+    for name, mod, bas in (("constructed", model, basis), ("A moved", moved_model, basis),
+                           ("poly moved", model, moved_basis)):
+        resid, stacked = _block_and_stack_residuals(fam, mod, bas)
+        residual, scale = sv.check_invariance(fam, mod, bas, with_scale=True)
+        if fam.is_exact:
+            assert (resid == stacked).all(), name
+        else:
+            assert np.abs(resid - stacked).max() <= 1e-12 * scale, name
+        if name != "constructed":
+            assert residual > (0 if fam.is_exact else 1e-8 * scale), name
+            assert abs(resid).max() > 0, name
