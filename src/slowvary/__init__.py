@@ -60,11 +60,9 @@ from .models import (
     random_walker_physical,
 )
 from .multiindex import (
-    IndexTable,
     enumerate_indices,
     format_index,
     index_count,
-    multi_binomial,
     order,
     parse_index,
 )
@@ -134,10 +132,8 @@ __all__ = [
     "symbol_order_check",
     "SymbolOrder",
     # multi-indices
-    "IndexTable",
     "enumerate_indices",
     "index_count",
-    "multi_binomial",
     "order",
     "parse_index",
     "format_index",

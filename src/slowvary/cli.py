@@ -176,7 +176,7 @@ def _load_model(cfg: RunConfig):
         family = models.random_walker_physical(exact=exact)
     elif name in cells:
         if len(cfg.grid) > 1:
-            raise ConfigError(f"slowvary: the built-in cells take one --grid entry "
+            raise ConfigError(f"the built-in cells take one --grid entry "
                               f"(the cell's n), got {_grid_text(cfg)}")
         cell = models.CellProblem.from_expression(
             cells[name], n=cfg.grid[0], amplitude=cfg.amplitude
@@ -185,32 +185,32 @@ def _load_model(cfg: RunConfig):
         path = Path(name)
         if not path.is_file():
             raise ConfigError(
-                f"slowvary: model {name!r} is neither a built-in "
+                f"model {name!r} is neither a built-in "
                 f"({', '.join(BUILTIN_MODELS)}) nor an existing file"
             )
         try:
             data = rat.load_json(path)
             if not isinstance(data, dict):
-                raise ConfigError(f"slowvary: model file {name} is not a JSON object")
+                raise ConfigError(f"model file {name} is not a JSON object")
             if "operators" in data:
                 family = OperatorFamily.from_json(data, exact=exact)
             elif "K" in data or "K_expr" in data:
                 cell = models.CellProblem.from_json(data)
             else:
                 raise ConfigError(
-                    f"slowvary: {name} holds neither an operator family "
+                    f"{name} holds neither an operator family "
                     "(key 'operators') nor a cell problem (key 'K'/'K_expr')"
                 )
         except ValueError as exc:
-            raise ConfigError(f"slowvary: model file {name}: {exc}") from None
+            raise ConfigError(f"model file {name}: {exc}") from None
     if cell is not None:
         family = models.homogenisation_cell(cell)
     if exact:
         if name not in BUILTIN_MODELS and not family.is_exact:
-            raise ConfigError("slowvary: --exact requires a built-in model "
+            raise ConfigError("--exact requires a built-in model "
                               "or a rational-valued model file")
         if family.dimU > 8:
-            raise ConfigError("slowvary: --exact supports dimU <= 8, "
+            raise ConfigError("--exact supports dimU <= 8, "
                               f"got dimU = {family.dimU}")
     return family, cell
 
@@ -507,34 +507,34 @@ def _run(cfg: RunConfig) -> int:
     meta = _meta(cfg)
     try:
         if cfg.out is not None and not cfg.out.is_dir():
-            raise ConfigError(f"slowvary: --out {cfg.out} is not a directory")
+            raise ConfigError(f"--out {cfg.out} is not a directory")
         if cfg.N < 1:
-            raise ConfigError("slowvary: --order must be at least 1")
+            raise ConfigError("--order must be at least 1")
         if cfg.alpha is not None and not 0 <= cfg.alpha < math.inf:
-            raise ConfigError(f"slowvary: --alpha must be non-negative and finite, "
+            raise ConfigError(f"--alpha must be non-negative and finite, "
                               f"got {cfg.alpha}")
         if min(cfg.grid) < 1:
-            raise ConfigError("slowvary: --grid entries must be at least 1")
+            raise ConfigError("--grid entries must be at least 1")
         for flag, value in (("--T", cfg.T), ("--tol", cfg.tol),
                             *(("--wavelengths", L) for L in cfg.wavelengths)):
             if not 0 < value < math.inf:
-                raise ConfigError(f"slowvary: {flag} must be positive and finite, "
+                raise ConfigError(f"{flag} must be positive and finite, "
                                   f"got {value}")
         if cfg.command in ("simulate", "converge") and any(g & (g - 1) for g in cfg.grid):
-            raise ConfigError(f"slowvary: --grid entries must be powers of two, "
+            raise ConfigError(f"--grid entries must be powers of two, "
                               f"got {_grid_text(cfg)}")
         if cfg.command == "converge" and len(cfg.grid) > 1:
-            raise ConfigError(f"slowvary: converge takes one --grid entry (points along "
+            raise ConfigError(f"converge takes one --grid entry (points along "
                               f"the first axis), got {_grid_text(cfg)}")
         if cfg.command == "converge" and len(set(cfg.wavelengths)) < 2:
-            raise ConfigError("slowvary: converge needs two distinct --wavelengths")
+            raise ConfigError("converge needs two distinct --wavelengths")
         if cfg.command == "demo" and cfg.model != "walker" and cfg.N < 2:
-            raise ConfigError("slowvary: the cell demos print A_(2,0) and A_(0,2), "
+            raise ConfigError("the cell demos print A_(2,0) and A_(0,2), "
                               "--order must be at least 2")
         family, cell = _load_model(cfg)
         meta["family"] = {"storage": family.storage, "bytes": family.nbytes}
         if cfg.command == "simulate" and len(cfg.grid) > family.M:
-            raise ConfigError(f"slowvary: --grid has {len(cfg.grid)} entries, "
+            raise ConfigError(f"--grid has {len(cfg.grid)} entries, "
                               f"the model only {family.M} directions")
         split = _split_family(cfg, family, cell)
         model = basis = None

@@ -28,7 +28,7 @@ symbols, JSON documents) densify them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +45,7 @@ from .errors import (
     UnstableMode,
     UnsupportedSplit,
 )
-from .multiindex import format_index, graded_key, order, parse_index
+from .multiindex import format_index, graded_key, parse_index
 
 __all__ = [
     "OperatorFamily",
@@ -136,10 +136,6 @@ class OperatorFamily:
         return self.ops[self.zero_index]
 
     @property
-    def max_order(self) -> int:
-        return max(order(k) for k in self.ops)
-
-    @property
     def is_exact(self) -> bool:
         return self.L0.dtype == object
 
@@ -164,14 +160,6 @@ class OperatorFamily:
             return self
         return OperatorFamily(
             {k: rat.as_float(v) for k, v in self.ops.items()}, label=self.label
-        )
-
-    def to_exact(self) -> "OperatorFamily":
-        if self.is_exact:
-            return self
-        return OperatorFamily(
-            {k: rat.frac_matrix(rat.as_float(v).tolist()) for k, v in self.ops.items()},
-            label=self.label,
         )
 
     # -- JSON model documents ------------------------------------------
@@ -521,20 +509,14 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
 
 @dataclass
 class ValidationReport:
-    """Quantities checked when admitting a family for reduction."""
+    """Numerical residuals of a family's split, judged against a tolerance.
 
-    label: str | None
-    M: int
-    dimU: int
-    N: int
-    m: int
-    alpha: float
-    beta: float
-    gap_margin: float
+    ``binorm_residual`` is ``max|Z0.T V0 - I|`` and ``invariance_residual``
+    is ``max|L0 V0 - V0 A0|``; the split itself carries the gap.
+    """
+
     binorm_residual: float
     invariance_residual: float
-    support: list = field(default_factory=list)
-    eigenvalues: np.ndarray | None = None
 
     def residual_failures(self, tol: float = DEFAULT_TOL) -> list[str]:
         out = []
@@ -569,18 +551,4 @@ def validate_family(
     Af = rat.as_float(split.A0)
     binorm = float(np.abs(Zf.T @ Vf - np.eye(split.m)).max())
     invres = float(np.abs(family.to_float().L0 @ Vf - Vf @ Af).max())
-    gap = split.beta - N * split.alpha
-    return ValidationReport(
-        label=family.label,
-        M=family.M,
-        dimU=family.dimU,
-        N=N,
-        m=split.m,
-        alpha=split.alpha,
-        beta=split.beta,
-        gap_margin=float(gap),
-        binorm_residual=binorm,
-        invariance_residual=invres,
-        support=[format_index(k) for k in family.support],
-        eigenvalues=split.eigenvalues,
-    )
+    return ValidationReport(binorm_residual=binorm, invariance_residual=invres)

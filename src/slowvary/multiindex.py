@@ -2,9 +2,10 @@
 
 A multi-index is represented throughout as a plain tuple of non-negative
 ints, one entry per spatial dimension.  Its order is the entry sum.  The
-functions here enumerate truncated index sets, count them, and provide the
-combinatorial helpers (componentwise comparison, multi-binomials,
-factorials) that the Taylor recursions are built from.
+functions here enumerate truncated index sets, count them, parse and
+format them, and provide the helpers (componentwise comparison and
+difference, lower sets, factorials) that the Taylor recursions are built
+from.
 
 Index sets are listed in graded order: ascending in the order ``|n|`` and,
 within one grade, lexicographically with the leading dimension dominant and
@@ -27,15 +28,12 @@ __all__ = [
     "graded_key",
     "partial_leq",
     "lower_sets",
-    "multi_binomial",
     "index_factorial",
     "index_sub",
-    "index_add",
     "parse_index",
     "format_index",
     "index_count",
     "enumerate_indices",
-    "IndexTable",
 ]
 
 # Tables beyond this many entries are refused rather than exhausting memory.
@@ -81,23 +79,6 @@ def lower_sets(indices) -> dict:
             for n, box in boxes.items()}
 
 
-def multi_binomial(n: tuple[int, ...], k: tuple[int, ...]) -> int:
-    """Product of componentwise binomial coefficients ``C(n_i, k_i)``.
-
-    Zero whenever ``k`` is not componentwise below ``n``, matching the
-    scalar convention ``C(n, k) = 0`` for ``k > n``.  Exact integer
-    arithmetic, no floating point.
-    """
-    if len(n) != len(k):
-        raise ValueError(f"dimension mismatch: {len(n)} vs {len(k)}")
-    out = 1
-    for ni, ki in zip(n, k):
-        if ki < 0 or ki > ni:
-            return 0
-        out *= math.comb(ni, ki)
-    return out
-
-
 def index_factorial(idx: tuple[int, ...]) -> int:
     """Multi-index factorial ``n! = n_1! n_2! ... n_M!``, exact."""
     out = 1
@@ -111,13 +92,6 @@ def index_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not partial_leq(b, a):
         raise ValueError(f"{b} is not componentwise <= {a}")
     return tuple(x - y for x, y in zip(a, b))
-
-
-def index_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Componentwise sum ``a + b``."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def parse_index(text: str) -> tuple[int, ...]:
@@ -165,20 +139,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def enumerate_indices(M: int, N: int) -> "IndexTable":
-    """Enumerate all multi-indices with ``|n| <= N`` in graded order.
+def enumerate_indices(M: int, N: int) -> tuple[tuple[int, ...], ...]:
+    """All multi-indices with ``M`` components and ``|n| <= N``, as a tuple
+    in graded order.
 
-    Parameters
-    ----------
-    M : int
-        Number of components (spatial dimensions), at least 1.
-    N : int
-        Truncation order, at least 0.
-
-    Returns
-    -------
-    IndexTable
-        The ordered table together with its inverse position lookup.
+    ``M`` is at least 1 and ``N`` at least 0; more than
+    :data:`MAX_TABLE_SIZE` indices are refused.
     """
     _check_dims(M, N)
     count = index_count(M, N)
@@ -187,48 +153,4 @@ def enumerate_indices(M: int, N: int) -> "IndexTable":
             f"index table for M={M}, N={N} would hold {count} entries, "
             f"beyond the supported limit of {MAX_TABLE_SIZE}"
         )
-    indices: list[tuple[int, ...]] = []
-    for grade in range(N + 1):
-        indices.extend(_compositions(grade, M))
-    return IndexTable(M, N, indices)
-
-
-class IndexTable:
-    """Ordered set of multi-indices with constant-time position lookup.
-
-    The table is built by :func:`enumerate_indices`; it is immutable by
-    convention and safe to share between threads.  ``position`` is the
-    inverse of indexing: ``table[table.position(n)] == n``.
-    """
-
-    def __init__(self, M: int, N: int, indices: list[tuple[int, ...]]):
-        self.M = M
-        self.N = N
-        self.indices = tuple(indices)
-        self._pos = {idx: i for i, idx in enumerate(self.indices)}
-        if len(self._pos) != len(self.indices):
-            raise ValueError("duplicate multi-indices in table")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self.indices)
-
-    def __getitem__(self, i: int) -> tuple[int, ...]:
-        return self.indices[i]
-
-    def __contains__(self, idx: tuple[int, ...]) -> bool:
-        return tuple(idx) in self._pos
-
-    def position(self, idx: tuple[int, ...]) -> int:
-        """Position of ``idx`` in the graded order; KeyError if absent."""
-        try:
-            return self._pos[tuple(idx)]
-        except KeyError:
-            raise KeyError(
-                f"multi-index {tuple(idx)} not in table (M={self.M}, N={self.N})"
-            ) from None
-
-    def __repr__(self) -> str:
-        return f"IndexTable(M={self.M}, N={self.N}, size={len(self)})"
+    return tuple(idx for grade in range(N + 1) for idx in _compositions(grade, M))

@@ -604,9 +604,6 @@ class ClosureResult:
     rate_rms: np.ndarray     # RMS of dU/dt, the comparison scale
     ratio: float             # median residual/rate over the later half
 
-    def series_ratio(self) -> np.ndarray:
-        return self.residual_rms / np.maximum(self.rate_rms, 1e-300)
-
 
 def closure_residual(
     micro: Trajectory, model: ReducedModel, split: SpectralSplit

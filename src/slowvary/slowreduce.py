@@ -294,12 +294,6 @@ class ReducedModel:
             return self.A[n]
         return rat.zeros((self.m, self.m), self.is_exact)
 
-    def symbol(self, kappa) -> np.ndarray:
-        """Fourier symbol ``sum_n A_n (i kappa)^n`` as a complex matrix."""
-        from .simulate import symbol_matrix  # simulate imports this module
-
-        return symbol_matrix(self, kappa)
-
     def equation_text(self, var: str = "U") -> str:
         """Human-readable PDE, e.g. ``dt U = -1/3 dx U + 8/27 dxx U``.
 
@@ -389,24 +383,10 @@ class GeneratingBasis:
     dimU: int
     vectors: dict
     poly: dict
-    split: SpectralSplit
 
     @property
     def is_exact(self) -> bool:
         return next(iter(self.vectors.values())).dtype == object
-
-    def evaluate(self, n, xi) -> np.ndarray:
-        """Evaluate the generating polynomial for index ``n`` at point xi."""
-        n = tuple(n)
-        xi = np.asarray(xi)
-        acc = None
-        for k, c in self.poly[n].items():
-            mono = 1
-            for x, e in zip(xi.tolist(), k):
-                mono *= x**e
-            term = c * mono
-            acc = term if acc is None else acc + term
-        return acc
 
     def to_float(self) -> "GeneratingBasis":
         if not self.is_exact:
@@ -418,7 +398,7 @@ class GeneratingBasis:
         }
         return GeneratingBasis(
             M=self.M, N=self.N, m=self.m, dimU=self.dimU,
-            vectors=vectors, poly=poly, split=self.split,
+            vectors=vectors, poly=poly,
         )
 
     def to_json(self) -> dict:
@@ -579,7 +559,6 @@ def construct_reduction(
         dimU=family.dimU,
         vectors=vectors,
         poly=poly,
-        split=split,
     )
     return model, basis
 

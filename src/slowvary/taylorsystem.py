@@ -35,14 +35,7 @@ import scipy.sparse.linalg as spla
 
 from . import _rational as rat
 from .crosssection import OperatorFamily, SpectralSplit
-from .multiindex import (
-    IndexTable,
-    enumerate_indices,
-    index_factorial,
-    index_sub,
-    lower_sets,
-    order,
-)
+from .multiindex import enumerate_indices, index_factorial, index_sub, lower_sets, order
 from .slowreduce import GeneratingBasis, ReducedModel
 
 __all__ = [
@@ -61,11 +54,12 @@ __all__ = [
 class BlockOperator:
     """A matrix over the grouped Taylor state.
 
-    ``table`` fixes the block layout; ``inner_dim`` is the per-index state
-    size (``dimU`` for the full system, ``m`` for the reduced one).
+    ``table``, the indices of :func:`~slowvary.multiindex.enumerate_indices`
+    in graded order, fixes the block layout; ``inner_dim`` is the per-index
+    state size (``dimU`` for the full system, ``m`` for the reduced one).
     """
 
-    table: IndexTable
+    table: tuple
     inner_dim: int
     matrix: np.ndarray
 
@@ -74,16 +68,17 @@ class BlockOperator:
         return self.matrix.dtype == object
 
 
-def _assemble(table: IndexTable, inner: int, pick, exact: bool) -> np.ndarray:
+def _assemble(table: tuple, inner: int, pick, exact: bool) -> np.ndarray:
     size = len(table) * inner
     out = rat.zeros((size, size), exact)
+    pos = {k: i for i, k in enumerate(table)}
     for j, (k, below) in enumerate(lower_sets(table).items()):
         for n in below:
             blockmat = pick(index_sub(k, n))
             if sparse.issparse(blockmat):  # a CSR family operator
                 blockmat = blockmat.toarray()
             if blockmat is not None:
-                i = table.position(n)
+                i = pos[n]
                 out[i * inner : (i + 1) * inner, j * inner : (j + 1) * inner] = blockmat
     return out
 
@@ -147,9 +142,10 @@ def slow_subspace_matrix(basis: GeneratingBasis) -> np.ndarray:
     d, m = basis.dimU, basis.m
     size = len(table)
     out = rat.zeros((size * d, size * m), basis.is_exact)
+    pos = {k: i for i, k in enumerate(table)}
     for j, n in enumerate(table):
         for k, coeff in basis.poly[n].items():
-            i = table.position(k)
+            i = pos[k]
             out[i * d : (i + 1) * d, j * m : (j + 1) * m] = coeff * index_factorial(k)
     return out
 

@@ -34,6 +34,8 @@ def test_reduce_walker_writes_artifacts(tmp_path):
     assert report["pass"] is True
     assert report["coefficients"]["2,0"] == [[pytest.approx(8 / 27)]]
     assert report["checks"]["symbol_order_slope"] != "skipped"
+    # beta = 1 and alpha = 1e-9 |L0| = 3e-9: beta - N alpha is 1 to 1e-8
+    assert report["gap_margin"] == pytest.approx(1.0, rel=1e-6)
     model = sv.ReducedModel.load(out / "model.json")
     assert abs(model.A[(1, 0)][0, 0] + 1 / 3) < 1e-12
     assert (out / "basis.json").exists()
@@ -437,7 +439,10 @@ def test_invalid_input_exits_two_with_report(tmp_path, capsys, argv, check):
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is False
         assert report["error"]["check"] == check
-    assert f"FAIL [{check}]" in capsys.readouterr().err
+        assert not report["error"]["message"].startswith("slowvary")
+    err = capsys.readouterr().err
+    assert f"FAIL [{check}]" in err
+    assert err.count("slowvary:") == 1, err  # the FAIL line names the program once
 
 
 @pytest.mark.parametrize("dt", ["0", "nan", "-1", "0.01"],

@@ -312,13 +312,3 @@ def test_sparse_cell_family_matches_dense_copy():
         sv.build_block_operator(fam, 2).matrix, sv.build_block_operator(dense, 2).matrix
     )
 
-
-def test_sparse_cell_family_to_exact():
-    fam = homogenisation_cell(CellProblem.from_expression("constant", n=4, base=0.5))
-    exact = fam.to_exact()
-    assert exact.storage == "exact"
-    for k, op in fam.ops.items():
-        assert exact.ops[k].dtype == object
-        assert exact.ops[k].tolist() == [[Fraction(x) for x in row] for row in op.toarray()]
-    # four faces of K = 1/2 over a spacing of 1/4
-    assert exact.ops[(0, 0)][0, 0] == Fraction(-32)

@@ -58,34 +58,7 @@ def test_graded_key_matches_enumeration(M):
     assert sorted(shuffled, key=mi.graded_key) == table
 
 
-def test_position_roundtrip():
-    table = mi.enumerate_indices(2, 3)
-    for i, n in enumerate(table):
-        assert table.position(n) == i
-        assert table[i] == n
-    assert (1, 1) in table
-    with pytest.raises(KeyError):
-        table.position((4, 0))
-
-
-def test_multi_binomial():
-    assert mi.multi_binomial((3, 2), (1, 1)) == 6
-    assert mi.multi_binomial((3, 2), (0, 0)) == 1
-    assert mi.multi_binomial((3, 2), (3, 2)) == 1
-    # not componentwise <= means zero, mirroring the vanishing derivative
-    assert mi.multi_binomial((3, 2), (1, 3)) == 0
-    for n in itertools.product(range(4), repeat=2):
-        for k in itertools.product(range(4), repeat=2):
-            expected = (
-                math.comb(n[0], k[0]) * math.comb(n[1], k[1])
-                if mi.partial_leq(k, n)
-                else 0
-            )
-            assert mi.multi_binomial(n, k) == expected
-
-
 def test_index_arithmetic():
-    assert mi.index_add((1, 2), (3, 0)) == (4, 2)
     assert mi.index_sub((4, 2), (3, 0)) == (1, 2)
     assert mi.index_factorial((3, 2)) == 12
     assert mi.index_factorial((0, 0)) == 1

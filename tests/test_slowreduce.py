@@ -87,9 +87,8 @@ def test_generating_polynomial_structure(walker_exact):
     assert p[(0, 0)][2, 0] == F(-4, 81)
     assert p[(1, 0)][2, 0] == F(-2, 9)
     assert p[(2, 0)][0, 0] == F(1, 2)  # V0 / 2!
-    # evaluating at the origin returns the plain vector
-    v = basis.evaluate((2, 0), (0, 0))
-    assert v[2, 0] == F(-4, 81)
+    # the exponent-0 coefficient is the plain vector itself
+    assert p[(0, 0)] is basis.vectors[(2, 0)]
 
 
 def test_invariance_residual(walker, walker_exact):
@@ -277,7 +276,7 @@ def test_model_from_json_rejects_garbage(doc):
 def test_symbol_and_equation_text(walker):
     model, _ = sv.construct_reduction(walker, N=2)
     kappa = (0.3, 0.4)
-    sym = model.symbol(kappa)
+    sym = sv.symbol_matrix(model, kappa)
     expected = (
         -1 / 3 * (1j * 0.3)
         + 8 / 27 * (1j * 0.3) ** 2
@@ -357,7 +356,7 @@ def _property_family(seed, centre, m, M):
 def _invariants(model, kappas):
     """Similarity invariants: trace of each A_n, char. polynomial of the symbol."""
     traces = [np.trace(model.to_float().A[n]) for n in sorted(model.A)]
-    return np.concatenate([traces, *[np.poly(model.symbol(k)) for k in kappas]])
+    return np.concatenate([traces, *[np.poly(sv.symbol_matrix(model, k)) for k in kappas]])
 
 
 def _assert_close(a, b, rel=1e-9):
@@ -496,7 +495,7 @@ def test_exact_family_with_support_gaps(seed, M, N, m, support):
     assert sv.check_invariance(fam, mv, bv) == 0
     assert sv.check_invariance(fam, mg, bg) == 0
     if M == 1:
-        split = bv.split
+        split = sv.spectral_split(fam, N)
         assert mv.A[(1,)].tolist() == np.zeros((m, m)).tolist()
         assert mv.A[(2,)].tolist() == (split.Z0.T @ fam.ops[(2,)] @ split.V0).tolist()
 
@@ -508,7 +507,7 @@ def _moved_basis(basis, n, e, delta):
     i = np.unravel_index(np.argmax(np.abs(c.astype(float))), c.shape)
     c[i] += delta(c[i])
     return sv.GeneratingBasis(M=basis.M, N=basis.N, m=basis.m, dimU=basis.dimU,
-                              vectors=basis.vectors, poly=poly, split=basis.split)
+                              vectors=basis.vectors, poly=poly)
 
 
 @pytest.mark.parametrize("method", ["vectors", "generating"])
@@ -576,7 +575,7 @@ def test_shared_coefficients_keep_the_invariance_residual(walker, case):
             for n, p in basis.poly.items()}
     separate = sv.GeneratingBasis(M=basis.M, N=basis.N, m=basis.m, dimU=basis.dimU,
                                   vectors={n: p[(0, 0)] for n, p in poly.items()},
-                                  poly=poly, split=basis.split)
+                                  poly=poly)
     got = sv.check_invariance(fam, model, basis, with_scale=True)
     want = sv.check_invariance(fam, model, separate, with_scale=True)
     assert np.array(got).tobytes() == np.array(want).tobytes()

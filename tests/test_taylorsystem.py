@@ -37,8 +37,7 @@ BLOCK_A_GOLDEN = frac_mat([
 def test_block_layout(walker):
     block = sv.build_block_operator(walker, N=2)
     assert block.matrix.shape == (18, 18)
-    table = block.table
-    idx = list(table)
+    idx = list(block.table)
     assert idx == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
     # row block n, column block k carries the operator for index k - n
     for i, n in enumerate(idx):
@@ -272,12 +271,12 @@ def _block_and_stack_residuals(fam, model, basis):
     L, A, S = map(convert, (block.matrix, block_A.matrix, sv.slow_subspace_matrix(basis)))
     resid = rat.as_fractions(L @ S - S @ A)
     assert sv.verify_slow_subspace(block, block_A, basis) == float(abs(resid).max())
-    table, d, m = block.table, basis.dimU, basis.m
+    pos, d, m = {k: i for i, k in enumerate(block.table)}, basis.dimU, basis.m
     stacked = rat.zeros(resid.shape, basis.is_exact)
     for n, exponents, diff, _ in _invariance_residuals(fam, model, basis):
-        j = table.position(n)
+        j = pos[n]
         for e, coeff in zip(exponents, rat.as_fractions(diff)):
-            i = table.position(e)
+            i = pos[e]
             stacked[i * d:(i + 1) * d, j * m:(j + 1) * m] = coeff * index_factorial(e)
     return resid, stacked
 
@@ -326,7 +325,7 @@ def test_block_residual_is_the_invariance_residual_entrywise(case, walker, walke
     poly = {n: dict(p) for n, p in basis.poly.items()}
     poly[k][k] = _moved_largest(poly[k][k])
     moved_basis = sv.GeneratingBasis(M=basis.M, N=N, m=basis.m, dimU=basis.dimU,
-                                     vectors=basis.vectors, poly=poly, split=basis.split)
+                                     vectors=basis.vectors, poly=poly)
     for name, mod, bas in (("constructed", model, basis), ("A moved", moved_model, basis),
                            ("poly moved", model, moved_basis)):
         resid, stacked = _block_and_stack_residuals(fam, mod, bas)
