@@ -5,15 +5,11 @@ exactly in Fourier space, so for these linear systems every Fourier mode
 evolves independently under the family symbol ``S(kappa) = sum_k L_k (i
 kappa)^k``.  Time integration is exact up to rounding: one matrix
 exponential ``expm(S(kappa) span)`` per mode and run advances it from one
-sample to the next, so there is no time step to choose.  :func:`_expm`
-computes all of them at once, vectorised over the modes (scaling and
-squaring, Al-Mohy & Higham 2009, as ``scipy.linalg.expm`` runs it slice by
-slice); :func:`mode_evolution_oracle` keeps ``scipy.linalg.expm`` as the
-independent single-mode reference.  Fields and operators are real, so
-only the half spectrum of ``rfftn`` is propagated and transformed, held
-component-major so that each step is ``d^2`` multiply-adds over contiguous
-modes (see :func:`_integrate`); the closure residual uses the same half
-spectrum.
+sample to the next, so there is no time step to choose.  Fields and
+operators are real, so only the half spectrum of ``rfftn`` is propagated,
+and of it only the modes the initial field excites, with one
+``scipy.linalg.expm`` call on their stack (see :func:`_integrate`); the
+closure residual uses the same half spectrum.
 
 The diagnostics here quantify how well a reduced model tracks the full
 system: the emergence error between the projected micro solution and an
@@ -60,7 +56,8 @@ __all__ = [
 _GROWTH_LIMIT = 1e6
 # bytes of real values per block of samples: the projected slow amplitudes
 # of the diagnostics, whose temporaries take about ten times this, and the
-# frames that _integrate transforms in one call
+# frames that _integrate transforms in one call (scipy.linalg.expm works
+# slice by slice, so the propagators need no blocking)
 _BLOCK_BYTES = 1 << 19
 
 
@@ -190,7 +187,11 @@ def symbol_matrix(source, kappa) -> np.ndarray:
 
 
 def mode_evolution_oracle(source, kappa, t: float, u0=None):
-    """Exact single-mode propagator ``expm(S(kappa) t)``, or its action."""
+    """Exact single-mode propagator ``expm(S(kappa) t)``, or its action.
+
+    The integrator uses the same ``scipy.linalg.expm`` once per sample span
+    and steps; this takes the whole span ``t`` in one call.
+    """
     P = sla.expm(symbol_matrix(source, kappa) * float(t))
     if u0 is None:
         return P
@@ -238,168 +239,27 @@ def _half_spectrum(lengths, grid):
     return shape, rows, kvecs, twin
 
 
-# -- matrix exponential of a stack --------------------------------------------
-#
-# Al-Mohy & Higham 2009, "A new scaling and squaring algorithm for the matrix
-# exponential".  The [m/m] Pade approximant r_m of exp has backward error at
-# most unit roundoff while the scaled norm is at most theta_m (their Table
-# 3.1); |c_(2m+1)| is the leading coefficient of that error's series.
-
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068, 13: 4.25}
-_ERR_COEF = {3: 1 / 100800, 5: 1 / 10059033600, 7: 1 / 4487938430976000,
-             9: 1 / 5914384781877411840000,
-             13: 1 / 113250775606021113483283560000}
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-
-
-def _mm(A, B):
-    """Row-wise matrix product of ``(d, d, rows)`` stacks (A may be ``(1, d, rows)``)."""
-    C = A[:, 0, None] * B[0]
-    for j in range(1, A.shape[1]):
-        C += A[:, j, None] * B[j]
-    return C
-
-
-def _norm1(A):
-    """Exact 1-norm of each row of a ``(d, d, rows)`` stack."""
-    return np.abs(A).sum(axis=0).max(axis=0)
-
-
-def _ell(A, m):
-    """Extra squarings that keep the backward error of r_m below roundoff.
-
-    ``ell(A, m)`` of Al-Mohy & Higham, from the exact 1-norm of
-    ``|A|^(2m+1)``: ``2m + 1`` products of ``e^T`` with ``|B| = |A| / ||A||``,
-    which cannot overflow, and the factor ``||A||^(2m+1)`` in logarithms.
-    """
-    norm = _norm1(A)
-    absB = np.abs(A) / norm
-    v = absB.sum(axis=0, keepdims=True)
-    for _ in range(2 * m):
-        v = _mm(v, absB)
-    # log2(alpha / u), alpha = |c_(2m+1)| ||A|^(2m+1)|| / ||A||, u = 2^-53
-    x = np.log2(_ERR_COEF[m] * v.max(axis=(0, 1))) + 2 * m * np.log2(norm) + 53
-    return np.maximum(np.ceil(x / (2 * m)), 0).astype(int)
-
-
-def _pade(A, pw, m):
-    """r_m(A) of a ``(d, d, rows)`` stack, from its even powers ``pw[k] = A^k``."""
-    b = _PADE[m]
-    eye = np.eye(A.shape[0])[..., None]
-    if m == 13:
-        A2, A4, A6 = pw[2], pw[4], pw[6]
-        U = _mm(A, _mm(A6, b[13] * A6 + b[11] * A4 + b[9] * A2)
-                + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = (_mm(A6, b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    else:
-        U = _mm(A, b[1] * eye + sum(b[k + 1] * pw[k] for k in range(2, m, 2)))
-        V = b[0] * eye + sum(b[k] * pw[k] for k in range(2, m, 2))
-    Q, R = (V - U).transpose(2, 0, 1), (V + U).transpose(2, 0, 1)
-    return np.linalg.solve(Q, R).transpose(1, 2, 0)
-
-
-def _expm(A: np.ndarray) -> np.ndarray:
-    """``expm`` of every slice of a ``(rows, d, d)`` stack, vectorised over rows.
-
-    Runs the algorithm of Al-Mohy & Higham 2009 that ``scipy.linalg.expm``
-    runs slice by slice (see :func:`_expm_general`).  As in scipy's loop,
-    a row with no off-diagonal entry gets exactly ``exp`` of its diagonal,
-    so ``d = 1`` gives ``np.exp``.  The other rows go through in chunks of
-    ``_BLOCK_BYTES`` of input, which bounds the work space to about 16
-    times that: the allocator keeps much of a larger work space after it
-    is freed, which raised the peak memory of later runs in the process.
-    """
-    A = np.asarray(A)
-    d = A.shape[-1]
-    P = np.zeros(A.shape, dtype=np.result_type(A, 1.0))
-    general = A[:, ~np.eye(d, dtype=bool)].any(axis=1)
-    diag, ii = np.flatnonzero(~general)[:, None], np.arange(d)
-    P[diag, ii, ii] = np.exp(A[diag, ii, ii])
-    rows = np.flatnonzero(general)
-    chunk = max(1, _BLOCK_BYTES // (A.itemsize * d * d))
-    for lo in range(0, rows.size, chunk):
-        r = rows[lo : lo + chunk]
-        P[r] = _expm_general(A[r].transpose(1, 2, 0)).transpose(2, 0, 1)
-    return P
-
-
-def _expm_general(G):
-    """``expm`` of each row of a ``(d, d, rows)`` stack, where a product is
-    ``d^3`` multiply-adds over contiguous rows.
-
-    Exact 1-norms of ``A^4 ... A^10`` give ``eta``, which picks the lowest
-    Pade degree m whose bound ``theta_m`` it meets with no extra squaring
-    (``ell``), else m = 13 with the scaling ``s`` from ``eta`` plus ``ell``.
-    The rows are then sorted by ``s``, so that each squaring acts on a
-    contiguous tail.  A row whose powers overflow, so that ``eta`` is not
-    finite, comes out NaN, as in scipy.
-    """
-    G = np.ascontiguousarray(G)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pw = {2: _mm(G, G)}
-        pw[4] = _mm(pw[2], pw[2])
-        pw[6] = _mm(pw[4], pw[2])
-        pw[8] = _mm(pw[4], pw[4])
-        d4, d6, d8, d10 = (
-            _norm1(Ak) ** (1 / k)
-            for k, Ak in ((4, pw[4]), (6, pw[6]), (8, pw[8]), (10, _mm(pw[4], pw[6])))
-        )
-        eta1, eta3 = np.maximum(d4, d6), np.maximum(d6, d8)
-        m = np.full(G.shape[-1], 13)
-        for k, eta in ((3, eta1), (5, eta1), (7, eta3), (9, eta3)):
-            fits = np.flatnonzero((m == 13) & (eta <= _THETA[k]))
-            m[fits[_ell(G[..., fits], k) == 0]] = k
-        eta13 = np.minimum(eta3, np.maximum(d8, d10))
-        # rows with a non-finite eta13 are left NaN
-        big = np.flatnonzero((m == 13) & np.isfinite(eta13))
-        s = np.zeros(G.shape[-1], dtype=int)
-        s[big] = np.maximum(np.ceil(np.log2(eta13[big] / _THETA[13])), 0)
-        s[big] += _ell(G[..., big] * np.exp2(-s[big]), 13)
-        X = np.full_like(G, np.nan)
-        for k in (3, 5, 7, 9):
-            r = np.flatnonzero(m == k)
-            X[..., r] = _pade(G[..., r], {j: pw[j][..., r] for j in range(2, k, 2)}, k)
-        As = G[..., big] * np.exp2(-s[big])
-        A2 = _mm(As, As)
-        A4 = _mm(A2, A2)
-        X[..., big] = _pade(As, {2: A2, 4: A4, 6: _mm(A4, A2)}, 13)
-        order = np.argsort(s, kind="stable")
-        X, s = X[..., order], s[order]
-        for k in range(1, s[-1] + 1):
-            tail = X[..., np.searchsorted(s, k):]
-            tail[...] = _mm(tail, tail)
-    return X[..., np.argsort(order)]
-
-
 def _integrate(ops, values0, T, samples, lengths, kind, keep=None):
-    """Advance every Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``.
+    """Advance every excited Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``.
 
     The field and every operator are real, so a mode's mirror evolves as
     its conjugate, and only the rows of :func:`_half_spectrum` are
-    propagated: ``rfftn`` of ``values0``, one :func:`_expm` over
-    ``g0 ... (g_last / 2 + 1)`` modes plus the mirror rows, then one step
-    per sample.  The spectrum is held component-major, ``u`` as
-    ``(dim, rows)`` and the propagators as ``(dim, dim, rows)``, so a step
-    is ``dim^2`` multiply-adds over contiguous rows.  Each sample is the
-    ``irfftn`` of the half spectrum with the mean of the two evolutions
-    stored at the modes that have a mirror row, which is the real part of
-    the full-spectrum ``ifftn``.  The last axis's own 0 and Nyquist columns
-    need no mirror row, because ``irfftn`` takes their Hermitian part from
-    stored modes.  Samples are transformed a block of ``_BLOCK_BYTES`` of
-    output at a time, in one ``irfftn`` call.  Modes outside the full-grid
-    boolean mask ``keep``, when given, do not evolve.
+    propagated.  A row whose initial coefficient is zero in every component
+    stays zero, so only the others, the live rows, are stepped: one
+    ``scipy.linalg.expm`` of their stack, then one step per sample.  A live
+    mirror row's mode is live too: both start from the same coefficient.
+    The live rows are held component-major, ``u`` as ``(dim, rows)`` and
+    the propagators as ``(dim, dim, rows)``, so a step is ``dim^2``
+    multiply-adds over contiguous rows.  Each sample is the ``irfftn`` of
+    the half spectrum, zero off the live rows, with the mean of the two
+    evolutions stored at the modes that have a mirror row, which is the
+    real part of the full-spectrum ``ifftn``.  The last axis's own 0 and
+    Nyquist columns need no mirror row, because ``irfftn`` takes their
+    Hermitian part from stored modes.  Samples are transformed a block of
+    ``_BLOCK_BYTES`` of output at a time, in one ``irfftn`` call.  Modes
+    outside the full-grid boolean mask ``keep``, when given, do not evolve.
+    The growth check names a mode whose propagator overflows, so numpy's
+    overflow warnings are silenced.
     """
     if T < 0:
         raise ValueError("integration span must be >= 0")
@@ -407,44 +267,54 @@ def _integrate(ops, values0, T, samples, lengths, kind, keep=None):
     axes = tuple(range(len(grid)))
     shape, rows, kvecs, twin = _half_spectrum(lengths, grid)
     n = int(np.prod(shape))
+    u = np.fft.rfftn(values0, axes=axes).reshape(n, dim)
+    u = np.concatenate([u, u[twin]])
+    live = np.flatnonzero(u.any(axis=1))
+    u = u[live].T.copy()
+    kvecs = [kv[live] for kv in kvecs]
     S = _symbol_table(ops, kvecs, dim)
     if keep is not None:
-        S = S * keep[tuple(rows)][:, None, None]
-    u = np.fft.rfftn(values0, axes=axes).reshape(n, dim)
-    u = np.concatenate([u, u[twin]]).T.copy()
+        S = S * keep[tuple(rows[:, live])][:, None, None]
+    # live rows of the half grid, then the modes of the live mirror rows
+    # and their positions among the live rows
+    nb = int(np.searchsorted(live, n))
+    pair = twin[live[nb:] - n]
+    ppos = np.searchsorted(live, pair)
     span = T / samples if samples else 0.0
-    P = np.ascontiguousarray(_expm(S * span).transpose(1, 2, 0))
     out_t = span * np.arange(samples + 1)
     out_v = np.empty((samples + 1,) + grid + (dim,))
     out_v[0] = values0
     # amplitude: largest real or imaginary part, cheaper than |u| per sample;
     # the rows hold each such value of the full spectrum up to sign
-    amp0 = max(float(np.abs(u.view(float)).max()), 1e-300)
+    amp0 = max(float(np.abs(u.view(float)).max(initial=0.0)), 1e-300)
     step = _block_length(grid, dim)
-    half = np.empty((min(step, samples), dim, n), dtype=complex)
-    for lo in range(1, samples + 1, step):
-        hi = min(lo + step, samples + 1)
-        for s, h in zip(range(lo, hi), half):
-            v = P[:, 0] * u[0]
-            for j in range(1, dim):
-                v += P[:, j] * u[j]
-            u = v
-            # written so that a NaN or infinite amplitude fails the check too
-            if not np.abs(u.view(float)).max() <= _GROWTH_LIMIT * amp0:
-                raise _growth_violation(u, kvecs, n, out_t[s])
-            h[:] = u[:, :n]
-            h[:, twin] = (u[:, twin] + u[:, n:]) / 2
-        block = half[: hi - lo].reshape((hi - lo, dim) + shape)
-        block = np.fft.irfftn(block, s=grid, axes=tuple(a + 2 for a in axes))
-        out_v[lo:hi] = np.moveaxis(block, 1, -1)
+    half = np.zeros((min(step, samples), dim, n), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = np.ascontiguousarray(sla.expm(S * span).transpose(1, 2, 0))
+        for lo in range(1, samples + 1, step):
+            hi = min(lo + step, samples + 1)
+            for s, h in zip(range(lo, hi), half):
+                v = P[:, 0] * u[0]
+                for j in range(1, dim):
+                    v += P[:, j] * u[j]
+                u = v
+                # written so that a NaN or infinite amplitude fails the check too
+                if not np.abs(u.view(float)).max(initial=0.0) <= _GROWTH_LIMIT * amp0:
+                    raise _growth_violation(u, kvecs, live >= n, out_t[s])
+                h[:, live[:nb]] = u[:, :nb]
+                h[:, pair] = (u[:, ppos] + u[:, nb:]) / 2
+            block = half[: hi - lo].reshape((hi - lo, dim) + shape)
+            block = np.fft.irfftn(block, s=grid, axes=tuple(a + 2 for a in axes))
+            out_v[lo:hi] = np.moveaxis(block, 1, -1)
     return Trajectory(out_t, out_v, lengths, kind)
 
 
-def _growth_violation(u, kvecs, n, t) -> StabilityViolation:
+def _growth_violation(u, kvecs, mirror, t) -> StabilityViolation:
     """The error for rows ``u`` (``(dim, rows)``) that failed the growth check at time t.
 
-    Names a non-finite row if there is one, else the largest.  A mirror row
-    (``r >= n``) is the conjugate of the mode at minus its wavevector.
+    ``kvecs`` holds each row's wavevector.  Names a non-finite row if there
+    is one, else the largest.  A mirror row (``mirror[r]``) is the conjugate
+    of the mode at minus its wavevector.
     """
     bad = ~np.isfinite(u).all(axis=0)
     if bad.any():
@@ -454,7 +324,7 @@ def _growth_violation(u, kvecs, n, t) -> StabilityViolation:
         what = (f"grew beyond {_GROWTH_LIMIT:.0e} times its initial amplitude "
                 f"by t = {t:.6g}, largest")
     # 0.0 - k, not -k, keeps a zero component from printing as -0
-    kappa = ", ".join(f"{kv[r] if r < n else 0.0 - kv[r]:.6g}" for kv in kvecs)
+    kappa = ", ".join(f"{0.0 - kv[r] if mirror[r] else kv[r]:.6g}" for kv in kvecs)
     return StabilityViolation(
         f"solution {what} at wavevector kappa = ({kappa}); check the model"
     )
@@ -470,11 +340,12 @@ def simulate_micro(
 
     Returns ``samples + 1`` uniformly spaced snapshots including t = 0.
     Each Fourier mode advances by its exact propagator
-    ``expm(S(kappa) T / samples)`` per sample.  Only the half spectrum of
-    ``rfftn`` is propagated, plus a second row for each mode with a Nyquist
-    index on a leading axis and an interior index on the last, whose two
-    evolutions the real part averages; the result is the real part of the
-    full-spectrum run.  Raises :class:`StabilityViolation` once the
+    ``expm(S(kappa) T / samples)`` (``scipy.linalg.expm``) per sample.  Only
+    the half spectrum of ``rfftn`` is propagated, plus a second row for each
+    mode with a Nyquist index on a leading axis and an interior index on the
+    last, whose two evolutions the real part averages; the result is the
+    real part of the full-spectrum run.  Rows that start at zero stay zero
+    and are not propagated.  Raises :class:`StabilityViolation` once the
     solution grows beyond 1e6 times its initial amplitude or becomes
     non-finite.
     """

@@ -184,6 +184,50 @@ def test_simulate_non_finite_state_exits_three(tmp_path):
     assert report["error"]["check"] == "StabilityViolation"
 
 
+def test_ill_posed_macro_fails_with_one_line_and_no_numpy_warning(tmp_path):
+    # the N = 6 walker model grows along x; its seeded mode's propagator
+    # overflows, and the growth check names it
+    res = run_cli("simulate", "--model", "walker-modal", "-N", "6", "--grid", "64",
+                  "--wavelengths", "8", "--T", "200", "--out", tmp_path / "run")
+    assert res.returncode == 3, res.stderr
+    assert "Warning" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("slowvary: FAIL [StabilityViolation] solution became "
+                               "non-finite")
+    assert "kappa = (8.63938, 0)" in lines[0]
+
+
+def test_unexcited_ill_posed_modes_do_not_fail_the_run(tmp_path):
+    # The N = 4 walker model grows in a wedge between 16.6 and 33.7 degrees
+    # from the x axis.  The plane wave along x excites none of those modes,
+    # and a mode that starts at zero is not propagated, so nothing overflows
+    # and the run exits 0, although the model is far off at this wavelength.
+    # Telling the user that the model is ill-posed there is a separate check.
+    out = tmp_path / "run"
+    res = run_cli("simulate", "--model", "walker-modal", "-N", "4", "--grid", "128,128",
+                  "--wavelengths", "4", "--out", out)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is True
+    assert report["plateau"] > 1
+    assert np.isfinite(sv.read_frames(out / "frames.bin").values).all()
+
+
+def test_huge_span_of_a_mean_free_field_decays_to_zero(tmp_path):
+    # span 5e19: every mode of the mean-free seed has decayed; the kappa = 0
+    # row, whose propagator loses its conserved mode at such spans, starts at
+    # zero and is not propagated
+    out = tmp_path / "run"
+    res = run_cli("simulate", "--model", "walker-physical", "-N", "2", "--grid", "8,8",
+                  "--T", "1e22", "--out", out)
+    assert res.returncode == 0, res.stderr
+    traj = sv.read_frames(out / "frames.bin")
+    assert np.abs(traj.values[0]).max() > 0.5
+    assert not traj.values[1:].any()
+
+
 def test_validate_builtin_models():
     for name in ("walker-modal", "walker-physical"):
         res = run_cli("validate", "--model", name)

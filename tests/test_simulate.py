@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import slowvary as sv
+from slowvary import simulate
 from slowvary.errors import InsufficientDecay, StabilityViolation
 
 
@@ -211,6 +212,42 @@ def test_decay_fit_requires_three_efoldings(walker):
     traj = sv.simulate_micro(walker, f0, T=1.0, samples=20)  # only one e-fold
     with pytest.raises(InsufficientDecay):
         sv.decay_rate_fit(traj, split)
+
+
+def _record_expm(monkeypatch):
+    """Record every stack that ``_integrate`` hands to ``scipy.linalg.expm``."""
+    stacks, expm = [], simulate.sla.expm
+
+    def recording(A):
+        stacks.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(simulate.sla, "expm", recording)
+    return stacks
+
+
+def test_only_excited_rows_are_propagated(walker_setup, monkeypatch):
+    fam, _, split = walker_setup
+    f0 = slow_seed((16.0, 16.0), (32, 32), split)
+    stacks = _record_expm(monkeypatch)
+    traj = sv.simulate_micro(fam, f0, T=2.0, samples=4)
+    # constant along y: only the ky = 0 column of the half spectrum (32 of
+    # its 32 * 17 + 15 rows) can hold a non-zero coefficient
+    assert len(stacks) == 1 and stacks[0][0] <= 32
+    # the seeded mode itself, against its single-mode propagator
+    kappa = (2 * np.pi / 16.0, 0.0)
+    u0 = np.fft.fftn(f0.values, axes=(0, 1))[1, 0]
+    want = sv.mode_evolution_oracle(fam, kappa, 2.0, u0=u0)
+    got = np.fft.fftn(traj.values[-1], axes=(0, 1))[1, 0]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(u0).max())
+
+
+def test_zero_field_stays_zero(walker, monkeypatch):
+    f0 = sv.MicroField((16.0, 16.0), np.zeros((8, 8, 3)))
+    stacks = _record_expm(monkeypatch)
+    traj = sv.simulate_micro(walker, f0, T=2.0, samples=4)
+    assert stacks == [(0, 3, 3)]
+    assert not traj.values.any()
 
 
 def test_stability_violation_raised():
