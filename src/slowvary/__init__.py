@@ -80,7 +80,6 @@ from .simulate import (
     emergence_error,
     mode_evolution_oracle,
     plane_wave,
-    project,
     read_frames,
     simulate_macro,
     simulate_micro,
@@ -153,7 +152,6 @@ __all__ = [
     "plane_wave",
     "simulate_micro",
     "simulate_macro",
-    "project",
     "emergence_error",
     "EmergenceResult",
     "closure_residual",

@@ -409,13 +409,12 @@ def _sparse_symmetric_split(L0, N: int, alpha: float | None) -> SpectralSplit:
     # Gershgorin: no eigenvalue exceeds max_i (a_ii + sum_{j != i} |a_ij|).
     # When that bound settles lam_top <= alpha it stands in for lam_top
     # (the default alpha's radius is |lam_bot| either way); otherwise
-    # ARPACK finds lam_top.
+    # shift-invert from just above the bound finds it in a few solves.
     lam_top = float((diag - np.abs(diag) + np.asarray(absA.sum(axis=1)).ravel()).max())
     band = 1e-9 * max(abs(lam_top), abs(lam_bot)) if alpha is None else alpha
     if lam_top > band:
-        lam_top = float(
-            eigsh("eigsh(which='LA')", k=1, which="LA", return_eigenvectors=False)[0]
-        )
+        lam_top = float(eigsh("shift-invert eigsh(k=1)", k=1, sigma=lam_top + 1e-6 * scale,
+                              which="LM", return_eigenvectors=False)[0])
     radius = max(abs(lam_top), abs(lam_bot))
     if alpha is None:
         alpha = 1e-9 * radius

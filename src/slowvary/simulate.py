@@ -8,20 +8,23 @@ exponential ``expm(S(kappa) span)`` per mode and run advances it from one
 sample to the next, so there is no time step to choose.  Fields and
 operators are real, so only the half spectrum of ``rfftn`` is propagated,
 and of it only the modes the initial field excites, with one
-``scipy.linalg.expm`` call on their stack (see :func:`_integrate`); the
-closure residual uses the same half spectrum.
+``scipy.linalg.expm`` call on their stack (see :func:`_integrate`).  A
+run's :class:`Trajectory` holds those modes' coefficients; only
+:func:`write_frames` and ``Trajectory.values`` form real-space samples.
 
-The diagnostics here quantify how well a reduced model tracks the full
-system: the emergence error between the projected micro solution and an
-independently integrated macro solution, the closure residual of the macro
-equation evaluated on projected micro data, and decay-rate fits for the
-fast transients.
+The diagnostics quantify how well a reduced model tracks the full system,
+on those coefficients, with RMS norms taken by Parseval: the emergence
+error between the projected micro solution and an independently
+integrated macro solution, the closure residual of the macro equation
+evaluated on projected micro data, and decay-rate fits for the fast
+transients.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,7 +41,6 @@ __all__ = [
     "plane_wave",
     "simulate_micro",
     "simulate_macro",
-    "project",
     "emergence_error",
     "EmergenceResult",
     "closure_residual",
@@ -54,10 +56,7 @@ __all__ = [
 ]
 
 _GROWTH_LIMIT = 1e6
-# bytes of real values per block of samples: the projected slow amplitudes
-# of the diagnostics, whose temporaries take about ten times this, and the
-# frames that _integrate transforms in one call (scipy.linalg.expm works
-# slice by slice, so the propagators need no blocking)
+# bytes of real output per irfftn call of Trajectory.blocks
 _BLOCK_BYTES = 1 << 19
 
 
@@ -66,9 +65,8 @@ def _check_box(lengths, grid):
     grid = tuple(int(g) for g in grid)
     if len(lengths) != len(grid):
         raise ValueError("lengths and grid must have one entry per direction")
-    for L in lengths:
-        if L <= 0:
-            raise ValueError("box lengths must be positive")
+    if any(L <= 0 for L in lengths):
+        raise ValueError("box lengths must be positive")
     for g in grid:
         if g < 1 or (g & (g - 1)):
             raise ValueError(f"grid sizes must be powers of two, got {g}")
@@ -76,31 +74,25 @@ def _check_box(lengths, grid):
 
 
 @dataclass
-class MicroField:
-    """Full-state field sampled on a periodic box; shape (*grid, dimU)."""
-
+class _Field:
     lengths: tuple
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.lengths, self.grid = _check_box(self.lengths, self.values.shape[:-1])
+
+
+class MicroField(_Field):
+    """Full-state field sampled on a periodic box; shape (*grid, dimU)."""
 
     @property
     def dimU(self) -> int:
         return self.values.shape[-1]
 
 
-@dataclass
-class MacroField:
+class MacroField(_Field):
     """Slow-amplitude field sampled on a periodic box; shape (*grid, m)."""
-
-    lengths: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.lengths, self.grid = _check_box(self.lengths, self.values.shape[:-1])
 
     @property
     def m(self) -> int:
@@ -113,13 +105,9 @@ def plane_wave(lengths, grid, ncomp, component=0, mode=None, amplitude=1.0):
     grid = tuple(int(g) for g in grid)
     if mode is None:
         mode = (1,) + (0,) * (len(grid) - 1)
-    axes = [
-        np.arange(g) * (L / g) for g, L in zip(grid, lengths)
-    ]
+    axes = [np.arange(g) * (L / g) for g, L in zip(grid, lengths)]
     coords = np.meshgrid(*axes, indexing="ij")
-    phase = sum(
-        2 * np.pi * mj * x / L for mj, x, L in zip(mode, coords, lengths)
-    )
+    phase = sum(2 * np.pi * mj * x / L for mj, x, L in zip(mode, coords, lengths))
     values = np.zeros(grid + (ncomp,))
     values[..., component] = amplitude * np.sin(phase)
     return values
@@ -127,20 +115,47 @@ def plane_wave(lengths, grid, ncomp, component=0, mode=None, amplitude=1.0):
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled states of one run; values shape (nt, *grid, ncomp)."""
+    """Uniformly sampled states of one run, held on the live half spectrum.
+
+    ``coef[s, c, r]`` is the ``rfftn`` coefficient of component c at
+    sample s on mode ``modes[r]``, a sorted flat index into the half grid
+    that holds the mirror of each mode in the last axis's 0 and Nyquist
+    columns; other modes are zero.  ``head`` holds exact real-space frames
+    of the first samples, if any, in place of their transforms.  ``values``
+    stacks the samples :meth:`blocks` forms, anew on each read.
+    """
 
     times: np.ndarray
-    values: np.ndarray
+    coef: np.ndarray
+    modes: np.ndarray
+    grid: tuple
     lengths: tuple
     kind: str = "micro"
-
-    @property
-    def grid(self) -> tuple:
-        return self.values.shape[1:-1]
+    head: np.ndarray | None = None
 
     @property
     def ncomp(self) -> int:
-        return self.values.shape[-1]
+        return self.coef.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.concatenate(list(self.blocks()))
+
+    def blocks(self):
+        """Real-space samples in order: the head, then one ``irfftn`` call
+        per block of ``_BLOCK_BYTES`` of output."""
+        nt, grid, dim = len(self.times), self.grid, self.ncomp
+        done = 0 if self.head is None else len(self.head)
+        if done:
+            yield self.head
+        shape, axes = _half_shape(grid), tuple(range(2, len(grid) + 2))
+        step = _block_length(grid, dim)
+        half = np.zeros((min(step, nt - done), dim, int(np.prod(shape))), dtype=complex)
+        for lo in range(done, nt, step):
+            h = half[: min(step, nt - lo)]
+            h[..., self.modes] = self.coef[lo : lo + len(h)]
+            block = np.fft.irfftn(h.reshape(h.shape[:2] + shape), s=grid, axes=axes)
+            yield np.moveaxis(block, 1, -1)
 
 
 # -- spectral machinery -------------------------------------------------------
@@ -149,10 +164,6 @@ class Trajectory:
 def _frequencies(lengths, grid):
     """Angular wavenumbers of each axis, in ``fftfreq`` order."""
     return [2 * np.pi * np.fft.fftfreq(g, d=L / g) for g, L in zip(grid, lengths)]
-
-
-def _wavevectors(lengths, grid):
-    return np.meshgrid(*_frequencies(lengths, grid), indexing="ij")
 
 
 def _symbol_table(ops: dict, kvecs, dim: int) -> np.ndarray:
@@ -193,23 +204,20 @@ def mode_evolution_oracle(source, kappa, t: float, u0=None):
     and steps; this takes the whole span ``t`` in one call.
     """
     P = sla.expm(symbol_matrix(source, kappa) * float(t))
-    if u0 is None:
-        return P
-    return P @ np.asarray(u0, dtype=complex)
+    return P if u0 is None else P @ np.asarray(u0, dtype=complex)
 
 
 def _filter_mask(grid) -> np.ndarray:
     """True on modes to keep: drops the highest third per direction."""
-    masks = []
-    for g in grid:
-        f = np.abs(np.fft.fftfreq(g, d=1.0 / g))
-        masks.append(f <= g // 3 if g > 2 else np.ones(g, dtype=bool))
     out = np.ones(grid, dtype=bool)
-    for ax, mk in enumerate(masks):
-        shape = [1] * len(grid)
-        shape[ax] = grid[ax]
-        out &= mk.reshape(shape)
+    for g, mk in zip(grid, np.ix_(*(np.arange(g) for g in grid))):
+        out &= np.abs(np.fft.fftfreq(g, d=1.0 / g))[mk] <= (g // 3 if g > 2 else g)
     return out
+
+
+def _half_shape(grid) -> tuple:
+    """The grid with its last axis halved as ``rfftn`` halves it."""
+    return grid[:-1] + (grid[-1] // 2 + 1,)
 
 
 def _half_spectrum(lengths, grid):
@@ -225,7 +233,7 @@ def _half_spectrum(lengths, grid):
     evolution from the same coefficient under ``S`` at ``+pi g / L`` on those
     axes: ``kvecs`` holds the wavevector each row evolves under.
     """
-    shape = grid[:-1] + (grid[-1] // 2 + 1,)
+    shape = _half_shape(grid)
     rows = np.indices(shape).reshape(len(grid), -1)
     nyq = np.array([(r == g // 2) & (g > 1) for r, g in zip(rows, grid)])
     nyq[-1] = False
@@ -239,74 +247,67 @@ def _half_spectrum(lengths, grid):
     return shape, rows, kvecs, twin
 
 
-def _integrate(ops, values0, T, samples, lengths, kind, keep=None):
+def _integrate(ops, u, T, samples, lengths, grid, kind, head=None, keep=None):
     """Advance every excited Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``.
 
-    The field and every operator are real, so a mode's mirror evolves as
-    its conjugate, and only the rows of :func:`_half_spectrum` are
-    propagated.  A row whose initial coefficient is zero in every component
-    stays zero, so only the others, the live rows, are stepped: one
+    ``u`` is the initial half spectrum, ``(half-grid modes, dim)``.  The
+    field and every operator are real, so a mode's mirror evolves as its
+    conjugate, and only the rows of :func:`_half_spectrum` are propagated.
+    A row whose initial coefficient is zero in every component stays zero,
+    so only the others, the live rows, are stepped: one
     ``scipy.linalg.expm`` of their stack, then one step per sample.  A live
     mirror row's mode is live too: both start from the same coefficient.
     The live rows are held component-major, ``u`` as ``(dim, rows)`` and
     the propagators as ``(dim, dim, rows)``, so a step is ``dim^2``
-    multiply-adds over contiguous rows.  Each sample is the ``irfftn`` of
-    the half spectrum, zero off the live rows, with the mean of the two
-    evolutions stored at the modes that have a mirror row, which is the
-    real part of the full-spectrum ``ifftn``.  The last axis's own 0 and
-    Nyquist columns need no mirror row, because ``irfftn`` takes their
-    Hermitian part from stored modes.  Samples are transformed a block of
-    ``_BLOCK_BYTES`` of output at a time, in one ``irfftn`` call.  Modes
-    outside the full-grid boolean mask ``keep``, when given, do not evolve.
-    The growth check names a mode whose propagator overflows, so numpy's
-    overflow warnings are silenced.
+    multiply-adds over contiguous rows.  The trajectory keeps the live
+    modes of the half grid, with the mean of the two evolutions at a mode
+    with a mirror row, so that ``irfftn`` gives the real part of the
+    full-spectrum ``ifftn``; on the last axis's own 0 and Nyquist columns
+    ``irfftn`` takes the Hermitian part itself.  Modes outside the
+    full-grid mask ``keep``, when given, do not evolve.  The growth check
+    names a mode whose propagator overflows, so numpy's overflow warnings
+    are silenced.
     """
     if T < 0:
         raise ValueError("integration span must be >= 0")
-    grid, dim = values0.shape[:-1], values0.shape[-1]
-    axes = tuple(range(len(grid)))
+    dim = u.shape[-1]
     shape, rows, kvecs, twin = _half_spectrum(lengths, grid)
     n = int(np.prod(shape))
-    u = np.fft.rfftn(values0, axes=axes).reshape(n, dim)
     u = np.concatenate([u, u[twin]])
-    live = np.flatnonzero(u.any(axis=1))
+    live = u.any(axis=1)
+    # a live mode's mirror in the last axis's 0 or Nyquist column is live
+    # too (at zero, if it starts there), so the modes hold Hermitian parts
+    live[:n] = _hermitian(live[:n].astype(float), np.arange(n), grid)[0] > 0
+    live = np.flatnonzero(live)
     u = u[live].T.copy()
     kvecs = [kv[live] for kv in kvecs]
     S = _symbol_table(ops, kvecs, dim)
     if keep is not None:
         S = S * keep[tuple(rows[:, live])][:, None, None]
-    # live rows of the half grid, then the modes of the live mirror rows
-    # and their positions among the live rows
+    # live rows of the half grid, then the positions among them of the
+    # modes of the live mirror rows
     nb = int(np.searchsorted(live, n))
-    pair = twin[live[nb:] - n]
-    ppos = np.searchsorted(live, pair)
+    ppos = np.searchsorted(live, twin[live[nb:] - n])
     span = T / samples if samples else 0.0
-    out_t = span * np.arange(samples + 1)
-    out_v = np.empty((samples + 1,) + grid + (dim,))
-    out_v[0] = values0
+    times = span * np.arange(samples + 1)
+    coef = np.empty((samples + 1, dim, nb), dtype=complex)
+    coef[0] = u[:, :nb]
     # amplitude: largest real or imaginary part, cheaper than |u| per sample;
     # the rows hold each such value of the full spectrum up to sign
     amp0 = max(float(np.abs(u.view(float)).max(initial=0.0)), 1e-300)
-    step = _block_length(grid, dim)
-    half = np.zeros((min(step, samples), dim, n), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         P = np.ascontiguousarray(sla.expm(S * span).transpose(1, 2, 0))
-        for lo in range(1, samples + 1, step):
-            hi = min(lo + step, samples + 1)
-            for s, h in zip(range(lo, hi), half):
-                v = P[:, 0] * u[0]
-                for j in range(1, dim):
-                    v += P[:, j] * u[j]
-                u = v
-                # written so that a NaN or infinite amplitude fails the check too
-                if not np.abs(u.view(float)).max(initial=0.0) <= _GROWTH_LIMIT * amp0:
-                    raise _growth_violation(u, kvecs, live >= n, out_t[s])
-                h[:, live[:nb]] = u[:, :nb]
-                h[:, pair] = (u[:, ppos] + u[:, nb:]) / 2
-            block = half[: hi - lo].reshape((hi - lo, dim) + shape)
-            block = np.fft.irfftn(block, s=grid, axes=tuple(a + 2 for a in axes))
-            out_v[lo:hi] = np.moveaxis(block, 1, -1)
-    return Trajectory(out_t, out_v, lengths, kind)
+        for s in range(1, samples + 1):
+            v = P[:, 0] * u[0]
+            for j in range(1, dim):
+                v += P[:, j] * u[j]
+            u = v
+            # written so that a NaN or infinite amplitude fails the check too
+            if not np.abs(u.view(float)).max(initial=0.0) <= _GROWTH_LIMIT * amp0:
+                raise _growth_violation(u, kvecs, live >= n, times[s])
+            coef[s] = u[:, :nb]
+            coef[s][:, ppos] = (u[:, ppos] + u[:, nb:]) / 2
+    return Trajectory(times, coef, live[:nb], grid, lengths, kind, head)
 
 
 def _growth_violation(u, kvecs, mirror, t) -> StabilityViolation:
@@ -325,9 +326,7 @@ def _growth_violation(u, kvecs, mirror, t) -> StabilityViolation:
                 f"by t = {t:.6g}, largest")
     # 0.0 - k, not -k, keeps a zero component from printing as -0
     kappa = ", ".join(f"{0.0 - kv[r] if mirror[r] else kv[r]:.6g}" for kv in kvecs)
-    return StabilityViolation(
-        f"solution {what} at wavevector kappa = ({kappa}); check the model"
-    )
+    return StabilityViolation(f"solution {what} at wavevector kappa = ({kappa}); check the model")
 
 
 def simulate_micro(
@@ -344,51 +343,59 @@ def simulate_micro(
     the half spectrum of ``rfftn`` is propagated, plus a second row for each
     mode with a Nyquist index on a leading axis and an interior index on the
     last, whose two evolutions the real part averages; the result is the
-    real part of the full-spectrum run.  Rows that start at zero stay zero
-    and are not propagated.  Raises :class:`StabilityViolation` once the
-    solution grows beyond 1e6 times its initial amplitude or becomes
-    non-finite.
+    real part of the full-spectrum run.  Rows that start at zero stay zero,
+    and are neither propagated nor held.  Raises :class:`StabilityViolation`
+    once the solution grows beyond 1e6 times its initial amplitude or
+    becomes non-finite.
     """
     fam = family.to_float()
     if field0.dimU != fam.dimU:
         raise ValueError(f"field has {field0.dimU} components, family {fam.dimU}")
     if len(field0.lengths) != fam.M:
         raise ValueError(f"field box is {len(field0.lengths)}-dimensional, family {fam.M}")
-    return _integrate(fam.ops, field0.values, float(T), samples, field0.lengths, "micro")
+    u = np.fft.rfftn(field0.values, axes=tuple(range(fam.M))).reshape(-1, fam.dimU)
+    return _integrate(fam.ops, u, float(T), samples, field0.lengths, field0.grid,
+                      "micro", head=field0.values[None])
 
 
 def simulate_macro(
     model: ReducedModel,
-    field0: MacroField,
+    field0: MacroField | Trajectory,
     T: float,
     samples: int = 50,
     spectral_filter: bool | None = None,
 ) -> Trajectory:
     """Integrate the reduced model from ``field0`` to time T.
 
-    Odd truncation orders leave the top of the resolved spectrum weakly
-    amplified; by default (``spectral_filter=None``) the highest third of
-    wavenumbers per direction is therefore truncated when ``model.N`` is
-    odd, and kept when it is even.  Pass True or False to force.
-    Propagation is exact as in :func:`simulate_micro`.
+    A trajectory as ``field0`` starts the run from its first sample's
+    spectrum.  Odd truncation orders leave the top of the resolved
+    spectrum weakly amplified; by default (``spectral_filter=None``) the
+    highest third of wavenumbers per direction is therefore truncated when
+    ``model.N`` is odd, and kept when it is even.  Pass True or False to
+    force.  Propagation is exact as in :func:`simulate_micro`.
     """
-    if field0.m != model.m:
-        raise ValueError(f"field has {field0.m} components, model {model.m}")
+    grid, shape = field0.grid, _half_shape(field0.grid)
+    if isinstance(field0, Trajectory):
+        m, head = field0.ncomp, None
+        u = np.zeros((int(np.prod(shape)), m), dtype=complex)
+        u[field0.modes] = _hermitian(field0.coef[0], field0.modes, grid)[0].T
+    else:
+        m, head = field0.m, field0.values[None]
+        u = np.fft.rfftn(field0.values, axes=tuple(range(len(grid)))).reshape(-1, m)
+    if m != model.m:
+        raise ValueError(f"field has {m} components, model {model.m}")
     if len(field0.lengths) != model.M:
         raise ValueError(f"field box is {len(field0.lengths)}-dimensional, model {model.M}")
     if spectral_filter is None:
         spectral_filter = bool(model.N % 2)
-    values0, mask, grid = field0.values, None, field0.grid
+    mask = None
     if spectral_filter:
         # the mask is even in kappa, so its half grid filters a real field
         mask = _filter_mask(grid)
-        axes = tuple(range(len(grid)))
-        vhat = np.fft.rfftn(values0, axes=axes)
-        vhat *= mask[..., : grid[-1] // 2 + 1, None]
-        values0 = np.fft.irfftn(vhat, s=grid, axes=axes)
-    return _integrate(
-        model.A, values0, float(T), samples, field0.lengths, "macro", keep=mask
-    )
+        u *= mask[..., : shape[-1]].reshape(-1, 1)
+        head = None  # the filtered field is the transform of its spectrum
+    return _integrate(model.A, u, float(T), samples, field0.lengths, grid, "macro",
+                      head=head, keep=mask)
 
 
 def _block_length(grid, m: int) -> int:
@@ -396,13 +403,32 @@ def _block_length(grid, m: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * m * int(np.prod(grid))))
 
 
-def project(split: SpectralSplit, values: np.ndarray) -> np.ndarray:
-    """Slow amplitudes ``Z0.T u`` of full-state values (last axis dimU)."""
-    Z0 = rat.as_float(split.Z0)
-    return values @ Z0
-
-
 # -- diagnostics --------------------------------------------------------------
+
+
+def _hermitian(X, modes, grid):
+    """``X`` (on the half-grid ``modes``, last axis) with the last axis's 0
+    and Nyquist columns set to the Hermitian part ``(X_k + conj X_-k) / 2``
+    that ``irfftn`` keeps, and those modes' positions.  ``modes`` holds -k."""
+    shape = _half_shape(grid)
+    idx = np.unravel_index(modes, shape)
+    own = np.flatnonzero((idx[-1] == 0) | (2 * idx[-1] == grid[-1]))
+    lead = tuple(-i[own] % g for i, g in zip(idx[:-1], grid))
+    mirror = np.searchsorted(modes, np.ravel_multi_index(lead + (idx[-1][own],), shape))
+    X = X.copy()
+    X[..., own] = (X[..., own] + X[..., mirror].conj()) / 2
+    return X, own
+
+
+def _rms(X, modes, grid) -> np.ndarray:
+    """RMS over grid and components of each sample's real field, by Parseval:
+    ``X`` is ``(samples, components, modes)``, and ``sum x^2`` over N grid
+    points is ``sum |H|^2 / N`` over the full spectrum of the Hermitian part
+    H, where a mode in an interior column of the last axis counts twice."""
+    H, own = _hermitian(X, modes, grid)
+    sq = 2 * (H.real**2 + H.imag**2)
+    sq[..., own] /= 2
+    return np.sqrt(sq.sum(axis=(1, 2)) / (X.shape[1] * float(np.prod(grid)) ** 2))
 
 
 @dataclass
@@ -434,8 +460,9 @@ def emergence_error(
 
     The macro run starts at ``t_skip`` (after the fast transient has died;
     default six decades of decay, capped at half the span) from the
-    projected micro state at that instant.  The error at each later sample
-    is ``||Z0.T u_micro - U_macro|| / ||U_macro||`` in the grid RMS norm.
+    projected micro spectrum at that instant.  The error at each later
+    sample is ``||Z0.T u_micro - U_macro|| / ||U_macro||`` in the grid RMS
+    norm, taken by Parseval on the half spectrum.
     """
     if t_skip is None:
         beta = split.beta if np.isfinite(split.beta) else 1.0
@@ -445,24 +472,16 @@ def emergence_error(
     if isk >= samples:
         raise ValueError("t_skip leaves no observation window")
     t_skip = float(micro.times[isk])
-    macro0 = MacroField(field0.lengths, project(split, micro.values[isk]))
-    macro = simulate_macro(
-        model,
-        macro0,
-        float(micro.times[-1] - t_skip),
-        samples=samples - isk,
-    )
-    space_axes = tuple(range(1, micro.values.ndim))
-    step = _block_length(micro.grid, model.m)
-    diff, ref = [], []
-    for lo in range(0, samples + 1 - isk, step):
-        U = project(split, micro.values[isk + lo : isk + lo + step])
-        V = macro.values[lo : lo + step]
-        diff.append(np.sqrt(np.mean((U - V) ** 2, axis=space_axes)))
-        ref.append(np.sqrt(np.mean(V**2, axis=space_axes)))
-    diff, ref = np.concatenate(diff), np.concatenate(ref)
-    floor = 1e-12 * max(float(ref[0]), 1e-300)
-    err = diff / np.maximum(ref, floor)
+    U = _hermitian(rat.as_float(split.Z0).T @ micro.coef[isk:], micro.modes, micro.grid)[0]
+    start = Trajectory(micro.times[isk : isk + 1], U[:1], micro.modes, micro.grid,
+                       micro.lengths, "macro")
+    macro = simulate_macro(model, start, float(micro.times[-1] - t_skip),
+                           samples=samples - isk)
+    V = np.zeros_like(U)  # the macro modes are among the micro ones
+    V[..., np.searchsorted(micro.modes, macro.modes)] = macro.coef
+    diff = _rms(U - V, micro.modes, micro.grid)
+    ref = _rms(macro.coef, macro.modes, macro.grid)
+    err = diff / np.maximum(ref, 1e-12 * max(float(ref[0]), 1e-300))
     return EmergenceResult(micro.times[isk:], err, t_skip, micro, macro)
 
 
@@ -482,42 +501,30 @@ def closure_residual(
     """Residual ``dU/dt - sum_n A_n d^n U`` on projected micro samples.
 
     The time derivative is a centred difference on the uniform sample
-    grid; spatial derivatives are spectral, on the half spectrum of
-    ``rfftn``.  At a mode with a mirror row in :func:`_half_spectrum`, the
-    symbol table holds the mean of ``S`` at the two wavevectors (``-pi g /
-    L`` and ``+pi g / L`` on the Nyquist axes), which gives the real part
-    of the full-spectrum ``ifftn``.  Returned ratio is the median
-    of residual over rate across the second half of the samples, where
-    transients no longer dominate.  Samples are projected and checked a
-    block at a time, so the work space does not grow with their number.
+    grid; spatial derivatives apply the half-grid symbol to each live
+    mode, with no FFT.  At a mode with a mirror row in
+    :func:`_half_spectrum`, the symbol is the mean of ``S`` at the two
+    wavevectors (``-pi g / L`` and ``+pi g / L`` on the Nyquist axes),
+    which gives the real part of the full-spectrum ``ifftn``.  Returned
+    ratio is the median of residual over rate across the second half of
+    the samples, where transients no longer dominate.
     """
     nt = len(micro.times)
     if nt < 3:
         raise ValueError("need at least three samples for a centred difference")
     dt = float(micro.times[1] - micro.times[0])
-    grid = micro.grid
-    shape, _, kvecs, twin = _half_spectrum(micro.lengths, grid)
+    shape, _, kvecs, twin = _half_spectrum(micro.lengths, micro.grid)
     n = int(np.prod(shape))
     S = _symbol_table(model.A, kvecs, model.m)
     S[twin] = (S[twin] + S[n:]) / 2
-    S = S[:n].reshape(shape + (model.m, model.m))
-    space = tuple(range(1, micro.values.ndim - 1))
-    axes = tuple(range(1, micro.values.ndim))
-    step = _block_length(grid, model.m)
-    res_rms, rate_rms = [], []
-    for lo in range(1, nt - 1, step):
-        # the block's interior samples plus one neighbour on either side
-        U = project(split, micro.values[lo - 1 : lo + step + 1])
-        rhs_hat = np.einsum("...ij,t...j->t...i", S, np.fft.rfftn(U[1:-1], axes=space))
-        dU = (U[2:] - U[:-2]) / (2 * dt)
-        resid = dU - np.fft.irfftn(rhs_hat, s=grid, axes=space)
-        res_rms.append(np.sqrt(np.mean(resid**2, axis=axes)))
-        rate_rms.append(np.sqrt(np.mean(dU**2, axis=axes)))
-    res_rms, rate_rms = np.concatenate(res_rms), np.concatenate(rate_rms)
+    S = S[micro.modes]
+    U = _hermitian(rat.as_float(split.Z0).T @ micro.coef, micro.modes, micro.grid)[0]
+    dU = (U[2:] - U[:-2]) / (2 * dt)
+    resid = dU - np.einsum("rij,tjr->tir", S, U[1:-1])
+    res_rms = _rms(resid, micro.modes, micro.grid)
+    rate_rms = _rms(dU, micro.modes, micro.grid)
     tail = slice(res_rms.size // 2, None)
-    ratio = float(
-        np.median(res_rms[tail] / np.maximum(rate_rms[tail], 1e-300))
-    )
+    ratio = float(np.median(res_rms[tail] / np.maximum(rate_rms[tail], 1e-300)))
     return ClosureResult(micro.times[1:-1], res_rms, rate_rms, ratio)
 
 
@@ -532,28 +539,25 @@ class DecayFit:
 def decay_rate_fit(micro: Trajectory, split: SpectralSplit) -> DecayFit:
     """Exponential rate of the fast (stable-projected) content.
 
-    Projects out the slow subspace via ``u - V0 Z0.T u``, then fits a line
-    to the log of the RMS norms over the samples above the relative noise
-    floor.  Raises :class:`InsufficientDecay` unless the usable window
-    spans at least three e-foldings.
+    Projects out the slow subspace via ``u - V0 Z0.T u`` on the live
+    modes, then fits a line to the log of the RMS norms (by Parseval) over
+    the samples above the relative noise floor.  Raises
+    :class:`InsufficientDecay` unless the usable window spans at least
+    three e-foldings.
     """
-    V0 = rat.as_float(split.V0)
-    fast = micro.values - project(split, micro.values) @ V0.T
-    axes = tuple(range(1, fast.ndim))
-    norms = np.sqrt(np.mean(fast**2, axis=axes))
+    V0, Z0 = rat.as_float(split.V0), rat.as_float(split.Z0)
+    fast = micro.coef - V0 @ (Z0.T @ micro.coef)
+    norms = _rms(fast, micro.modes, micro.grid)
     if norms[0] <= 0:
         raise InsufficientDecay("no fast content in the initial state")
     valid = norms > 1e-13 * norms[0]
     if valid.sum() < 3:
         raise InsufficientDecay("fewer than three samples above the noise floor")
-    t = micro.times[valid]
-    y = np.log(norms[valid])
+    t, y = micro.times[valid], np.log(norms[valid])
     efold = float(y[0] - y[-1])
     if efold < 3.0:
-        raise InsufficientDecay(
-            f"only {efold:.2f} e-foldings of decay in the usable window; "
-            "need at least 3 to fit a rate"
-        )
+        raise InsufficientDecay(f"only {efold:.2f} e-foldings of decay in the usable "
+                                "window; need at least 3 to fit a rate")
     slope = np.polyfit(t, y, 1)[0]
     return DecayFit(float(-slope), t, norms[valid], efold)
 
@@ -602,12 +606,9 @@ def closure_order_study(
         lengths = (float(L),) * fam.M
         grid = (int(grid_points),) + (1,) * (fam.M - 1)
         profile = plane_wave(lengths, grid, split.m, component=component)
-        values0 = np.einsum("...m,dm->...d", profile, V0)
-        field0 = MicroField(lengths, values0)
-        res = emergence_error(
-            fam, model, split, field0, T=t_skip + window,
-            t_skip=t_skip, samples=samples,
-        )
+        field0 = MicroField(lengths, np.einsum("...m,dm->...d", profile, V0))
+        res = emergence_error(fam, model, split, field0, T=t_skip + window,
+                              t_skip=t_skip, samples=samples)
         plateaus.append(res.plateau())
     plateaus = np.asarray(plateaus)
     wl = np.asarray([float(L) for L in wavelengths])
@@ -626,7 +627,8 @@ _MAGIC = b"SVFRAME1"
 
 
 def write_frames(path, traj: Trajectory) -> None:
-    """Binary trajectory dump: little-endian f64 frames with a fixed header."""
+    """Binary trajectory dump: little-endian f64 frames with a fixed header,
+    each block written as :meth:`Trajectory.blocks` forms it."""
     grid = traj.grid
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -636,12 +638,14 @@ def write_frames(path, traj: Trajectory) -> None:
         fh.write(struct.pack("<Q", len(traj.times)))
         kind = traj.kind.encode()[:8].ljust(8, b"\0")
         fh.write(kind)
-        for t, frame in zip(traj.times, traj.values):
+        for t, frame in zip(traj.times, chain.from_iterable(traj.blocks())):
             fh.write(struct.pack("<d", float(t)))
             fh.write(np.ascontiguousarray(frame, dtype="<f8").tobytes())
 
 
 def read_frames(path) -> Trajectory:
+    """The trajectory of a frame file: every frame as its head, and their
+    ``rfftn`` coefficients on the whole half grid."""
     with open(path, "rb") as fh:
         if fh.read(8) != _MAGIC:
             raise ValueError(f"{path} is not a frame file")
@@ -650,11 +654,9 @@ def read_frames(path) -> Trajectory:
         lengths = struct.unpack(f"<{M}d", fh.read(8 * M))
         (nframes,) = struct.unpack("<Q", fh.read(8))
         kind = fh.read(8).rstrip(b"\0").decode()
-        times = np.zeros(nframes)
-        values = np.zeros((nframes,) + grid + (ncomp,))
-        count = int(np.prod(grid)) * ncomp
-        for i in range(nframes):
-            (times[i],) = struct.unpack("<d", fh.read(8))
-            buf = fh.read(8 * count)
-            values[i] = np.frombuffer(buf, dtype="<f8").reshape(grid + (ncomp,))
-    return Trajectory(times, values, tuple(lengths), kind or "micro")
+        frames = np.fromfile(fh, np.dtype([("t", "<f8"), ("v", "<f8", grid + (ncomp,))]),
+                             count=nframes)
+    times, values = frames["t"].astype(float), frames["v"].astype(float)
+    coef = np.moveaxis(np.fft.rfftn(values, axes=tuple(range(1, M + 1))), -1, 1)
+    return Trajectory(times, coef.reshape(nframes, ncomp, -1), np.arange(coef[0, 0].size),
+                      grid, tuple(lengths), kind or "micro", head=values)

@@ -23,6 +23,13 @@ def walker_physical():
     return random_walker_physical()
 
 
+def wavevectors(lengths, grid):
+    """Full-grid wavevector components in ``fftfreq`` order, as ``simulate``
+    computes each axis's wavenumbers."""
+    freqs = [2 * np.pi * np.fft.fftfreq(g, d=L / g) for g, L in zip(grid, lengths)]
+    return np.meshgrid(*freqs, indexing="ij")
+
+
 def random_gap_family(
     rng,
     dimU: int = 4,

@@ -193,6 +193,14 @@ def _shift_invert_k(calls):
     return [call["k"] for call in calls if call["sigma"] is not None]
 
 
+def _top_calls(calls, bound):
+    """The shift-invert calls for the top eigenvalue: k = 1, shifted just
+    above the Gershgorin bound."""
+    return [call for call in calls
+            if call["k"] == 1 and call["sigma"] is not None
+            and bound < call["sigma"] < bound + 1e-4 and call["which"] == "LM"]
+
+
 def test_sparse_split_gershgorin_settles_stability(arpack_calls):
     # diagonally dominant, non-positive diagonal: the bound is 0 <= alpha
     fam = sv.OperatorFamily({(0,): _cycle_laplacian(700)})
@@ -207,7 +215,9 @@ def test_sparse_split_falls_back_to_arpack_for_positive_eigenvalue(arpack_calls)
     L0[0, 0] = 1.0
     with pytest.raises(UnstableMode, match="largest eigenvalue"):
         sv.spectral_split(sv.OperatorFamily({(0,): L0.tocsr()}), N=1)
-    assert "LA" in _which(arpack_calls)
+    # row 0 has a_00 + |a_01| + |a_0,n-1| = 3
+    assert len(_top_calls(arpack_calls, 3.0)) == 1
+    assert "LA" not in _which(arpack_calls)
 
 
 def test_sparse_split_falls_back_to_arpack_without_dominance(arpack_calls):
@@ -217,7 +227,8 @@ def test_sparse_split_falls_back_to_arpack_without_dominance(arpack_calls):
     lap = _cycle_laplacian(n)
     fam = sv.OperatorFamily({(0,): (lap - lap @ lap).tocsr()})
     split = sv.spectral_split(fam, N=2)
-    assert "LA" in _which(arpack_calls)
+    assert len(_top_calls(arpack_calls, 4.0)) == 1
+    assert "LA" not in _which(arpack_calls)
     assert split.m == 1
     mu = 2.0 - 2.0 * np.cos(2 * np.pi / n)
     assert split.beta == pytest.approx(mu + mu**2, rel=1e-8)

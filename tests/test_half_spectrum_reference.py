@@ -15,11 +15,14 @@ axis; zero, Jordan and rotation centres whose odd-order ``L_k`` make a
 Nyquist mode's two evolutions differ; and ``simulate_macro`` with and
 without its filter.  In two dimensions, a field that is constant along
 the last axis has only the last axis's 0 column, where both transforms do
-the same arithmetic, so its trajectory is bitwise equal.  (In three,
+the same arithmetic, so its trajectory is bitwise equal, and so is the
+frame file that ``write_frames`` streams block by block.  (In three,
 ``irfftn`` takes the leading axes in the opposite order to ``ifftn``.)
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -29,16 +32,17 @@ import slowvary as sv
 from slowvary.errors import StabilityViolation
 from slowvary.simulate import (
     _GROWTH_LIMIT,
-    Trajectory,
     _filter_mask,
     _symbol_table,
-    _wavevectors,
 )
 
-from conftest import random_gap_family
+from conftest import random_gap_family, wavevectors
+
+# the reference's trajectory: real-space samples, held whole
+Frames = namedtuple("Frames", "times values")
 
 
-def _integrate_full(S, values0, T, samples, grid, lengths, kind):
+def _integrate_full(S, values0, T, samples, grid, lengths):
     """Advance every Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``."""
     if T < 0:
         raise ValueError("integration span must be >= 0")
@@ -60,23 +64,21 @@ def _integrate_full(S, values0, T, samples, grid, lengths, kind):
         # written so that a NaN or infinite amplitude fails the check too
         if not np.abs(u.view(float)).max() <= _GROWTH_LIMIT * amp0:
             top = np.abs(u).max(axis=0).argmax()
-            kappa = ", ".join(f"{kv.flat[top]:.6g}" for kv in _wavevectors(lengths, grid))
+            kappa = ", ".join(f"{kv.flat[top]:.6g}" for kv in wavevectors(lengths, grid))
             raise StabilityViolation(
                 f"solution grew beyond {_GROWTH_LIMIT:.0e} times its initial "
                 f"amplitude by t = {out_t[s]:.6g}, largest at wavevector "
                 f"kappa = ({kappa}); check the model"
             )
         out_v[s] = np.real(np.fft.ifftn(u.T.reshape(S.shape[:-1]), axes=axes))
-    return Trajectory(out_t, out_v, lengths, kind)
+    return Frames(out_t, out_v)
 
 
 def _micro_full(family, field0, T, samples):
     fam = family.to_float()
-    kvecs = _wavevectors(field0.lengths, field0.grid)
+    kvecs = wavevectors(field0.lengths, field0.grid)
     S = _symbol_table(fam.ops, kvecs, fam.dimU)
-    return _integrate_full(
-        S, field0.values, float(T), samples, field0.grid, field0.lengths, "micro"
-    )
+    return _integrate_full(S, field0.values, float(T), samples, field0.grid, field0.lengths)
 
 
 def _filter_full(values0, grid):
@@ -90,15 +92,13 @@ def _filter_full(values0, grid):
 def _macro_full(model, field0, T, samples, spectral_filter=None):
     if spectral_filter is None:
         spectral_filter = bool(model.N % 2)
-    kvecs = _wavevectors(field0.lengths, field0.grid)
+    kvecs = wavevectors(field0.lengths, field0.grid)
     S = _symbol_table(model.A, kvecs, model.m)
     values0 = field0.values
     if spectral_filter:
         S = S * _filter_mask(field0.grid)[..., None, None]
         values0 = _filter_full(values0, field0.grid)
-    return _integrate_full(
-        S, values0, float(T), samples, field0.grid, field0.lengths, "macro"
-    )
+    return _integrate_full(S, values0, float(T), samples, field0.grid, field0.lengths)
 
 
 RTOL = 1e-12
@@ -202,6 +202,36 @@ def test_plane_wave_constant_along_last_axis_is_bitwise(walker, grid, mode):
     got = sv.simulate_micro(walker, field0, 2.0, samples=8)
     assert got.times.tobytes() == want.times.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("frames_per_block", [1, 3, None])
+@pytest.mark.parametrize(
+    "grid, mode", [((16, 16), (1, 0)), ((8, 8), (4, 0)), ((32, 1), (1, 0))], ids=str
+)
+def test_streamed_frames_equal_full_spectrum_frames(walker, grid, mode, frames_per_block,
+                                                    tmp_path, monkeypatch):
+    """``frames.bin`` as ``write_frames`` streams it, block by block, holds
+    bitwise the frames of the full-spectrum reference (``None`` keeps the
+    module's own block budget)."""
+    from slowvary import simulate
+
+    if frames_per_block is not None:
+        monkeypatch.setattr(simulate, "_BLOCK_BYTES",
+                            frames_per_block * 8 * walker.dimU * int(np.prod(grid)))
+    lengths = _lengths(grid)
+    profile = sv.plane_wave(lengths, grid, 1, mode=mode)
+    rng = np.random.default_rng(5)
+    field0 = sv.MicroField(lengths, profile * rng.standard_normal(walker.dimU))
+    want = _micro_full(walker, field0, 2.0, 8)
+    path = tmp_path / "frames.bin"
+    sv.write_frames(path, sv.simulate_micro(walker, field0, 2.0, samples=8))
+    body = b"".join(
+        np.float64(t).astype("<f8").tobytes() + np.ascontiguousarray(v, "<f8").tobytes()
+        for t, v in zip(want.times, want.values)
+    )
+    data = path.read_bytes()
+    assert len(data) == 8 + 12 + 12 * len(grid) + 16 + len(body)
+    assert data.endswith(body)
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0])

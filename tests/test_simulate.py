@@ -285,21 +285,101 @@ def test_non_finite_state_names_a_non_finite_mode(walker_setup):
     assert not np.isfinite(sv.mode_evolution_oracle(fam, kappa, 5e297, u0=u0)).all()
 
 
-def test_closure_residual_work_space_does_not_grow_with_samples(walker_setup):
+def test_closure_residual_work_space_scales_with_the_live_modes(walker_setup):
     fam, model, split = walker_setup
     f0 = slow_seed((64.0, 64.0), (64, 64), split)
-    sizes, peaks = [], []
     for samples in (100, 400):
         traj = sv.simulate_micro(fam, f0, T=10.0, samples=samples)
         tracemalloc.start()  # counts from zero: the trajectory is not included
         try:
             sv.closure_residual(traj, model, split)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        sizes.append(traj.values.nbytes)
-    assert sizes[1] > 3.9 * sizes[0]
-    assert peaks[1] < 1.25 * peaks[0], peaks
+        # a few copies of the live coefficients, far below the real samples
+        assert peak < 4 * traj.coef.nbytes, peak
+        assert 10 * peak < 8 * len(traj.times) * 64 * 64 * fam.dimU
+
+
+def _all_modes(X, grid):
+    """Coefficients over the whole half grid as ``(samples, components, modes)``."""
+    X = np.moveaxis(X, -1, 1)
+    return X.reshape(X.shape[:2] + (-1,)), np.arange(int(np.prod(X.shape[2:])))
+
+
+_PARSEVAL_GRIDS = [(16,), (1,), (2,), (8, 8), (8, 1), (1, 8), (2, 8), (8, 2),
+                   (4, 2, 4), (4, 4, 2), (2, 1, 8)]
+
+
+@pytest.mark.parametrize("grid", _PARSEVAL_GRIDS, ids=str)
+def test_parseval_norm_matches_grid_sums(grid):
+    """Weighted half-spectrum sums against grid sums of ``x^2``, to 1e-13.
+
+    Once on ``rfftn`` of random real fields, and once on random complex
+    coefficients, whose 0 and Nyquist columns of the last axis are not
+    Hermitian: ``irfftn`` keeps only their Hermitian part.
+    """
+    rng = np.random.default_rng(list(grid))
+    axes = tuple(range(1, len(grid) + 1))
+    x = rng.standard_normal((3,) + grid + (2,))
+    X, modes = _all_modes(np.fft.rfftn(x, axes=axes), grid)
+    want = np.sqrt(np.mean(x**2, axis=axes + (len(grid) + 1,)))
+    np.testing.assert_allclose(simulate._rms(X, modes, grid), want, rtol=1e-13)
+    half = simulate._half_shape(grid)
+    Z = rng.standard_normal((3,) + half + (2,)) + 1j * rng.standard_normal((3,) + half + (2,))
+    z = np.fft.irfftn(Z, s=grid, axes=axes)
+    Z, modes = _all_modes(Z, grid)
+    want = np.sqrt(np.mean(z**2, axis=axes + (len(grid) + 1,)))
+    np.testing.assert_allclose(simulate._rms(Z, modes, grid), want, rtol=1e-13)
+
+
+def test_live_modes_hold_the_mirrors_irfftn_pairs(walker):
+    """A half spectrum seeded at one mode of the last axis's 0 column, with
+    its mirror at zero: the run keeps the mirror live, so the Parseval norm
+    sees the Hermitian part that ``irfftn`` keeps."""
+    grid, half = (8, 4), (8, 3)
+    u = np.zeros((24, 3), dtype=complex)
+    u[np.ravel_multi_index((1, 0), half)] = [1.0, 0.5j, -0.2]
+    traj = simulate._integrate(walker.ops, u, 2.0, 4, (16.0, 8.0), grid, "micro")
+    assert np.ravel_multi_index((7, 0), half) in traj.modes
+    want = np.sqrt(np.mean(traj.values**2, axis=(1, 2, 3)))
+    np.testing.assert_allclose(simulate._rms(traj.coef, traj.modes, grid), want, rtol=1e-13)
+
+
+def test_macro_from_a_trajectory_starts_from_its_real_sample(walker_setup):
+    """A slow-amplitude trajectory as the start gives the run from the real
+    field of its first sample.  The random field's 0 column goes
+    non-Hermitian at the Nyquist mode under the walker's odd-order symbol."""
+    fam, model, split = walker_setup
+    Z0 = split.Z0.astype(float)
+    rng = np.random.default_rng(4)
+    micro = sv.simulate_micro(fam, sv.MicroField((16.0, 8.0), rng.standard_normal((8, 4, 3))),
+                              T=1.0, samples=4)
+    start = sv.Trajectory(micro.times[2:3], Z0.T @ micro.coef[2:3], micro.modes, micro.grid,
+                          micro.lengths, "macro")
+    got = sv.simulate_macro(model, start, T=2.0, samples=4).values
+    real = sv.MacroField(micro.lengths, micro.values[2] @ Z0)
+    want = sv.simulate_macro(model, real, T=2.0, samples=4).values
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_diagnostics_never_form_the_real_trajectory(walker_setup, tmp_path, monkeypatch):
+    """The CLI's 128x128 run: a trajectory of under 2 MB, and no diagnostic
+    or the frame file reads ``Trajectory.values``."""
+    fam, model, split = walker_setup
+    f0 = slow_seed((128.0, 128.0), (128, 128), split)
+    traj = sv.simulate_micro(fam, f0, T=20.0, samples=200)
+    arrays = (traj.times, traj.coef, traj.modes, traj.head)
+    assert sum(a.nbytes for a in arrays) < 2_000_000
+
+    def refuse(self):
+        raise AssertionError("formed the real-space trajectory")
+
+    monkeypatch.setattr(sv.Trajectory, "values", property(refuse))
+    res = sv.emergence_error(fam, model, split, f0, T=20.0, samples=200)
+    sv.closure_residual(res.micro, model, split)
+    sv.write_frames(tmp_path / "frames.bin", res.micro)
+    assert (tmp_path / "frames.bin").stat().st_size > 201 * 128 * 128 * 3 * 8
 
 
 def test_closure_residual_small_for_slow_data(walker_setup):
@@ -350,10 +430,11 @@ def test_symbol_wavevector_length_checked(walker_setup, kappa):
 
 
 def test_model_symbol_matches_simulation_table(walker_setup):
-    from slowvary.simulate import _symbol_table, _wavevectors
+    from conftest import wavevectors
+    from slowvary.simulate import _symbol_table
 
     _, model, _ = walker_setup
-    kvecs = _wavevectors((16.0, 8.0), (4, 2))
+    kvecs = wavevectors((16.0, 8.0), (4, 2))
     table = _symbol_table(model.A, kvecs, model.m)
     for idx in np.ndindex(4, 2):
         kappa = tuple(kv[idx] for kv in kvecs)
