@@ -2,14 +2,13 @@
 
 Exact mode has one arithmetic type, :class:`RatMatrix`: Python-int
 numerators over one positive common denominator, normalised with a
-single gcd per result.  It holds a matrix or a stack of matrices (an
-array of any number of dimensions), which ``@`` multiplies slice by
-slice as numpy does.  Numpy object arrays of ``fractions.Fraction``
+single gcd per result.  Numpy object arrays of ``fractions.Fraction``
 are only its storage and interchange form: families, splits, reduced
 models and bases hold them, and the JSON codec below reads and writes
-them.  Each function that computes exactly (the construction recursion,
-the constrained Sylvester solve, the invariance check, the block
-slow-subspace check, the exact split and the modal transform check)
+them.  Each function that computes exactly (the construction recursion
+on the basis vectors, the constrained Sylvester solve, the invariance
+check, the block slow-subspace check, the exact split and the modal
+transform check)
 converts with :func:`as_ratmatrix` on entry and back with
 :func:`as_fractions` on exit; both pass float and sparse matrices
 through unchanged.  Solving, inverting and nullspaces
@@ -76,13 +75,10 @@ class RatMatrix:
     ``gcd(den, *num.flat) == 1``, so a zero array has ``den == 1``).
 
     The one exact arithmetic type: ``@``, ``+`` and ``-`` with another
-    RatMatrix, negation, multiplication by an int, a Fraction or an
-    integer array, ``abs``, ``max``, :meth:`any` (optionally along axes),
-    ``.T``, indexing (an entry comes out as a Fraction),
-    :meth:`block` and :meth:`sum_at`.  Any other operand of ``@``, ``+`` or
-    ``-`` (a Fraction or float array) raises TypeError.  A ``(K, d, m)``
-    stack of matrices broadcasts through ``@`` as in numpy, so
-    ``L @ stack`` and ``stack @ A`` multiply every matrix of it at once.
+    RatMatrix, negation, multiplication by an int or a Fraction, ``abs``,
+    ``max``, :meth:`any`, ``.T``, indexing (an entry comes out as a
+    Fraction) and :meth:`block`.  Any other operand of ``@``, ``+`` or
+    ``-`` (a Fraction or float array) raises TypeError.
     """
 
     __slots__ = ("num", "den")
@@ -123,18 +119,6 @@ class RatMatrix:
         return cls._lowest(np.eye(n, dtype=int).astype(object), 1)
 
     @classmethod
-    def sum_at(cls, shape, terms) -> "RatMatrix":
-        """Zeros of ``shape`` plus, for each term ``(pos, sign, stack)``,
-        ``sign * stack`` added at the positions ``pos`` of the first axis;
-        summed over the lcm of the denominators, normalised once."""
-        den = math.lcm(*(stack.den for _, _, stack in terms))
-        acc = np.zeros(shape, dtype=object)
-        for pos, sign, stack in terms:
-            num = stack.num if stack.den == den else stack.num * (den // stack.den)
-            (np.add if sign > 0 else np.subtract).at(acc, pos, num)
-        return cls(acc, den)
-
-    @classmethod
     def block(cls, rows) -> "RatMatrix":
         """Block matrix from a nested list of RatMatrix, as ``np.block``."""
         den = math.lcm(*(a.den for row in rows for a in row))
@@ -150,9 +134,9 @@ class RatMatrix:
             return RatMatrix(part, self.den)
         return Fraction(part, self.den)
 
-    def any(self, axis=None):
-        """True unless every entry is zero; a bool array along ``axis``."""
-        return (self.num != 0).any(axis=axis)
+    def any(self) -> bool:
+        """True unless every entry is zero."""
+        return bool((self.num != 0).any())
 
     def max(self) -> Fraction:
         return Fraction(max(self.num.flat), self.den)
@@ -164,8 +148,6 @@ class RatMatrix:
         return RatMatrix._lowest(-self.num, self.den)
 
     def __mul__(self, c):
-        if isinstance(c, np.ndarray) and c.dtype.kind in "iu":
-            return RatMatrix(self.num * c.astype(object), self.den)
         if not isinstance(c, (int, Fraction)):
             return NotImplemented
         return RatMatrix(self.num * c.numerator, self.den * c.denominator)

@@ -114,7 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="seed recorded in run metadata")
         p.add_argument("--method", choices=("vectors", "generating"),
-                       default="vectors", help="construction route")
+                       default="vectors",
+                       help="both values run the one recursion on the basis "
+                            "vectors; kept until the benchmark drops it")
 
     common(sub.add_parser("reduce", help="construct the macroscale closure"))
     common(sub.add_parser("validate", help="check model assumptions"))
@@ -311,7 +313,7 @@ def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict,
     checks = {"invariance_residual": _sig(inv),
               "invariance_pass": bool(inv <= cfg.tol * inv_scale)}
 
-    nblock = len(basis.poly) * family.dimU
+    nblock = len(basis.vectors) * family.dimU
     if nblock <= _BLOCK_CHECK_LIMIT:
         start = time.perf_counter()
         order = taylorsystem.symbol_order_check(famf, split, model.to_float(), cfg.N)

@@ -21,34 +21,21 @@ the columns of ``V U`` are swept in order, each one a bordered system of
 size ``dimU + m`` (``L0 - T_jj I`` bordered by ``Z0``) that is factorised
 once per split and reused for every index.
 
-The recursion runs on the generating polynomials
-``Vt^n(xi) = sum_{k <= n} V^{n-k} xi^k / k!``, for which the same data
-obeys a shifted convolution
+The generating polynomials ``Vt^n(xi) = sum_{k <= n} V^{n-k} xi^k / k!``
+(the cross-section Taylor series of the slow subspace) obey a shifted
+convolution of the same data,
 
     L_0 Vt^n - Vt^n A_0 = - sum_{0 < l <= n} L_l Vt^{n-l}
                           + sum_{0 < k <= n} Vt^{n-k} A_k,
-    Z0.T Vt^n = xi^n / n!,
 
-solved for every exponent at once.  Exponent 0 of ``Vt^n`` is ``V^n`` and
-couples only to exponent 0, where the shifted convolution is the
-recursion above term for term.  ``method="vectors"`` solves only that
-exponent and forms the others as ``V^{n-k} / k!``; ``method="generating"``
-solves every exponent.  Both give bitwise-equal ``A_n`` and ``V^n``; the
-higher exponents of the second route are solved, not formed, so tests
-compare them with ``V^{n-k} / k!``.
-
-Inside this module a polynomial is a list of its exponents and one
-coefficient stack of shape ``(K, dimU, m)``, slice i holding the
-coefficient of exponent i.  Each term of the recursion is one array
-operation on a whole stack (``L_l @ stack`` or ``stack @ A_k``), added
-into the exponent positions of ``n`` in the recursion's order, and the
-Sylvester solve takes the stack of right-hand sides.  Results leave as
-dicts mapping exponents to ``(dimU, m)`` coefficients.  Float results
-are bitwise equal to solving one coefficient at a time: numpy multiplies
-each slice of a stack as it multiplies a lone matrix, CSR multiplies
-each column of a block as it multiplies a lone column, sums start from
-their first term (see :func:`_sum_at`) and each float slice keeps its
-own LU solve.
+whose exponent-0 coefficient is the recursion above term for term and
+whose exponent-``e`` coefficient is ``1/e!`` times the exponent-0
+coefficient for ``n - e``.  So the polynomials hold nothing that the
+vectors do not: the recursion runs on the vectors alone, one bordered
+solve per index, and :func:`generating_vectors` forms the polynomials
+from them for ``basis.json`` and the block Taylor reference.  Likewise
+:func:`check_invariance` evaluates the exponent-0 identity once per
+index.
 
 Exact families (Fraction object arrays, ``--exact``) run the same code
 in :class:`~slowvary._rational.RatMatrix` arithmetic (integer numerators
@@ -62,7 +49,7 @@ exact solve must leave a zero residual.
 from __future__ import annotations
 
 import functools
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,49 +83,6 @@ __all__ = [
 ]
 
 
-# -- coefficient stacks -----------------------------------------------------
-#
-# A polynomial in the reconstruction variables is a list of monomial
-# exponent tuples and a stack of shape (K, dimU, m) whose slice i is the
-# coefficient of exponent i: a float array, or a RatMatrix in exact mode.
-# Every step multiplies or accumulates whole stacks, never one coefficient
-# at a time.
-
-
-def _lmul(L, stack):
-    """``L @ c`` for every coefficient ``c`` of a stack.
-
-    A sparse ``L`` multiplies the stack laid side by side as one
-    ``dimU x K*m`` block; CSR computes each column as it would alone.
-    """
-    if not sparse.issparse(L):
-        return L @ stack
-    K, d, m = stack.shape
-    wide = stack.transpose(1, 0, 2).reshape(d, K * m)
-    return (L @ wide).reshape(d, K, m).transpose(1, 0, 2)
-
-
-def _sum_at(shape, terms, exact: bool):
-    """Zeros of ``shape`` plus each term ``(pos, sign, stack)``, in order:
-    ``sign * stack`` added at the exponent positions ``pos``.
-
-    Float positions that some term reaches start from ``-0.0``, the
-    additive identity (``-0.0 + x`` is ``x`` for every x, ``+0.0`` too), so
-    each sum carries the bits, signed zeros included, of one that starts
-    from its first term; the other positions hold ``+0.0``.
-    """
-    if exact:
-        return rat.RatMatrix.sum_at(shape, terms)
-    acc = np.zeros(shape)
-    acc[sorted({i for pos, _, _ in terms for i in pos})] = -0.0
-    for pos, sign, stack in terms:
-        if sign > 0:
-            acc[pos] += stack
-        else:
-            acc[pos] -= stack
-    return acc
-
-
 # -- the bordered Sylvester solver -----------------------------------------
 
 
@@ -158,9 +102,6 @@ class _BorderedSylvester:
     blocks ``P, Q`` of the exact inverse that give ``w_j = P b + Q g``.
     Exact mode accepts only a zero residual, so a nonzero multiplier (an
     inconsistent system) raises.
-
-    :meth:`solve` takes stacks: K right-hand sides of shape (K, dimU, m)
-    and K constraints of shape (K, m, m), one system per slice.
     """
 
     def __init__(self, L0, A0, Z0, tol: float = DEFAULT_TOL):
@@ -203,49 +144,39 @@ class _BorderedSylvester:
         RU, GU = rhs @ self._U, constraint @ self._U
         W = np.zeros(RU.shape, dtype=RU.dtype)
         for j, lu_solve in enumerate(self._solves):
-            B = RU[:, :, j] + W[:, :, :j] @ T[:j, j]
-            # one solve per slice: a multi-column SuperLU solve rounds differently
-            for i, b in enumerate(B):
-                W[i, :, j] = lu_solve(np.concatenate([b, GU[i, :, j]]))[:d]
+            b = RU[:, j] + W[:, :j] @ T[:j, j]
+            W[:, j] = lu_solve(np.concatenate([b, GU[:, j]]))[:d]
         return (W @ self._U.conj().T).real
 
     def _exact_sweep(self, rhs, constraint):
         W = None
         for j, (P, Q) in enumerate(self._solves):
-            b = rhs[:, :, j:j + 1]
+            b = rhs[:, j:j + 1]
             if j:
                 b = b + W @ self._T[:j, j:j + 1]
-            w = P @ b + Q @ constraint[:, :, j:j + 1]
+            w = P @ b + Q @ constraint[:, j:j + 1]
             W = rat.RatMatrix.block([[W, w]]) if j else w
         return W
 
     def solve(self, rhs, constraint):
-        """Return the unique stack V; ``constraint`` is the target of Z0.T V."""
+        """Return the unique ``(dimU, m)`` V; ``constraint`` is the target of Z0.T V."""
         sweep = self._exact_sweep if self.exact else self._schur_sweep
         V = sweep(rhs, constraint)
         self._check(V, rhs, constraint)
         return V
 
     def _check(self, V, rhs, constraint) -> None:
-        """Bound each slice's residuals by tol times that slice's scale;
-        exact mode accepts only zero residuals."""
-        axes = (1, 2)
-        R1 = _lmul(self.L0, V) - V @ self.A0 - rhs
-        R2 = self.Z0.T @ V - constraint
-        if self.exact:
-            bound = np.zeros(V.shape[0])
-            bad = R1.any(axis=axes) | R2.any(axis=axes)
-        else:
-            scale = np.maximum(np.maximum(1.0, np.abs(rhs).max(axis=axes)),
-                               np.abs(V).max(axis=axes) * self._size)
-            bound = self.tol * scale
-            ok = (np.abs(R1).max(axis=axes) <= bound) & (np.abs(R2).max(axis=axes) <= bound)
-            bad = ~ok  # a NaN residual fails too
-        if bad.any():
-            i = int(np.flatnonzero(bad)[0])
+        """Bound both residuals by tol times the solve's scale; exact mode
+        (tol 0) accepts only zero residuals."""
+        res1 = abs(self.L0 @ V - V @ self.A0 - rhs).max()
+        res2 = abs(self.Z0.T @ V - constraint).max()
+        scale = np.maximum(np.maximum(1.0, float(abs(rhs).max())),
+                           float(abs(V).max()) * self._size)
+        bound = self.tol * scale
+        if not (res1 <= bound and res2 <= bound):  # a NaN residual fails too
             raise SylvesterInconsistent(
-                f"constrained Sylvester residuals {float(abs(R1[i]).max()):.3g} (equation) / "
-                f"{float(abs(R2[i]).max()):.3g} (constraint) exceed tol*scale = {bound[i]:.3g}"
+                f"constrained Sylvester residuals {float(res1):.3g} (equation) / "
+                f"{float(res2):.3g} (constraint) exceed tol*scale = {bound:.3g}"
             )
 
 
@@ -268,7 +199,7 @@ def solve_constrained_sylvester(
     if constraint is None:
         constraint = rat.zeros((solver.m, solver.m), solver.exact)
     rhs, constraint = rat.as_ratmatrix(rhs), rat.as_ratmatrix(constraint)
-    return rat.as_fractions(solver.solve(rhs[None], constraint[None])[0])
+    return rat.as_fractions(solver.solve(rhs, constraint))
 
 
 # -- result types -----------------------------------------------------------
@@ -370,11 +301,11 @@ class ReducedModel:
 class GeneratingBasis:
     """Slow-subspace basis vectors and their generating polynomials.
 
-    ``vectors[n]`` is the (dimU, m) coefficient ``V^n``; ``poly[n]`` maps a
-    monomial exponent ``k`` to the coefficient of ``xi^k`` in the generating
-    polynomial, which by construction equals ``V^{n-k} / k!``.  The two share
-    arrays (``vectors[n]`` is ``poly[n][0]``, and on the vectors route so is
-    ``poly[n+k][k]`` where ``k! == 1``), so neither is written into.
+    ``vectors[n]`` is the (dimU, m) coefficient ``V^n``.  ``poly``, formed
+    once from them by :func:`generating_vectors`, maps each ``n`` to its
+    generating polynomial: exponent ``k`` to the coefficient ``V^{n-k} / k!``
+    of ``xi^k``.  The two share arrays (``poly[n][k]`` is ``vectors[n-k]``
+    where ``k! == 1``), so neither is written into.
     """
 
     M: int
@@ -382,7 +313,10 @@ class GeneratingBasis:
     m: int
     dimU: int
     vectors: dict
-    poly: dict
+
+    @functools.cached_property
+    def poly(self) -> dict:
+        return generating_vectors(self.vectors)
 
     @property
     def is_exact(self) -> bool:
@@ -392,14 +326,7 @@ class GeneratingBasis:
         if not self.is_exact:
             return self
         vectors = {n: rat.as_float(v) for n, v in self.vectors.items()}
-        poly = {
-            n: {k: rat.as_float(c) for k, c in p.items()}
-            for n, p in self.poly.items()
-        }
-        return GeneratingBasis(
-            M=self.M, N=self.N, m=self.m, dimU=self.dimU,
-            vectors=vectors, poly=poly,
-        )
+        return GeneratingBasis(M=self.M, N=self.N, m=self.m, dimU=self.dimU, vectors=vectors)
 
     def to_json(self) -> dict:
         distinct = {id(c): c for p in (self.vectors, *self.poly.values()) for c in p.values()}
@@ -430,7 +357,7 @@ def generating_vectors(vectors: dict) -> dict:
 
     @functools.cache
     def coefficient(j, q):
-        return vectors[j] if q == 1 else vectors[j] * _reciprocal(q, exact)
+        return vectors[j] if q == 1 else vectors[j] * (Fraction(1, q) if exact else 1.0 / q)
 
     return {
         n: {k: coefficient(index_sub(n, k), index_factorial(k)) for k in below}
@@ -438,75 +365,47 @@ def generating_vectors(vectors: dict) -> dict:
     }
 
 
-def _reciprocal(q: int, exact: bool):
-    return Fraction(1, q) if exact else 1.0 / q
+def _total(terms):
+    """Sum of ``terms`` that starts from the first one, so a float sum keeps
+    the signed zeros that a sum from ``0.0`` would lose."""
+    return functools.reduce(operator.add, terms)
 
 
 # -- the reduction itself ----------------------------------------------------
 
 
-def _reduce(family, split, table, tol, every_exponent):
-    """Run the recursion on the generating polynomials; returns (A, poly).
+def _reduce(family, split, table, tol):
+    """Run the recursion on the basis vectors; returns (A, vectors).
 
-    Exponent 0 of ``Vt^n`` is ``V^n``.  It couples only to exponent 0, so
-    without ``every_exponent`` only that coefficient is solved and
-    ``poly`` is formed from the vectors by :func:`generating_vectors`.
-    With it every exponent is solved, and exponent ``n`` carries the
-    constraint ``Z0.T Vt^n = xi^n / n!``.  Each ``Vt^n`` is held as an
-    exponent list and a coefficient stack; a nonzero exponent whose
-    solved coefficient is zero is dropped.  Every term of a right-hand
-    side is one stack product, added into the exponent positions of
-    ``n`` in the order of the recursion.  Exact matrices are converted to
-    RatMatrix on entry and back to Fraction arrays on exit.
+    Per index, ``A_n`` first, then the right-hand side
+    ``V0 A_n - sum_l L_l V^{n-l} + sum_k V^{n-k} A_k`` summed term by term
+    in that order, then one bordered solve with the constraint
+    ``Z0.T V^n = 0``.  Exact matrices are converted to RatMatrix on entry
+    and back to Fraction arrays on exit.
     """
     zero = (0,) * family.M
-    exact = family.is_exact
-    d, m = family.dimU, split.m
+    m = split.m
     ops = {k: rat.as_ratmatrix(L) for k, L in family.ops.items() if k != zero}
     V0, Z0, A0 = (rat.as_ratmatrix(x) for x in (split.V0, split.Z0, split.A0))
-    zeros, eye = (rat.RatMatrix.zeros, rat.RatMatrix.eye) if exact else (np.zeros, np.eye)
-    eye_m = eye(m)
-    poly = {zero: ([zero], V0[None])}
-    A = {zero: A0}
+    zeros = rat.RatMatrix.zeros if family.is_exact else np.zeros
+    constraint = zeros((m, m))
     solver = _BorderedSylvester(family.L0, A0, Z0, tol)
+    A, V = {zero: A0}, {zero: V0}
     for n, below in lower_sets(table).items():
         if n == zero:
             continue
-        rest = {k: poly[index_sub(n, k)] for k in below if k != zero}  # Vt^{n-k}
-        An = None
-        for k in below:
-            if k in ops:
-                term = Z0.T @ (ops[k] @ rest[k][1][0])
-                An = term if An is None else An + term
-        if An is None:
-            An = zeros((m, m))
-        A[n] = An
-        # every exponent below lies on the right-hand side; exponent n, of
-        # higher order than all of them, only carries the constraint
-        exps = sorted({e for es, _ in rest.values() for e in es}, key=lambda t: (order(t), t))
-        pos = {e: i for i, e in enumerate(exps)}
-        terms = [([0], 1, (V0 @ An)[None])]
+        terms = [Z0.T @ (ops[k] @ V[index_sub(n, k)]) for k in below if k in ops]
+        A[n] = _total(terms) if terms else zeros((m, m))
+        rhs = V0 @ A[n]
         for ell in below:
             if ell in ops:
-                es, stack = rest[ell]
-                terms.append(([pos[e] for e in es], -1, _lmul(ops[ell], stack)))
+                rhs = rhs - ops[ell] @ V[index_sub(n, ell)]
         for k in below:
             if k != zero and k != n:
-                es, stack = rest[k]
-                terms.append(([pos[e] for e in es], 1, stack @ A[k]))
-        K = len(exps) + every_exponent
-        rhs = _sum_at((K, d, m), terms, exact)
-        target = [([K - 1], 1, (eye_m * _reciprocal(index_factorial(n), exact))[None])]
-        constraint = _sum_at((K, m, m), target if every_exponent else [], exact)
-        exps += [n] if every_exponent else []
-        V = solver.solve(rhs, constraint)
-        nonzero = V.any(axis=(1, 2))
-        keep = [i for i, e in enumerate(exps) if e == zero or nonzero[i]]
-        poly[n] = ([exps[i] for i in keep], V if len(keep) == len(exps) else V[keep])
-    A = {n: rat.as_fractions(An) for n, An in A.items()}
-    if not every_exponent:
-        return A, generating_vectors({n: rat.as_fractions(V[0]) for n, (_, V) in poly.items()})
-    return A, {n: dict(zip(es, rat.as_fractions(V))) for n, (es, V) in poly.items()}
+                rhs = rhs + V[index_sub(n, k)] @ A[k]
+        V[n] = solver.solve(rhs, constraint)
+    return ({n: rat.as_fractions(An) for n, An in A.items()},
+            {n: rat.as_fractions(Vn) for n, Vn in V.items()})
 
 
 def construct_reduction(
@@ -531,11 +430,9 @@ def construct_reduction(
     tol : float
         Residual tolerance for each constrained Sylvester solve.
     method : {"vectors", "generating"}
-        Solve only exponent 0 of the generating polynomials (the plain
-        basis vectors) and form the higher exponents as ``V^{n-k} / k!``,
-        or solve every exponent.  ``A_n`` and ``V^n`` are bitwise equal
-        on both routes; only the higher polynomial coefficients differ,
-        by rounding.
+        Both values run the one recursion on the basis vectors and give
+        the same model and basis.  The argument stays, validated, until
+        the benchmark that passes ``"generating"`` drops it.
 
     Returns
     -------
@@ -547,85 +444,56 @@ def construct_reduction(
         split = spectral_split(family, N, alpha)
     if family.is_exact != split.is_exact:
         raise ValueError("family and split must share the arithmetic mode")
-    table = enumerate_indices(family.M, N)
-    zero = (0,) * family.M
-    A, poly = _reduce(family, split, table, tol, every_exponent=method == "generating")
-    vectors = {n: poly[n][zero] for n in poly}
+    A, vectors = _reduce(family, split, enumerate_indices(family.M, N), tol)
     model = ReducedModel(M=family.M, N=N, m=split.m, A=A, label=family.label)
-    basis = GeneratingBasis(
-        M=family.M,
-        N=N,
-        m=split.m,
-        dimU=family.dimU,
-        vectors=vectors,
-        poly=poly,
-    )
+    basis = GeneratingBasis(M=family.M, N=N, m=split.m, dimU=family.dimU, vectors=vectors)
     return model, basis
 
 
 def _invariance_residuals(family: OperatorFamily, model: ReducedModel,
                           basis: GeneratingBasis):
-    """Yield ``(n, exponents, diff, mag)`` for every retained index ``n``:
-    at ``exponents``, the coefficients of the residual of
-    :func:`check_invariance` for ``Vt^n`` and of its scale (zeros if exact)."""
+    """Yield ``(n, diff, mag)`` for every retained index ``n``: the residual
+    of :func:`check_invariance` for ``n`` and its scale (None if exact)."""
     exact = basis.is_exact
     ops = {ell: rat.as_ratmatrix(L) for ell, L in family.ops.items()}
-    poly = {n: (list(p), rat.as_ratmatrix(np.stack(list(p.values()))))
-            for n, p in basis.poly.items()}
-    A = {k: rat.as_ratmatrix(model.coefficient(k)) for k in poly}
-    mag_ops, mag_A = ({}, {}) if exact else (
-        {ell: abs(L) for ell, L in ops.items()}, {k: np.abs(a) for k, a in A.items()})
-    # d^l takes exponent k >= l to k - l with weight prod_i k_i! / (k_i - l_i)!
-    shifts = {(k, ell): (index_sub(k, ell), math.prod(map(math.perm, k, ell)))
-              for k in {e for es, _ in poly.values() for e in es}
-              for ell in ops if partial_leq(ell, k)}
-    for n, below in lower_sets(poly).items():
-        exps, stack = poly[n]
-        pos: dict = {}
-        lhs_terms, rhs_terms, mag_terms = [], [], []
-        for ell, L in ops.items():
-            hit = [(i, *shifts[k, ell]) for i, k in enumerate(exps) if (k, ell) in shifts]
-            if hit:
-                idx, targets, weights = zip(*hit)
-                derivative = stack[list(idx)] * np.array(weights).reshape(-1, 1, 1)
-                at = [pos.setdefault(e, len(pos)) for e in targets]
-                lhs_terms.append((at, 1, _lmul(L, derivative)))
-                if not exact:
-                    mag_terms.append((at, 1, _lmul(mag_ops[ell], abs(derivative))))
-        for k in below:
-            es, part = poly[index_sub(n, k)]
-            at = [pos.setdefault(e, len(pos)) for e in es]
-            rhs_terms.append((at, 1, part @ A[k]))
-            if not exact:
-                mag_terms.append((at, 1, abs(part) @ mag_A[k]))
-        shape = (len(pos), basis.dimU, basis.m)
-        diff = _sum_at(shape, lhs_terms, exact) - _sum_at(shape, rhs_terms, exact)
-        yield n, list(pos), diff, _sum_at(shape, mag_terms, False)
+    V = {n: rat.as_ratmatrix(v) for n, v in basis.vectors.items()}
+    A = {k: rat.as_ratmatrix(model.coefficient(k)) for k in V}
+    if not exact:
+        mag_ops, mag_V, mag_A = ({k: abs(x) for k, x in d.items()} for d in (ops, V, A))
+    for n, below in lower_sets(V).items():
+        left = [(ell, index_sub(n, ell)) for ell in ops if partial_leq(ell, n)]
+        right = [(index_sub(n, k), k) for k in below]
+        diff = _total(ops[ell] @ V[j] for ell, j in left) - _total(V[j] @ A[k] for j, k in right)
+        mag = None if exact else _total(
+            [mag_ops[ell] @ mag_V[j] for ell, j in left] + [mag_V[j] @ mag_A[k] for j, k in right])
+        yield n, diff, mag
 
 
 def check_invariance(family: OperatorFamily, model: ReducedModel, basis: GeneratingBasis,
                      with_scale: bool = False):
     """Residual of the slow-subspace invariance identity.
 
-    For every retained index ``n`` the generating polynomials must satisfy
-    ``sum_l L_l d^l Vt^n = sum_{k <= n} Vt^{n-k} A_k`` coefficient by
-    coefficient; the derivative on the left is evaluated as an actual
-    polynomial derivative, so this is an independent check of the
-    construction, not a restatement of it.  Each polynomial is stacked as
-    in the recursion: ``d^l`` gathers the coefficients of exponents
-    ``k >= l``, weights them by the falling factorials and moves them to
-    ``k - l``.  Returns the largest absolute residual entry (exactly 0.0
-    in exact mode when everything is right; exact inputs are evaluated in
-    RatMatrix arithmetic; NaN if any entry is NaN).  The tests hold the
-    residual entry by entry against the block Taylor system of
-    :mod:`slowvary.taylorsystem`.
+    For every retained index ``n`` the basis vectors and the closure must
+    satisfy ``sum_{l <= n} L_l V^{n-l} = sum_{k <= n} V^{n-k} A_k``, the
+    exponent-0 coefficient of the identity
+    ``sum_l L_l d^l Vt^n = sum_k Vt^{n-k} A_k`` of the generating
+    polynomials, whose exponent ``e`` is ``1/e!`` times the identity of
+    ``n - e``.  It is evaluated once per index from ``basis.vectors`` and
+    ``model.A``, apart from the recursion's right-hand-side assembly.
+    Returns the largest absolute residual entry (exactly 0.0 in exact mode
+    when everything is right; exact inputs are evaluated in RatMatrix
+    arithmetic; NaN if any entry is NaN).  The tests hold the residual
+    entry by entry against the block Taylor system of
+    :mod:`slowvary.taylorsystem`: its block ``(k, n)`` is the residual of
+    ``n - k``.
 
     With ``with_scale`` it returns ``(residual, scale)``, the scale being the
-    largest entry of ``sum_l |L_l| |d^l Vt^n| + sum_k |Vt^{n-k}| |A_k|``,
+    largest entry of ``sum_l |L_l| |V^{n-l}| + sum_k |V^{n-k}| |A_k|``,
     the size rounding scales with (0.0 for exact inputs: no rounding).
     """
     worst = scale = 0.0
-    for _, _, diff, mag in _invariance_residuals(family, model, basis):
+    for _, diff, mag in _invariance_residuals(family, model, basis):
         worst = np.maximum(worst, float(abs(diff).max()))
-        scale = np.maximum(scale, mag.max())
+        if mag is not None:
+            scale = np.maximum(scale, mag.max())
     return (float(worst), float(scale)) if with_scale else float(worst)

@@ -12,10 +12,10 @@ the grouped generator is the spectrum of ``L_0`` repeated once per
 retained index.  The reduced closure has the same structure with blocks
 ``A_{k-n}``, and the generating basis flattens into a slow-subspace matrix
 ``S`` satisfying ``(grouped L) S = S (grouped A)``.  Block ``(k, n)`` of
-it is ``k!`` times the exponent-``k`` coefficient of the invariance
-identity of ``Vt^n``, which :func:`slowvary.slowreduce.check_invariance`
-evaluates on the coefficient stacks, so ``reduce`` runs only that check
-and the block functions here are the reference the tests hold it against.
+its residual is the invariance residual of index ``n - k``, which
+:func:`slowvary.slowreduce.check_invariance` evaluates once per index
+from the basis vectors, so ``reduce`` runs only that check and the block
+functions here are the reference the tests hold it against.
 
 :func:`symbol_order_check` is the other check that ``reduce`` runs: it
 follows the slow invariant subspace of the micro symbol ``S(kappa)`` at

@@ -9,9 +9,11 @@ import slowvary as sv
 from slowvary._rational import frac_matrix, save_json
 from slowvary.errors import SylvesterInconsistent
 from slowvary.multiindex import index_factorial, index_sub
-from slowvary.slowreduce import generating_vectors, solve_constrained_sylvester
+from slowvary.slowreduce import solve_constrained_sylvester
 
 from conftest import random_gap_family, random_rational_family
+from test_stack_reference import assert_matches_solved_route
+from test_stack_reference import check_invariance as derivative_form_residual
 
 F = Fraction
 
@@ -98,54 +100,19 @@ def test_invariance_residual(walker, walker_exact):
     assert sv.check_invariance(walker_exact, me, be) == 0
 
 
-def _assert_routes_bitwise_equal(fam, N, **kwargs):
-    """Both routes give the same A_n and V^n.
-
-    Returns the model and the basis of each route, vectors route first.
-    """
-    m1, b1 = sv.construct_reduction(fam, N=N, method="vectors", **kwargs)
-    m2, b2 = sv.construct_reduction(fam, N=N, method="generating", **kwargs)
-    assert m1.A.keys() == m2.A.keys() and b1.vectors.keys() == b2.vectors.keys()
-    for first, second in ((m1.A, m2.A), (b1.vectors, b2.vectors)):
-        for n in first:
-            if fam.is_exact:
-                assert first[n].tolist() == second[n].tolist(), n
-            else:
-                assert first[n].tobytes() == second[n].tobytes(), n
-    return m1, b1, b2
-
-
-def _assert_solved_poly_matches_vectors(basis, rel=0.0):
-    """Each solved ``poly[n][k]`` equals ``V^{n-k} / k!`` (exactly when rel is 0).
-
-    The generating route solves these coefficients with their own
-    constraints; the vectors route only forms them from ``V^n``.
-    """
-    formed = generating_vectors(basis.vectors)
-    scale = max(1.0, max(float(np.abs(np.asarray(v, float)).max())
-                         for v in basis.vectors.values()))
-    for n, terms in basis.poly.items():
-        for k in terms.keys() | formed[n].keys():
-            diff = terms.get(k, 0) - formed[n].get(k, 0)
-            if rel == 0.0:
-                assert all(x == 0 for x in diff.reshape(-1)), (n, k)
-            else:
-                assert np.abs(diff).max() <= rel * scale, (n, k, np.abs(diff).max())
-
-
 def test_construction_routes_agree_exactly(walker_exact):
-    _, _, solved = _assert_routes_bitwise_equal(walker_exact, 3)
-    _assert_solved_poly_matches_vectors(solved)
+    """The recursion on the vectors is the every-exponent solve's exponent-0
+    sweep, and the polynomials formed from its vectors are the solved ones."""
+    assert_matches_solved_route(walker_exact, 3, sv.spectral_split(walker_exact, 3))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_construction_routes_agree_random(seed):
-    """The vectors route is the generating route's exponent-0 sweep."""
     rng = np.random.default_rng(1000 + seed)
     dimU = int(rng.integers(2, 6))
     N = int(rng.integers(1, 4))
     fam = random_gap_family(rng, dimU=dimU, m=1, max_order=2)
-    model, basis, _ = _assert_routes_bitwise_equal(fam, N)
+    model, basis = assert_matches_solved_route(fam, N, sv.spectral_split(fam, N))
     scale = max(np.abs(op).max() for op in fam.ops.values())
     assert sv.check_invariance(fam, model, basis) < 1e-9 * max(1, scale)
 
@@ -157,7 +124,7 @@ def test_matrix_valued_centre_blocks(centre):
     fam = random_gap_family(rng, dimU=5, m=2, centre=centre)
     alpha = 1e-6 if centre == "jordan" else None
     split = sv.spectral_split(fam, N=2, alpha=alpha)
-    m1, b1, _ = _assert_routes_bitwise_equal(fam, 2, split=split)
+    m1, b1 = assert_matches_solved_route(fam, 2, split)
     for n in m1.A:
         assert m1.A[n].shape == (2, 2)
     assert sv.check_invariance(fam, m1, b1) < 1e-9
@@ -369,8 +336,7 @@ def test_property_routes_agree(seed, centre, m, M):
     _, fam, alpha = _property_family(seed, centre, m, M)
     split = sv.spectral_split(fam, N=3, alpha=alpha)
     assert split.m == m
-    m1, b1, solved = _assert_routes_bitwise_equal(fam, 3, split=split)
-    _assert_solved_poly_matches_vectors(solved, rel=1e-9)
+    m1, b1 = assert_matches_solved_route(fam, 3, split)
     ops_scale = max(1.0, max(float(np.abs(op).max()) for op in fam.ops.values()))
     assert sv.check_invariance(fam, m1, b1) <= 1e-9 * ops_scale
 
@@ -487,36 +453,36 @@ def test_exact_family_with_support_gaps(seed, M, N, m, support):
     rng = np.random.default_rng(seed)
     full = random_rational_family(rng, dimU=int(rng.integers(m + 2, 6)), M=M, m=m)
     fam = sv.OperatorFamily({k: full.ops[k] for k in support})
-    (mv, bv), (mg, bg) = (sv.construct_reduction(fam, N=N, method=method)
-                          for method in ("vectors", "generating"))
-    assert mv.is_exact and mg.is_exact and mv.A.keys() == mg.A.keys()
-    for n in mv.A:
-        assert mv.A[n].tolist() == mg.A[n].tolist(), n
+    split = sv.spectral_split(fam, N)
+    mv, bv = assert_matches_solved_route(fam, N, split)
+    assert mv.is_exact
     assert sv.check_invariance(fam, mv, bv) == 0
-    assert sv.check_invariance(fam, mg, bg) == 0
     if M == 1:
-        split = sv.spectral_split(fam, N)
         assert mv.A[(1,)].tolist() == np.zeros((m, m)).tolist()
         assert mv.A[(2,)].tolist() == (split.Z0.T @ fam.ops[(2,)] @ split.V0).tolist()
 
 
-def _moved_basis(basis, n, e, delta):
-    """A copy of ``basis`` with the largest entry of ``poly[n][e]`` moved by ``delta``."""
-    poly = {j: dict(p) for j, p in basis.poly.items()}
-    c = poly[n][e] = poly[n][e].copy()
+def _moved_largest(mats, n, delta):
+    """A copy of the dict ``mats`` with the largest entry of ``mats[n]`` moved by ``delta``."""
+    mats = dict(mats)
+    c = mats[n] = mats[n].copy()
     i = np.unravel_index(np.argmax(np.abs(c.astype(float))), c.shape)
     c[i] += delta(c[i])
+    return mats
+
+
+def _moved_basis(basis, n, delta):
     return sv.GeneratingBasis(M=basis.M, N=basis.N, m=basis.m, dimU=basis.dimU,
-                              vectors=basis.vectors, poly=poly)
+                              vectors=_moved_largest(basis.vectors, n, delta))
 
 
 @pytest.mark.parametrize("method", ["vectors", "generating"])
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_invariance_reports_every_moved_coefficient(walker_exact, method, exact):
-    """Moving any one coefficient of any polynomial, exponent 0 (``V^n``) or
-    higher, shows in the residual: above 0 in exact mode, above the CLI's
-    threshold in float.  An exponent dropped by a gather or a scatter
-    would leave some of these moves unseen."""
+    """Moving any one vector ``V^n`` or any one coefficient ``A_n`` shows in
+    the residual: above 0 in exact mode, above the CLI's threshold in
+    float.  An index or a term dropped from the check would leave some of
+    these moves unseen."""
     if exact:
         fam, threshold = walker_exact, 0
         delta = lambda x: F(1, 10**9)  # noqa: E731
@@ -524,27 +490,30 @@ def test_invariance_reports_every_moved_coefficient(walker_exact, method, exact)
         rng = np.random.default_rng(2100)
         fam = random_gap_family(rng, dimU=7, M=2, m=2, centre="rotation")
         threshold = 1e-10 * max(1.0, max(float(np.abs(op).max()) for op in fam.ops.values()))
-        delta = lambda x: 1e-8 * abs(x)  # noqa: E731
+        delta = lambda x: 1e-8 * abs(x) or 1e-8  # noqa: E731
     model, basis = sv.construct_reduction(fam, N=3, method=method)
     assert sv.check_invariance(fam, model, basis) <= threshold
-    moves = [(n, e) for n, p in basis.poly.items() for e in p]
-    assert any(e != (0, 0) for _, e in moves)
-    for n, e in moves:
-        assert sv.check_invariance(fam, model, _moved_basis(basis, n, e, delta)) > threshold, (n, e)
+    for n in basis.vectors:
+        moved = _moved_basis(basis, n, delta)
+        assert sv.check_invariance(fam, model, moved) > threshold, ("V", n)
+    for n in model.A:
+        moved = sv.ReducedModel(M=model.M, N=model.N, m=model.m,
+                                A=_moved_largest(model.A, n, delta))
+        assert sv.check_invariance(fam, moved, basis) > threshold, ("A", n)
 
 
 def test_invariance_residual_is_nan_for_a_nan_entry(walker):
     model, basis = sv.construct_reduction(walker, N=2)
-    moved = _moved_basis(basis, (1, 0), (0, 0), lambda x: np.nan)
+    moved = _moved_basis(basis, (1, 0), lambda x: np.nan)
     assert math.isnan(sv.check_invariance(walker, model, moved))
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_vectors_route_shares_coefficients(walker, walker_exact, exact):
-    """On the vectors route ``poly[n][k]`` is the array ``vectors[n-k]``
-    where ``k! == 1``; every other coefficient equals the separately formed
-    ``vectors[n-k] * (1/k!)`` (bitwise in float, as Fractions in exact
-    mode), and each distinct ``V^j / q`` is one array."""
+    """``poly[n][k]`` is the array ``vectors[n-k]`` where ``k! == 1``; every
+    other coefficient equals the separately formed ``vectors[n-k] * (1/k!)``
+    (bitwise in float, as Fractions in exact mode), and each distinct
+    ``V^j / q`` is one array."""
     fam = walker_exact if exact else walker
     _, basis = sv.construct_reduction(fam, N=4)
     formed = {}
@@ -565,21 +534,17 @@ def test_vectors_route_shares_coefficients(walker, walker_exact, exact):
 
 @pytest.mark.parametrize("case", ["walker", "rotation"])
 def test_shared_coefficients_keep_the_invariance_residual(walker, case):
-    """The residual and scale of check_invariance are bitwise those of a
-    basis whose every coefficient is its own ``vectors[n-k] * (1.0/k!)``,
-    as the vectors route formed them before it shared arrays."""
+    """Evaluating every exponent of the polynomial identity in derivative
+    form, on polynomials that share the vectors' arrays, gives bitwise the
+    residual that check_invariance takes from the vectors once per index:
+    exponent ``e`` is ``1/e!`` times the identity of ``n - e``."""
     fam = walker if case == "walker" else random_gap_family(
         np.random.default_rng(2100), dimU=7, M=2, m=2, centre="rotation")
     model, basis = sv.construct_reduction(fam, N=4)
-    poly = {n: {k: basis.vectors[index_sub(n, k)] * (1.0 / index_factorial(k)) for k in p}
-            for n, p in basis.poly.items()}
-    separate = sv.GeneratingBasis(M=basis.M, N=basis.N, m=basis.m, dimU=basis.dimU,
-                                  vectors={n: p[(0, 0)] for n, p in poly.items()},
-                                  poly=poly)
-    got = sv.check_invariance(fam, model, basis, with_scale=True)
-    want = sv.check_invariance(fam, model, separate, with_scale=True)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert 0 < got[0] < 1e-12 * got[1]
+    residual, scale = sv.check_invariance(fam, model, basis, with_scale=True)
+    want = derivative_form_residual(fam, model, basis)
+    assert np.float64(residual).tobytes() == np.float64(want).tobytes()
+    assert 0 < residual < 1e-12 * scale
 
 
 def test_invariance_scale_is_zero_for_exact_inputs(walker_exact):

@@ -1,11 +1,19 @@
-"""The stacked recursion and invariance check against the dict-based ones.
+"""The recursion on the basis vectors and its invariance check against
+the dict-based polynomial code.
 
 ``slowreduce`` once held each generating polynomial as a dict of
-``(dimU, m)`` coefficients and worked on them one at a time.  That code is
-kept below, unchanged but for its imports, as the reference: on seeded
-families the stacked code must give bitwise-equal float ``A_n``, ``V^n``
-and polynomials (signed zeros and the key order of ``poly[n]`` included),
-Fraction-equal exact ones, and a bitwise-equal invariance residual.
+``(dimU, m)`` coefficients, solved one coefficient at a time, and could
+solve every exponent of it.  That code is kept below, unchanged but for its
+imports, as the reference.  On seeded families, construction with either
+``method`` value must give, against the reference's exponent-0 sweep,
+bitwise-equal float ``A_n``, ``V^n`` and polynomials (signed zeros and the
+key order of ``poly[n]`` included) and Fraction-equal exact ones.  Against
+the reference's every-exponent solve, ``A_n`` and ``V^n`` are again
+bitwise equal and the polynomials formed from the vectors equal the
+solved ones: as Fractions in exact mode, within 1e-9 relative in float.
+The invariance residual, evaluated once per index from the vectors, is
+bitwise the largest coefficient of the reference's derivative-form
+residual over every exponent.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from slowvary.multiindex import (
     order,
     partial_leq,
 )
-from slowvary.slowreduce import GeneratingBasis, ReducedModel, _sum_at, generating_vectors
+from slowvary.slowreduce import GeneratingBasis, ReducedModel, generating_vectors
 
 from conftest import random_gap_family, random_rational_family
 
@@ -300,10 +308,38 @@ def _assert_same_array(got, want, where):
     assert got.tobytes() == want.tobytes(), where
 
 
-def _assert_matches_reference(family, N, method, split):
+def assert_matches_solved_route(family, N, split, method="vectors", rel=1e-9):
+    """The construction against the reference solve of every exponent:
+    bitwise ``A_n`` and ``V^n``, and each ``basis.poly[n][k]``, formed as
+    ``V^{n-k} / k!``, equal to the solved coefficient (a missing one is
+    zero): exactly for exact bases, within ``rel`` of the largest vector
+    entry in float.  Returns the model and the basis."""
     model, basis = sv.construct_reduction(family, N, split=split, method=method)
     A, poly = _reduce(family, split, enumerate_indices(family.M, N), DEFAULT_TOL,
-                      every_exponent=method == "generating")
+                      every_exponent=True)
+    zero = (0,) * family.M
+    assert list(model.A) == list(A) and list(basis.poly) == list(poly)
+    for n in A:
+        _assert_same_array(model.A[n], A[n], ("A", n))
+        _assert_same_array(basis.vectors[n], poly[n][zero], ("V", n))
+    scale = max(1.0, max(float(np.abs(np.asarray(v, float)).max())
+                         for v in basis.vectors.values()))
+    for n, terms in basis.poly.items():
+        for k in terms.keys() | poly[n].keys():
+            diff = terms.get(k, 0) - poly[n].get(k, 0)
+            if basis.is_exact:
+                assert all(x == 0 for x in diff.reshape(-1)), (n, k)
+            else:
+                assert np.abs(diff).max() <= rel * scale, (n, k, np.abs(diff).max())
+    return model, basis
+
+
+def _assert_matches_reference(family, N, method, split):
+    """Either method value against the exponent-0 sweep (bitwise, polynomials
+    included); ``"generating"`` also against the every-exponent solve."""
+    model, basis = sv.construct_reduction(family, N, split=split, method=method)
+    A, poly = _reduce(family, split, enumerate_indices(family.M, N), DEFAULT_TOL,
+                      every_exponent=False)
     zero = (0,) * family.M
     assert list(model.A) == list(A) and list(basis.poly) == list(poly)
     for n in A:
@@ -312,6 +348,8 @@ def _assert_matches_reference(family, N, method, split):
         assert list(basis.poly[n]) == list(poly[n]), ("poly keys", n)
         for e in poly[n]:
             _assert_same_array(basis.poly[n][e], poly[n][e], ("poly", n, e))
+    if method == "generating":
+        assert_matches_solved_route(family, N, split, method)
     got, want = sv.check_invariance(family, model, basis), check_invariance(family, model, basis)
     assert type(got) is float
     assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
@@ -378,23 +416,3 @@ def test_exact_rational_matches_reference(seed, M, m, support, method):
     if support is not None:
         fam = sv.OperatorFamily({k: fam.ops[k] for k in support})
     _assert_matches_reference(fam, 3, method, sv.spectral_split(fam, 3))
-
-
-def test_sum_at_keeps_signed_zeros_as_dict_sums_do():
-    """A right-hand side summed at exponent positions carries the bits the
-    dict helpers give, where an absent exponent takes ``c`` or ``-c``."""
-    rng = np.random.default_rng(6300)
-    exps = [(0,), (1,), (2,), (3,)]
-    terms, ref = [], {}
-    for t in range(6):
-        es = sorted(rng.choice(4, size=int(rng.integers(1, 4)), replace=False).tolist())
-        stack = rng.choice([0.0, -0.0, 1.5], size=(len(es), 3, 2), p=[0.45, 0.45, 0.1])
-        sign = 1 if t % 2 else -1
-        terms.append((es, sign, stack))
-        part = {exps[i]: c for i, c in zip(es, stack)}
-        ref = _poly_add(ref, part) if sign > 0 else _poly_sub(ref, part)
-    got = _sum_at((5, 3, 2), terms, exact=False)
-    for i, e in enumerate(exps):
-        want = ref.get(e, np.zeros((3, 2)))
-        assert got[i].tobytes() == want.tobytes(), e
-    assert got[4].tobytes() == np.zeros((3, 2)).tobytes()

@@ -257,13 +257,13 @@ def _moved_largest(mat):
     return mat
 
 
-def _block_and_stack_residuals(fam, model, basis):
+def _block_and_index_residuals(fam, model, basis):
     """Block residual ``L S - S A`` and the same layout filled from the
-    invariance residuals: block ``(k, n)`` is ``k!`` times the exponent-k
-    coefficient of the residual of ``Vt^n`` (zero where it has none).
-    Fraction arrays for exact inputs, float arrays otherwise."""
+    invariance residuals: block ``(k, n)`` is the residual of index
+    ``n - k`` (zero where ``k <= n`` fails).  Fraction arrays for exact
+    inputs, float arrays otherwise."""
     from slowvary import _rational as rat
-    from slowvary.multiindex import index_factorial
+    from slowvary.multiindex import index_sub, lower_sets
     from slowvary.slowreduce import _invariance_residuals
 
     block, block_A = sv.build_block_operator(fam, model.N), sv.build_block_A(model)
@@ -272,13 +272,15 @@ def _block_and_stack_residuals(fam, model, basis):
     resid = rat.as_fractions(L @ S - S @ A)
     assert sv.verify_slow_subspace(block, block_A, basis) == float(abs(resid).max())
     pos, d, m = {k: i for i, k in enumerate(block.table)}, basis.dimU, basis.m
-    stacked = rat.zeros(resid.shape, basis.is_exact)
-    for n, exponents, diff, _ in _invariance_residuals(fam, model, basis):
+    per_index = {n: rat.as_fractions(diff)
+                 for n, diff, _ in _invariance_residuals(fam, model, basis)}
+    laid_out = rat.zeros(resid.shape, basis.is_exact)
+    for n, below in lower_sets(block.table).items():
         j = pos[n]
-        for e, coeff in zip(exponents, rat.as_fractions(diff)):
-            i = pos[e]
-            stacked[i * d:(i + 1) * d, j * m:(j + 1) * m] = coeff * index_factorial(e)
-    return resid, stacked
+        for k in below:
+            i = pos[k]
+            laid_out[i * d:(i + 1) * d, j * m:(j + 1) * m] = per_index[index_sub(n, k)]
+    return resid, laid_out
 
 
 _IDENTITY_CASES = [
@@ -297,13 +299,12 @@ _IDENTITY_CASES = [
 
 @pytest.mark.parametrize("case", _IDENTITY_CASES)
 def test_block_residual_is_the_invariance_residual_entrywise(case, walker, walker_exact):
-    """Block ``(k, n)`` of ``(grouped L) S - S (grouped A)`` equals ``k!``
-    times the exponent-k coefficient of the invariance residual of
-    ``Vt^n``, so ``verify_slow_subspace`` and ``check_invariance`` evaluate
-    one identity: exactly for exact inputs, to 1e-12 of the scale of
-    ``check_invariance`` in float.  It holds for the constructed model and
-    when one ``A_n`` or one generating-polynomial coefficient is moved,
-    where the residual is far from 0."""
+    """Block ``(k, n)`` of ``(grouped L) S - S (grouped A)`` equals the
+    invariance residual of index ``n - k``, so ``verify_slow_subspace`` and
+    ``check_invariance`` evaluate one identity: exactly for exact inputs,
+    to 1e-12 of the scale of ``check_invariance`` in float.  It holds for
+    the constructed model and when one ``A_k`` or one vector ``V^k`` is
+    moved, where the residual is far from 0."""
     from conftest import random_rational_family
 
     if case[0] == "walker":
@@ -322,18 +323,16 @@ def test_block_residual_is_the_invariance_residual_entrywise(case, walker, walke
     k = next(k for k in model.A if sum(k) == 1)
     moved_model = sv.ReducedModel(M=model.M, N=N, m=model.m,
                                   A={**model.A, k: _moved_largest(model.A[k])})
-    poly = {n: dict(p) for n, p in basis.poly.items()}
-    poly[k][k] = _moved_largest(poly[k][k])
     moved_basis = sv.GeneratingBasis(M=basis.M, N=N, m=basis.m, dimU=basis.dimU,
-                                     vectors=basis.vectors, poly=poly)
+                                     vectors={**basis.vectors, k: _moved_largest(basis.vectors[k])})
     for name, mod, bas in (("constructed", model, basis), ("A moved", moved_model, basis),
-                           ("poly moved", model, moved_basis)):
-        resid, stacked = _block_and_stack_residuals(fam, mod, bas)
+                           ("V moved", model, moved_basis)):
+        resid, laid_out = _block_and_index_residuals(fam, mod, bas)
         residual, scale = sv.check_invariance(fam, mod, bas, with_scale=True)
         if fam.is_exact:
-            assert (resid == stacked).all(), name
+            assert (resid == laid_out).all(), name
         else:
-            assert np.abs(resid - stacked).max() <= 1e-12 * scale, name
+            assert np.abs(resid - laid_out).max() <= 1e-12 * scale, name
         if name != "constructed":
             assert residual > (0 if fam.is_exact else 1e-8 * scale), name
             assert abs(resid).max() > 0, name
