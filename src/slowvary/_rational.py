@@ -4,15 +4,15 @@ Exact mode has one arithmetic type, :class:`RatMatrix`: Python-int
 numerators over one positive common denominator, normalised with a
 single gcd per result.  Numpy object arrays of ``fractions.Fraction``
 are only its storage and interchange form: families, splits, reduced
-models and bases hold them, and the JSON codec below reads and writes
-them.  Each function that computes exactly (the construction recursion
-on the basis vectors, the constrained Sylvester solve, the invariance
-check, the block slow-subspace check, the exact split and the modal
-transform check)
+models and bases hold them, :func:`frac_matrix` builds them from nested
+tables, and the JSON codec below reads and writes them.  Each function
+that computes exactly (the construction recursion on the basis vectors,
+the constrained Sylvester solve, the invariance check, the block
+slow-subspace check, the exact split and the modal transform check)
 converts with :func:`as_ratmatrix` on entry and back with
 :func:`as_fractions` on exit; both pass float and sparse matrices
-through unchanged.  Solving, inverting and nullspaces
-are a fraction-free Gauss-Jordan elimination on integer numerators.
+through unchanged.  Solving, inverting and nullspaces are a
+fraction-free Gauss-Jordan elimination on integer numerators.
 Sizes in exact mode stay tiny (a few dozen rows), so clarity beats
 asymptotics.
 
@@ -35,19 +35,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, rational strings like ``"8/27"``, floats, and Fractions."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (float, np.floating)):
-        return Fraction(float(x))
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 def _matrix(data: list, dtype) -> np.ndarray:
     width = len(data[0]) if data else 0
     if any(len(row) != width for row in data):
@@ -56,8 +43,9 @@ def _matrix(data: list, dtype) -> np.ndarray:
 
 
 def frac_matrix(rows) -> np.ndarray:
-    """Object array of Fractions from a nested sequence."""
-    return _matrix([[frac(x) for x in row] for row in rows], object)
+    """Object array of Fractions from a nested sequence of ints, Fractions
+    or rational strings like ``"8/27"``, each taken by ``Fraction``."""
+    return _matrix([[Fraction(x) for x in row] for row in rows], object)
 
 
 def is_exact(a) -> bool:

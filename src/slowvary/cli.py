@@ -337,7 +337,8 @@ def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict,
         "validation": {
             "binorm_residual": _sig(vrep.binorm_residual),
             "centre_invariance_residual": _sig(vrep.invariance_residual),
-            "checks_passed": not vrep.residual_failures(threshold),
+            "checks_passed": bool(  # np.maximum, unlike max, fails a NaN
+                np.maximum(vrep.binorm_residual, vrep.invariance_residual) <= threshold),
         },
         "coefficients": _coeff_table(model),
         "checks": checks,

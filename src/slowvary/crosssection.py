@@ -508,7 +508,7 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
 
 @dataclass
 class ValidationReport:
-    """Numerical residuals of a family's split, judged against a tolerance.
+    """Numerical residuals of a family's split, for the caller to judge.
 
     ``binorm_residual`` is ``max|Z0.T V0 - I|`` and ``invariance_residual``
     is ``max|L0 V0 - V0 A0|``; the split itself carries the gap.
@@ -516,19 +516,6 @@ class ValidationReport:
 
     binorm_residual: float
     invariance_residual: float
-
-    def residual_failures(self, tol: float = DEFAULT_TOL) -> list[str]:
-        out = []
-        if self.binorm_residual > tol:
-            out.append(
-                f"binormalisation residual {self.binorm_residual:.3g} exceeds {tol:.3g}"
-            )
-        if self.invariance_residual > tol:
-            out.append(
-                f"centre invariance residual {self.invariance_residual:.3g} "
-                f"exceeds {tol:.3g}"
-            )
-        return out
 
 
 def validate_family(

@@ -129,11 +129,16 @@ class _BorderedSylvester:
                     [[self.L0 - R.eye(d) * t, self.Z0], [self.Z0.T, R.zeros((m, m))]]
                 ))
                 return inv[:d, :d], inv[:d, d:]
-            Z0s = sparse.csc_matrix(self.Z0)
-            return spla.splu(sparse.bmat(
-                [[sparse.csc_matrix(self.L0) - t * sparse.identity(d), Z0s], [Z0s.T, None]],
-                format="csc",
-            )).solve
+            if sparse.issparse(self.L0):
+                Z0s = sparse.csc_matrix(self.Z0)
+                border = sparse.bmat(
+                    [[sparse.csc_matrix(self.L0) - t * sparse.identity(d), Z0s], [Z0s.T, None]],
+                    format="csc",
+                )
+            else:  # the same CSC matrix, assembled several times faster than by bmat
+                border = sparse.csc_matrix(np.block(
+                    [[self.L0 - t * np.eye(d), self.Z0], [self.Z0.T, np.zeros((m, m))]]))
+            return spla.splu(border).solve
         except (RuntimeError, ValueError) as exc:  # splu / exact: singular
             raise SylvesterInconsistent(
                 f"bordered Sylvester matrix is singular at t = {t}: {exc}"
@@ -144,8 +149,8 @@ class _BorderedSylvester:
         RU, GU = rhs @ self._U, constraint @ self._U
         W = np.zeros(RU.shape, dtype=RU.dtype)
         for j, lu_solve in enumerate(self._solves):
-            b = RU[:, j] + W[:, :j] @ T[:j, j]
-            W[:, j] = lu_solve(np.concatenate([b, GU[:, j]]))[:d]
+            b = RU[..., j] + W[..., :j] @ T[:j, j]
+            W[..., j] = lu_solve(np.concatenate([b, GU[..., j]]))[:d]
         return (W @ self._U.conj().T).real
 
     def _exact_sweep(self, rhs, constraint):
@@ -158,10 +163,21 @@ class _BorderedSylvester:
             W = rat.RatMatrix.block([[W, w]]) if j else w
         return W
 
+    def sweep(self, rhs, constraint):
+        """The unchecked solution V of ``L0 V - V A0 = rhs``, ``Z0.T V = constraint``.
+
+        ``rhs`` is ``(dimU, m)`` and ``constraint`` ``(m, m)``.  In float mode
+        they may also be real stacks ``(dimU, K, m)`` and ``(m, K, m)`` of K
+        systems, solved together column by column of the Schur form; slice
+        ``[:, k]`` of the result solves system k.  Nothing checks the
+        residuals, and a non-finite input gives a non-finite output.
+        """
+        sweep = self._exact_sweep if self.exact else self._schur_sweep
+        return sweep(rhs, constraint)
+
     def solve(self, rhs, constraint):
         """Return the unique ``(dimU, m)`` V; ``constraint`` is the target of Z0.T V."""
-        sweep = self._exact_sweep if self.exact else self._schur_sweep
-        V = sweep(rhs, constraint)
+        V = self.sweep(rhs, constraint)
         self._check(V, rhs, constraint)
         return V
 

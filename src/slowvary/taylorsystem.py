@@ -20,7 +20,9 @@ functions here are the reference the tests hold it against.
 :func:`symbol_order_check` is the other check that ``reduce`` runs: it
 follows the slow invariant subspace of the micro symbol ``S(kappa)`` at
 finite wavenumbers and measures the order to which the model's symbol
-reproduces the dynamics on it.
+reproduces the dynamics on it.  Its chord correction solves the
+construction's constrained Sylvester equation with the construction's
+bordered Schur sweep, :class:`slowvary.slowreduce._BorderedSylvester`.
 """
 
 from __future__ import annotations
@@ -31,12 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from . import _rational as rat
 from .crosssection import OperatorFamily, SpectralSplit
 from .multiindex import enumerate_indices, index_factorial, index_sub, lower_sets, order
-from .slowreduce import GeneratingBasis, ReducedModel
+from .slowreduce import GeneratingBasis, ReducedModel, _BorderedSylvester
 
 __all__ = [
     "BlockOperator",
@@ -225,40 +226,6 @@ def _fmt(u) -> str:
     return "(" + ", ".join(f"{x:.3g}" for x in u) + ")"
 
 
-def _sylvester_inverse(L0, A0, Z0):
-    """Solver for ``L0 Y - Y A0 = R`` with ``Z0.T Y = 0``, R a complex
-    ``(dimU, K, m)`` array of K right-hand sides.
-
-    On the complex Schur form ``A0 = U T U^H`` column j of ``Y U`` solves
-    the bordered system of ``L0 - T_jj I``, as in the construction's
-    solver, here factorised once by SuperLU (which runs on one thread, so
-    the many small solves pay no BLAS thread start-up) and solved for all
-    K right-hand sides at once.  A singular system gives non-finite
-    output, which the caller's residual test rejects.
-    """
-    d, m = Z0.shape
-    T, U = sla.schur(A0, output="complex")
-    border = np.block([[rat.as_float(L0), Z0], [Z0.T, np.zeros((m, m))]]).astype(complex)
-    diag = border.diagonal()[:d].copy()
-    solves = []
-    for t in np.diag(T):
-        border[range(d), range(d)] = diag - t
-        try:
-            solves.append(spla.splu(sparse.csc_matrix(border)).solve)
-        except RuntimeError:  # exactly singular
-            solves.append(lambda b: np.full_like(b, np.nan))
-
-    def solve(R):
-        RU = (R.reshape(-1, m) @ U).reshape(R.shape)
-        W = np.zeros_like(RU)
-        for j, lu_solve in enumerate(solves):
-            b = RU[:, :, j] + W[:, :, :j] @ T[:j, j]
-            W[:, :, j] = lu_solve(np.vstack([b, np.zeros((m, b.shape[1]))]))[:d]
-        return (W.reshape(-1, m) @ U.conj().T).reshape(R.shape)
-
-    return solve
-
-
 def _charpoly(stack) -> np.ndarray:
     """Characteristic-polynomial coefficients of each matrix of a stack,
     computed as ``np.poly`` does: multiplied out from the eigenvalues."""
@@ -286,11 +253,14 @@ def symbol_order_check(
 
     At every rung, ``V`` is found by the chord (Riccati) iteration
     ``V -= C^-1 (S V - V B)`` from ``V0``, where ``C`` is the constrained
-    Sylvester operator ``Y -> L_0 Y - Y A_0`` with ``Z0.T Y = 0``, set up
-    once per call; all rungs iterate together as one stack.  A rung stops
-    only when its residual ``S V - V B``, computed directly, is below
-    ``1e-13`` relative to ``|S|_inf max|V|``, so the fixed point is the
-    true slow subspace whatever the solver does.  The characteristic
+    Sylvester operator ``Y -> L_0 Y - Y A_0`` with ``Z0.T Y = 0`` of the
+    construction, inverted by its bordered Schur sweep
+    (:class:`~slowvary.slowreduce._BorderedSylvester`, factorised once per
+    call).  All rungs iterate together: ``C`` is real, so the real and
+    imaginary parts of every live rung's residual go through one sweep as
+    one real stack.  A rung stops only when its residual ``S V - V B``,
+    computed directly, is below ``1e-13`` relative to ``|S|_inf max|V|``,
+    so the fixed point is the true slow subspace whatever the solver does.  The characteristic
     polynomials of ``B / beta`` and of the model's symbol
     ``sum_n A_n (i kappa)^n / beta`` are compared (they are well
     conditioned on Jordan centres, where eigenvalues are not), and the
@@ -298,8 +268,10 @@ def symbol_order_check(
     above a rounding floor.  The check passes when every fitted slope is
     at least ``N + 0.5``; a direction with fewer than two rungs above the
     floor passes.  A rung whose iteration does not converge fails the
-    check, with a message.  Costs ``O(rungs * iterations * dimU^2 * m)``
-    plus one inverse of size ``dimU + m`` per centre mode.
+    check, with a message; a singular bordered matrix raises
+    :class:`~slowvary.errors.SylvesterInconsistent`.  Costs
+    ``O(rungs * iterations * dimU^2 * m)`` plus one sparse LU of size
+    ``dimU + m`` per centre mode.
     """
     fam = family.to_float()
     V0, Z0, A0 = (rat.as_float(x) for x in (split.V0, split.Z0, split.A0))
@@ -316,7 +288,7 @@ def symbol_order_check(
     terms = [(np.prod((1j * kv) ** np.array(k), axis=1)[:, None], L)
              for k, L in fam.ops.items()]
     Snorm = sum(np.abs(f[:, 0]) * abs(L).sum(axis=1).max() for f, L in terms)
-    correction = _sylvester_inverse(fam.L0, A0, Z0)
+    chord = _BorderedSylvester(fam.L0, A0, Z0)
     V = np.repeat(V0[:, None, :], R, axis=1).astype(complex)
     done = np.zeros(R, dtype=bool)
     iters = np.zeros(R, dtype=int)
@@ -333,7 +305,11 @@ def symbol_order_check(
             done |= new
             if (done | ~np.isfinite(rel)).all() or it == _CHORD_MAXIT:
                 break
-            V[:, ~done] -= correction(resid[:, ~done])
+            live = resid[:, ~done]  # the real operator solves real and imaginary parts
+            k = live.shape[1]
+            Y = chord.sweep(np.concatenate([live.real, live.imag], axis=1),
+                            np.zeros((m, 2 * k, m)))
+            V[:, ~done] -= Y[:, :k] + 1j * Y[:, k:]
     if not done.all():
         r = int(np.flatnonzero(~done)[0])
         return SymbolOrder(False, None, R, it, message=(

@@ -109,6 +109,20 @@ def test_reduce_impossible_tolerance_exits_three(tmp_path):
     assert report["pass"] is False
 
 
+def test_reduce_fails_a_nan_validation_residual(tmp_path, monkeypatch):
+    """``validation.checks_passed`` bounds both split residuals, and a NaN
+    residual fails it."""
+    from slowvary import crosssection
+    from slowvary.cli import main
+
+    monkeypatch.setattr(crosssection, "validate_family",
+                        lambda *args, **kw: crosssection.ValidationReport(0.0, float("nan")))
+    out = tmp_path / "run"
+    assert main(["reduce", "--model", "walker-modal", "-N", "2", "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["validation"]["checks_passed"] is False and report["pass"] is False
+
+
 def test_report_bytes_are_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     r1 = run_cli("reduce", "--model", "walker-modal", "--out", a,

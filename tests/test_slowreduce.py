@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import slowvary as sv
 from slowvary._rational import frac_matrix, save_json
@@ -295,6 +296,59 @@ def test_sylvester_singular_border_is_named(convert):
     rhs = convert([[0.0], [1.0]])
     with pytest.raises(SylvesterInconsistent, match="singular at t = -1"):
         solve_constrained_sylvester(L0, A0, Z0, rhs)
+
+
+@pytest.mark.parametrize("seed, centre, m, alpha", [
+    (2101, "zero", 2, None), (2102, "rotation", 2, None), (2103, "jordan", 2, 1e-6),
+])
+def test_stacked_sweep_solves_real_and_imaginary_parts(seed, centre, m, alpha):
+    """The symbol-order check corrects K complex residuals with one float
+    sweep of their real and imaginary parts, stacked as ``(dimU, 2K, m)``.
+    Every system is solved, each as its own ``solve`` would; the rotation
+    centre sweeps on the complex Schur form.  Like the check's residuals,
+    the right-hand sides satisfy ``Z0.T R = 0``, the condition for a
+    solution with ``Z0.T Y = 0``."""
+    from slowvary.slowreduce import _BorderedSylvester
+
+    rng = np.random.default_rng(seed)
+    d, K = 8, 5
+    fam = random_gap_family(rng, dimU=d, M=2, m=m, centre=centre)
+    split = sv.spectral_split(fam, 2, alpha)
+    L0, A0, Z0 = fam.L0, split.A0, split.Z0
+    solver = _BorderedSylvester(L0, A0, Z0)
+    if centre == "rotation":
+        assert np.iscomplexobj(solver._T)  # swept on the complex Schur form
+    R = rng.standard_normal((d, K, m)) + 1j * rng.standard_normal((d, K, m))
+    R -= np.einsum("di,ei,ekj->dkj", split.V0, Z0, R)  # (I - V0 Z0.T) R
+    Y = solver.sweep(np.concatenate([R.real, R.imag], axis=1), np.zeros((m, 2 * K, m)))
+    Y = Y[:, :K] + 1j * Y[:, K:]
+    scale = max(np.abs(R).max(), np.abs(Y).max() * (np.abs(L0).max() + np.abs(A0).max()))
+    assert np.abs(np.einsum("de,ekm->dkm", L0, Y) - Y @ A0 - R).max() <= 1e-12 * scale
+    assert np.abs(np.einsum("dm,dkn->mkn", Z0, Y)).max() <= 1e-12 * scale
+    zero = np.zeros((m, m))
+    for k in range(K):
+        one = solver.solve(R[:, k].real, zero) + 1j * solver.solve(R[:, k].imag, zero)
+        assert np.abs(Y[:, k] - one).max() <= 1e-12 * np.abs(one).max()
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_dense_and_csr_base_operators_give_the_same_bits(m):
+    """A dense ``L0`` is bordered densely and a CSR one by ``sparse.bmat``;
+    both give the same CSC matrix, so ``A_n`` and ``V^n`` agree bit for
+    bit.  Only ``L0`` is stored as CSR, because a CSR product with the
+    other ``L_k`` sums in another order than a dense one."""
+    fam = random_gap_family(np.random.default_rng(2110 + m), dimU=10, M=2, m=m)
+    zero = fam.zero_index
+    csr = sv.OperatorFamily({k: sparse.csr_matrix(L) if k == zero else L
+                             for k, L in fam.ops.items()})
+    split = sv.spectral_split(fam, 3)
+    (model, basis), (csr_model, csr_basis) = (
+        sv.construct_reduction(f, 3, split=split) for f in (fam, csr))
+    assert sorted(model.A) == sorted(csr_model.A)
+    for n, An in model.A.items():
+        assert An.tobytes() == csr_model.A[n].tobytes()
+    for n, Vn in basis.vectors.items():
+        assert Vn.tobytes() == csr_basis.vectors[n].tobytes()
 
 
 # -- seeded property tests over random families --------------------------------

@@ -216,6 +216,21 @@ def test_symbol_order_check_reports_no_convergence(monkeypatch):
     assert "did not converge" in got.message
 
 
+def test_symbol_order_check_names_a_singular_bordered_matrix():
+    """The chord correction runs on the construction's solver, which
+    refuses a singular bordered matrix: here ``A0 = [-1]`` is a stable
+    eigenvalue of ``L0``."""
+    from slowvary.errors import SylvesterInconsistent
+
+    fam = sv.OperatorFamily({(0,): np.diag([0.0, -1.0]), (1,): np.eye(2)[::-1]})
+    e0 = np.array([[1.0], [0.0]])
+    split = sv.SpectralSplit(m=1, V0=e0, Z0=e0, A0=np.array([[-1.0]]), alpha=1e-9,
+                             beta=1.0, eigenvalues=np.array([0.0, -1.0]))
+    model = sv.ReducedModel(M=1, N=1, m=1, A={(0,): split.A0, (1,): np.zeros((1, 1))})
+    with pytest.raises(SylvesterInconsistent, match="singular at t = -1"):
+        sv.symbol_order_check(fam, split, model, 1)
+
+
 def test_symbol_order_check_takes_csr_families():
     from slowvary import models
 
