@@ -10,7 +10,9 @@ operators are real, so only the half spectrum of ``rfftn`` is propagated,
 and of it only the modes the initial field excites, with one
 ``scipy.linalg.expm`` call on their stack (see :func:`_integrate`).  A
 run's :class:`Trajectory` holds those modes' coefficients; only
-:func:`write_frames` and ``Trajectory.values`` form real-space samples.
+:func:`write_frames` and ``Trajectory.values`` form real-space samples,
+transforming only the axes the live modes span and broadcasting along
+the others.
 
 The diagnostics quantify how well a reduced model tracks the full system,
 on those coefficients, with RMS norms taken by Parseval: the emergence
@@ -56,7 +58,7 @@ __all__ = [
 ]
 
 _GROWTH_LIMIT = 1e6
-# bytes of real output per irfftn call of Trajectory.blocks
+# bytes of real output per irfftn call of Trajectory.blocks, on the grid it transforms
 _BLOCK_BYTES = 1 << 19
 
 
@@ -101,10 +103,13 @@ class MacroField(_Field):
 
 def plane_wave(lengths, grid, ncomp, component=0, mode=None, amplitude=1.0):
     """Sinusoidal profile in one component; returns a values array."""
-    lengths = tuple(float(L) for L in lengths)
-    grid = tuple(int(g) for g in grid)
+    lengths, grid = _check_box(lengths, grid)
     if mode is None:
         mode = (1,) + (0,) * (len(grid) - 1)
+    if len(mode) != len(grid):
+        raise ValueError(f"mode needs {len(grid)} entries, got {len(mode)}")
+    if not 0 <= component < ncomp:
+        raise ValueError(f"component must be in [0, {ncomp}), got {component}")
     axes = [np.arange(g) * (L / g) for g, L in zip(grid, lengths)]
     coords = np.meshgrid(*axes, indexing="ij")
     phase = sum(2 * np.pi * mj * x / L for mj, x, L in zip(mode, coords, lengths))
@@ -143,19 +148,30 @@ class Trajectory:
 
     def blocks(self):
         """Real-space samples in order: the head, then one ``irfftn`` call
-        per block of ``_BLOCK_BYTES`` of output."""
+        per block of ``_BLOCK_BYTES`` of transformed output.
+
+        The field is constant along an axis on which every live mode has
+        index 0.  Such an axis is transformed at length 1 and the block
+        broadcast along it (a read-only ``np.broadcast_to`` view), scaled
+        by ``1 / g``, which is exact for a power of two ``g``: the 1-D
+        transforms of the other axes are those of the whole grid.
+        """
         nt, grid, dim = len(self.times), self.grid, self.ncomp
         done = 0 if self.head is None else len(self.head)
         if done:
             yield self.head
-        shape, axes = _half_shape(grid), tuple(range(2, len(grid) + 2))
-        step = _block_length(grid, dim)
+        idx = np.unravel_index(self.modes, _half_shape(grid))
+        sub = tuple(g if i.any() else 1 for i, g in zip(idx, grid))
+        shape, axes = _half_shape(sub), tuple(range(2, len(grid) + 2))
+        modes, scale = np.ravel_multi_index(idx, shape), np.prod(sub) / np.prod(grid)
+        step = _block_length(sub, dim)
         half = np.zeros((min(step, nt - done), dim, int(np.prod(shape))), dtype=complex)
         for lo in range(done, nt, step):
             h = half[: min(step, nt - lo)]
-            h[..., self.modes] = self.coef[lo : lo + len(h)]
-            block = np.fft.irfftn(h.reshape(h.shape[:2] + shape), s=grid, axes=axes)
-            yield np.moveaxis(block, 1, -1)
+            h[..., modes] = self.coef[lo : lo + len(h)]
+            block = np.fft.irfftn(h.reshape(h.shape[:2] + shape), s=sub, axes=axes)
+            block *= scale
+            yield np.broadcast_to(np.moveaxis(block, 1, -1), (len(h),) + grid + (dim,))
 
 
 # -- spectral machinery -------------------------------------------------------
@@ -399,7 +415,8 @@ def simulate_macro(
 
 
 def _block_length(grid, m: int) -> int:
-    """Samples per block: ``_BLOCK_BYTES`` of real values with ``m`` components."""
+    """Samples per block: ``_BLOCK_BYTES`` of real values with ``m``
+    components on ``grid``, the grid that ``Trajectory.blocks`` transforms."""
     return max(1, _BLOCK_BYTES // (8 * m * int(np.prod(grid))))
 
 
@@ -639,24 +656,35 @@ def write_frames(path, traj: Trajectory) -> None:
         kind = traj.kind.encode()[:8].ljust(8, b"\0")
         fh.write(kind)
         for t, frame in zip(traj.times, chain.from_iterable(traj.blocks())):
+            # np.tile fills a frame broadcast along some axes twice as fast as a copy
+            if not all(frame.strides):
+                frame = np.tile(frame[tuple(slice(None) if s else slice(1) for s in frame.strides)],
+                                [1 if s else n for n, s in zip(frame.shape, frame.strides)])
             fh.write(struct.pack("<d", float(t)))
-            fh.write(np.ascontiguousarray(frame, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(frame, dtype="<f8"))
 
 
 def read_frames(path) -> Trajectory:
     """The trajectory of a frame file: every frame as its head, and their
     ``rfftn`` coefficients on the whole half grid."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError(f"{path} is not a frame file")
-        _, M, ncomp = struct.unpack("<III", fh.read(12))
-        grid = struct.unpack(f"<{M}I", fh.read(4 * M))
-        lengths = struct.unpack(f"<{M}d", fh.read(8 * M))
-        (nframes,) = struct.unpack("<Q", fh.read(8))
-        kind = fh.read(8).rstrip(b"\0").decode()
-        frames = np.fromfile(fh, np.dtype([("t", "<f8"), ("v", "<f8", grid + (ncomp,))]),
-                             count=nframes)
+        data = fh.read()
+    if data[:8] != _MAGIC:
+        raise ValueError(f"{path} is not a frame file")
+    M = int.from_bytes(data[12:16], "little")
+    start = 12 * M + 36  # the header's length
+    if len(data) < start:
+        raise ValueError(f"{path}: header cut short at {len(data)} bytes")
+    ncomp, *grid = struct.unpack_from(f"<{M + 1}I", data, 16)
+    *lengths, nframes = struct.unpack_from(f"<{M}dQ", data, 20 + 4 * M)
+    record = np.dtype([("t", "<f8"), ("v", "<f8", (*grid, ncomp))])
+    found, extra = divmod(len(data) - start, record.itemsize)
+    if (found, extra) != (nframes, 0):
+        raise ValueError(f"{path}: header says {nframes} frames, found {found}"
+                         + f" and {extra} bytes more" * bool(extra))
+    frames = np.frombuffer(data, record, offset=start)
     times, values = frames["t"].astype(float), frames["v"].astype(float)
     coef = np.moveaxis(np.fft.rfftn(values, axes=tuple(range(1, M + 1))), -1, 1)
+    kind = data[start - 8 : start].rstrip(b"\0").decode() or "micro"
     return Trajectory(times, coef.reshape(nframes, ncomp, -1), np.arange(coef[0, 0].size),
-                      grid, tuple(lengths), kind or "micro", head=values)
+                      tuple(grid), tuple(lengths), kind, head=values)

@@ -18,6 +18,12 @@ the last axis has only the last axis's 0 column, where both transforms do
 the same arithmetic, so its trajectory is bitwise equal, and so is the
 frame file that ``write_frames`` streams block by block.  (In three,
 ``irfftn`` takes the leading axes in the opposite order to ``ifftn``.)
+
+``write_frames`` transforms only the axes the live modes span and
+broadcasts along the others, scaling by a power of two; its bytes must
+equal those of ``irfftn`` on the whole grid, for M = 1, 2, 3, waves
+along every axis, oblique waves, constant, dense random and filtered
+macro fields.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from slowvary.errors import StabilityViolation
 from slowvary.simulate import (
     _GROWTH_LIMIT,
     _filter_mask,
+    _half_shape,
     _symbol_table,
 )
 
@@ -204,6 +211,11 @@ def test_plane_wave_constant_along_last_axis_is_bitwise(walker, grid, mode):
     assert got.values.tobytes() == want.values.tobytes()
 
 
+def _frame_file_body(times, values):
+    return b"".join(np.float64(t).astype("<f8").tobytes()
+                    + np.ascontiguousarray(v, "<f8").tobytes() for t, v in zip(times, values))
+
+
 @pytest.mark.parametrize("frames_per_block", [1, 3, None])
 @pytest.mark.parametrize(
     "grid, mode", [((16, 16), (1, 0)), ((8, 8), (4, 0)), ((32, 1), (1, 0))], ids=str
@@ -216,8 +228,11 @@ def test_streamed_frames_equal_full_spectrum_frames(walker, grid, mode, frames_p
     from slowvary import simulate
 
     if frames_per_block is not None:
+        # the wave is constant along the last axis, which is transformed at length 1
+        sub = (grid[0], 1)
         monkeypatch.setattr(simulate, "_BLOCK_BYTES",
-                            frames_per_block * 8 * walker.dimU * int(np.prod(grid)))
+                            frames_per_block * 8 * walker.dimU * int(np.prod(sub)))
+        assert simulate._block_length(sub, walker.dimU) == frames_per_block
     lengths = _lengths(grid)
     profile = sv.plane_wave(lengths, grid, 1, mode=mode)
     rng = np.random.default_rng(5)
@@ -225,13 +240,88 @@ def test_streamed_frames_equal_full_spectrum_frames(walker, grid, mode, frames_p
     want = _micro_full(walker, field0, 2.0, 8)
     path = tmp_path / "frames.bin"
     sv.write_frames(path, sv.simulate_micro(walker, field0, 2.0, samples=8))
-    body = b"".join(
-        np.float64(t).astype("<f8").tobytes() + np.ascontiguousarray(v, "<f8").tobytes()
-        for t, v in zip(want.times, want.values)
-    )
+    body = _frame_file_body(want.times, want.values)
     data = path.read_bytes()
     assert len(data) == 8 + 12 + 12 * len(grid) + 16 + len(body)
     assert data.endswith(body)
+
+
+def _frames_full(traj):
+    """Real-space samples as ``irfftn`` forms them on the whole grid."""
+    shape, axes = _half_shape(traj.grid), tuple(range(2, len(traj.grid) + 2))
+    half = np.zeros(traj.coef.shape[:2] + (int(np.prod(shape)),), dtype=complex)
+    half[..., traj.modes] = traj.coef
+    values = np.fft.irfftn(half.reshape(half.shape[:2] + shape), s=traj.grid, axes=axes)
+    values = np.moveaxis(values, 1, -1)
+    if traj.head is not None:
+        values[: len(traj.head)] = traj.head
+    return values
+
+
+def _seeded(grid, dim, mode):
+    """A plane wave of ``mode`` in a random direction of the state space,
+    or a ``"constant"`` or dense ``"random"`` field."""
+    rng = np.random.default_rng(list(grid))
+    lengths = _lengths(grid)
+    if mode == "random":
+        return lengths, rng.standard_normal(grid + (dim,))
+    if mode == "constant":
+        return lengths, np.ones(grid + (1,)) * rng.standard_normal(dim)
+    return lengths, sv.plane_wave(lengths, grid, 1, mode=mode) * rng.standard_normal(dim)
+
+
+_PRUNED = [
+    ((16,), (1,)), ((16,), "constant"), ((16,), "random"), ((1,), "random"),
+    ((16, 16), (1, 0)), ((16, 16), (0, 1)), ((16, 8), (1, 1)), ((8, 8), (2, 3)),
+    ((8, 8), "constant"), ((8, 8), "random"), ((32, 1), (1, 0)), ((1, 32), (0, 1)),
+    ((8, 4, 16), (1, 0, 0)), ((8, 4, 16), (0, 1, 0)), ((8, 4, 16), (0, 0, 1)),
+    ((8, 4, 16), (1, 1, 0)), ((8, 4, 16), (0, 1, 1)), ((8, 4, 16), "constant"),
+    ((4, 2, 4), "random"), ((4, 1, 8), (1, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("grid, mode", _PRUNED, ids=str)
+def test_pruned_frames_equal_full_grid_transform(grid, mode, tmp_path):
+    """``write_frames`` transforms only the axes the live modes span, and
+    broadcasts along the others; its bytes are those of ``irfftn`` on the
+    whole grid."""
+    fam = _family("rotation-m2", len(grid))
+    field0 = sv.MicroField(*_seeded(grid, fam.dimU, mode))
+    traj = sv.simulate_micro(fam, field0, 3.0, samples=6)
+    path = tmp_path / "frames.bin"
+    sv.write_frames(path, traj)
+    assert path.read_bytes().endswith(_frame_file_body(traj.times, _frames_full(traj)))
+
+
+@pytest.mark.parametrize("mode", [(1, 0), (0, 2), (1, 1)], ids=str)
+def test_filtered_macro_frames_equal_full_grid_transform(walker, mode, tmp_path):
+    """An odd-N macro run filters its field, so every frame is transformed."""
+    split = sv.spectral_split(walker, 3)
+    model, _ = sv.construct_reduction(walker, 3, split=split)
+    lengths, values = _seeded((32, 32), model.m, mode)
+    traj = sv.simulate_macro(model.to_float(), sv.MacroField(lengths, values), 5.0,
+                             samples=30)
+    assert traj.head is None
+    path = tmp_path / "frames.bin"
+    sv.write_frames(path, traj)
+    assert path.read_bytes().endswith(_frame_file_body(traj.times, _frames_full(traj)))
+
+
+@pytest.mark.parametrize("mode, sub", [((1, 0), (128, 1)), ((0, 1), (1, 128))], ids=str)
+def test_axis_aligned_wave_is_transformed_on_one_line(walker, mode, sub, tmp_path,
+                                                      monkeypatch):
+    grids, irfftn = [], np.fft.irfftn
+
+    def spy(a, s=None, axes=None, **kwargs):
+        grids.append(tuple(s))
+        return irfftn(a, s=s, axes=axes, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", spy)
+    profile = sv.plane_wave((128.0, 128.0), (128, 128), 1, mode=mode)
+    field0 = sv.MicroField((128.0, 128.0), profile * np.array([0.3, -1.2, 0.8]))
+    sv.write_frames(tmp_path / "frames.bin",
+                    sv.simulate_micro(walker, field0, 20.0, samples=200))
+    assert grids and set(grids) == {sub}
 
 
 @pytest.mark.parametrize("c", [1.0, -1.0])

@@ -463,6 +463,36 @@ def test_frames_roundtrip(tmp_path, walker):
     np.testing.assert_allclose(back.values, traj.values, atol=0)
 
 
+@pytest.mark.parametrize("cut", ["header", "frame", "trailing"])
+def test_read_frames_refuses_a_damaged_file(tmp_path, walker, cut):
+    field0 = sv.MicroField((8.0, 8.0), sv.plane_wave((8.0, 8.0), (8, 1), 3))
+    traj = sv.simulate_micro(walker, field0, T=1.0, samples=10)
+    path = tmp_path / "frames.bin"
+    sv.write_frames(path, traj)
+    data = path.read_bytes()
+    header, frame = 8 + 12 + 12 * 2 + 16, 8 + 8 * 3 * 8
+    assert len(data) == header + 11 * frame
+    if cut == "header":
+        for n in (4, 16, header - 1):
+            path.write_bytes(data[:n])
+            with pytest.raises(ValueError, match="cut short" if n > 8 else "not a frame"):
+                sv.read_frames(path)
+        return
+    path.write_bytes(data[:-frame // 2] if cut == "frame" else data + b"\0")
+    found = "10 and 100 bytes more" if cut == "frame" else "11 and 1 bytes more"
+    with pytest.raises(ValueError, match=f"header says 11 frames, found {found}"):
+        sv.read_frames(path)
+
+
+def test_plane_wave_validates_its_arguments():
+    sv.plane_wave((8.0, 8.0), (8, 4), 2, component=1, mode=(1, 2))
+    for kwargs in ({"mode": (1,)}, {"mode": (1, 0, 1)}, {"component": -1},
+                   {"component": 2}, {"lengths": (8.0,)}, {"lengths": (8.0, 8.0, 8.0)}):
+        args = {"lengths": (8.0, 8.0), "grid": (8, 4), "ncomp": 2} | kwargs
+        with pytest.raises(ValueError):
+            sv.plane_wave(**args)
+
+
 def test_closure_order_study_slopes(walker_setup):
     fam, model, split = walker_setup
     study = sv.closure_order_study(

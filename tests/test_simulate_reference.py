@@ -169,11 +169,14 @@ def test_blocked_diagnostics_match_reference(case, samples, monkeypatch):
 
 
 def test_default_block_length_matches_reference():
-    """At the module's own budget a 64x64 walker run spans several blocks."""
+    """At the module's own budget a 64x64 walker run spans several blocks.
+
+    The wave is oblique, so that every axis is transformed at full length.
+    """
     fam, model, split, _ = _problem("walker")
     grid = (64, 64)
     assert 2 * simulate._block_length(grid, model.m) < 41  # observed samples
-    profile = sv.plane_wave((64.0, 64.0), grid, split.m)
+    profile = sv.plane_wave((64.0, 64.0), grid, split.m, mode=(1, 1))
     field0 = sv.MicroField((64.0, 64.0), np.einsum("...m,dm->...d", profile, split.V0))
     want = _emergence_reference(fam, model, split, field0, 24.0, 12.0, 80)
     got = sv.emergence_error(fam, model, split, field0, 24.0, t_skip=12.0, samples=80)
