@@ -16,7 +16,8 @@ holding either an operator family or a diffusivity cell problem.
 Every subcommand runs one pipeline (``_run``): check the options, load
 the model, split ``L_0`` once, construct the order-N closure once
 (``--order``, ``--tol``, ``--method``; all but ``validate``), then run the
-subcommand's own body.  The demos take the same options.  ``demo walker``
+subcommand's own body.  The options are the argparse namespace itself.
+The demos take the same options.  ``demo walker``
 reduces the walker in exact arithmetic; the cell demos print ``A_(2,0)``
 and ``A_(0,2)`` and so need ``--order`` of at least 2.
 
@@ -24,10 +25,15 @@ Exit codes: 0 all checks pass; 2 the model violates a structural
 assumption or the config is invalid; 3 a numerical check failed.
 ``report.json`` is written in every case (``error.check`` naming the
 failed check, ``"config"`` for options and model files) except when
-``--out`` is not a directory; wall clock, environment and the model
-family's storage (``dense``, ``csr`` or ``exact``) and bytes go to
-``run_meta.json`` so that ``report.json`` is byte-identical across
+``--out`` is not a directory; the parsed argv, wall clock, environment
+and the model family's storage (``dense``, ``csr`` or ``exact``) and
+bytes go to ``run_meta.json`` so that ``report.json`` is byte-identical across
 reruns of the same config.
+
+The library functions are called as attributes of their modules
+(``crosssection.spectral_split``, ``slowreduce.construct_reduction``, ...),
+never bound here by name, so that a wrapper the benchmark's tracer puts on
+the module is the function this module calls.
 """
 
 from __future__ import annotations
@@ -38,41 +44,31 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+
+from . import _rational as rat, crosssection, models, simulate, slowreduce, taylorsystem
+from .errors import ConfigError, FamilyValidationError, NumericalCheckError
+from .multiindex import format_index, graded_key
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-BUILTIN_MODELS = (
-    "walker-modal",
-    "walker-physical",
-    "homogenise-constant",
-    "homogenise-layered",
-    "homogenise-checkerboard",
-)
+# built-in model names, in the order a config error lists them, with the
+# expression of each built-in cell (None for the walkers)
+BUILTIN_MODELS = {
+    "walker-modal": None,
+    "walker-physical": None,
+    "homogenise-constant": "constant",
+    "homogenise-layered": "layered_cos",
+    "homogenise-checkerboard": "checkerboard_smooth",
+}
 
 # reduce runs the symbol-order check only up to this many block rows
 # (retained indices times dimU) and reports it skipped above
 _BLOCK_CHECK_LIMIT = 2000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    model: str
-    N: int = 2
-    alpha: float | None = None
-    tol: float = 1e-10
-    grid: tuple = (32,)
-    T: float = 26.0
-    wavelengths: tuple = (16.0, 32.0, 64.0, 128.0)
-    out: Path | None = None
-    exact: bool = False
-    seed: int | None = None
-    amplitude: float = 0.5
-    method: str = "vectors"
 
 
 def _parse_grid(text: str) -> tuple:
@@ -88,6 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="slowvary",
         description="Slow-variable reduction of linear lattice and PDE systems.",
     )
+    ap.set_defaults(amplitude=0.5)  # the demo's --a; the cells of the others use 0.5
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, model_flag=True):
@@ -111,8 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory")
         p.add_argument("--exact", action="store_true",
                        help="rational arithmetic (built-in models, dimU <= 8)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed recorded in run metadata")
         p.add_argument("--method", choices=("vectors", "generating"),
                        default="vectors",
                        help="both values run the one recursion on the basis "
@@ -123,65 +118,37 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("simulate", help="integrate micro and macro side by side"))
     common(sub.add_parser("converge", help="plateau error against wavelength"))
     pd = sub.add_parser("demo", help="run a built-in walkthrough")
-    pd.add_argument("name", choices=("walker", "homogenise-constant",
-                                     "homogenise-layered"))
+    pd.add_argument("model", metavar="name", help="one of %(choices)s",
+                    choices=("walker", "homogenise-constant", "homogenise-layered"))
     pd.add_argument("--a", dest="amplitude", type=float, default=0.5,
                     help="layer amplitude for homogenise-layered")
     common(pd, model_flag=False)
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        model=getattr(args, "model", getattr(args, "name", "")),
-        N=args.N,
-        alpha=args.alpha,
-        tol=args.tol,
-        grid=args.grid,
-        T=args.T,
-        wavelengths=args.wavelengths,
-        out=args.out,
-        exact=args.exact,
-        seed=args.seed,
-        amplitude=getattr(args, "amplitude", 0.5),
-        method=args.method,
-    )
-    if cfg.out is not None:
-        with contextlib.suppress(OSError):  # _run reports an --out that is not a directory
-            cfg.out.mkdir(parents=True, exist_ok=True)
-    return cfg
-
-
-def _grid_text(cfg: RunConfig) -> str:
+def _grid_text(cfg: argparse.Namespace) -> str:
     return ",".join(map(str, cfg.grid))
 
 
 # -- model resolution ---------------------------------------------------------
 
 
-def _load_model(cfg: RunConfig):
+def _load_model(cfg: argparse.Namespace):
     """Returns (family, cell) for the configured model source or demo name."""
-    from . import _rational as rat, models
-    from .crosssection import OperatorFamily
-    from .errors import ConfigError
-
     name, exact = cfg.model, cfg.exact
     if cfg.command == "demo":  # the walker demo is exact, the cell demos float
         name, exact = ("walker-modal", True) if name == "walker" else (name, False)
-    cells = {"homogenise-constant": "constant", "homogenise-layered": "layered_cos",
-             "homogenise-checkerboard": "checkerboard_smooth"}
     cell = None
     if name == "walker-modal":
         family = models.random_walker_modal(exact=exact)
     elif name == "walker-physical":
         family = models.random_walker_physical(exact=exact)
-    elif name in cells:
+    elif name in BUILTIN_MODELS:
         if len(cfg.grid) > 1:
             raise ConfigError(f"the built-in cells take one --grid entry "
                               f"(the cell's n), got {_grid_text(cfg)}")
         cell = models.CellProblem.from_expression(
-            cells[name], n=cfg.grid[0], amplitude=cfg.amplitude
+            BUILTIN_MODELS[name], n=cfg.grid[0], amplitude=cfg.amplitude
         )
     else:
         path = Path(name)
@@ -195,7 +162,7 @@ def _load_model(cfg: RunConfig):
             if not isinstance(data, dict):
                 raise ConfigError(f"model file {name} is not a JSON object")
             if "operators" in data:
-                family = OperatorFamily.from_json(data, exact=exact)
+                family = crosssection.OperatorFamily.from_json(data, exact=exact)
             elif "K" in data or "K_expr" in data:
                 cell = models.CellProblem.from_json(data)
             else:
@@ -217,22 +184,11 @@ def _load_model(cfg: RunConfig):
     return family, cell
 
 
-def _split_family(cfg: RunConfig, family, cell):
-    from . import models
-    from .crosssection import spectral_split
-
-    if cell is not None:
-        return models.cell_spectral_split(family, N=cfg.N, alpha=cfg.alpha)
-    return spectral_split(family, N=cfg.N, alpha=cfg.alpha)
-
-
 # -- report plumbing ----------------------------------------------------------
 
 
 def _sig(x, digits=12):
     """Round to a fixed number of significant digits for stable reports."""
-    import numpy as np
-
     if isinstance(x, dict):
         return {k: _sig(v, digits) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -261,20 +217,7 @@ def _write_report(out: Path | None, report: dict, meta: dict) -> None:
     )
 
 
-def _meta(cfg: RunConfig) -> dict:
-    return {
-        "argv": sys.argv[1:],
-        "command": cfg.command,
-        "model": cfg.model,
-        "seed": cfg.seed,
-        "python": sys.version.split()[0],
-    }
-
-
 def _coeff_table(model) -> dict:
-    from . import _rational as rat
-    from .multiindex import format_index, graded_key
-
     encode = rat.encode_matrix if model.is_exact else _sig
     return {format_index(n): encode(model.A[n]) for n in sorted(model.A, key=graded_key)}
 
@@ -297,14 +240,9 @@ def _split_fields(family, split) -> dict:
     }
 
 
-def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+def _reduce(cfg: argparse.Namespace, family, cell, split, model, basis, report: dict,
             meta: dict) -> int:
-    import numpy as np
-
-    from . import slowreduce, taylorsystem
-    from .crosssection import validate_family
-
-    vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
+    vrep = crosssection.validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
     famf = family.to_float()
     scale = max(1.0, max(float(abs(op).max()) for op in famf.ops.values()))
     threshold = cfg.tol * scale
@@ -363,11 +301,9 @@ def _reduce(cfg: RunConfig, family, cell, split, model, basis, report: dict,
     return EXIT_OK
 
 
-def _validate(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+def _validate(cfg: argparse.Namespace, family, cell, split, model, basis, report: dict,
               meta: dict) -> int:
-    from .crosssection import validate_family
-
-    vrep = validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
+    vrep = crosssection.validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
     report.update(_split_fields(family, split))
     report.update({
         "centre_eigenvalues": _sig(split.centre_eigenvalues()),
@@ -380,12 +316,8 @@ def _validate(cfg: RunConfig, family, cell, split, model, basis, report: dict,
     return EXIT_OK
 
 
-def _simulate(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+def _simulate(cfg: argparse.Namespace, family, cell, split, model, basis, report: dict,
               meta: dict) -> int:
-    import numpy as np
-
-    from . import simulate
-
     famf = family.to_float()
     modelf = model.to_float()
 
@@ -419,10 +351,8 @@ def _simulate(cfg: RunConfig, family, cell, split, model, basis, report: dict,
     return EXIT_OK
 
 
-def _converge(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+def _converge(cfg: argparse.Namespace, family, cell, split, model, basis, report: dict,
               meta: dict) -> int:
-    from . import simulate
-
     study = simulate.closure_order_study(
         family.to_float(), model.to_float(), split, cfg.wavelengths,
         grid_points=cfg.grid[0],
@@ -456,12 +386,8 @@ def _converge(cfg: RunConfig, family, cell, split, model, basis, report: dict,
     return EXIT_OK
 
 
-def _demo(cfg: RunConfig, family, cell, split, model, basis, report: dict,
+def _demo(cfg: argparse.Namespace, family, cell, split, model, basis, report: dict,
           meta: dict) -> int:
-    import numpy as np
-
-    from . import models, slowreduce
-
     if cell is None:
         inv = slowreduce.check_invariance(family, model, basis)
         print("three-velocity walker, modal coordinates")
@@ -489,7 +415,7 @@ def _demo(cfg: RunConfig, family, cell, split, model, basis, report: dict,
     return EXIT_OK
 
 
-# subcommand -> (body, RunConfig fields copied into the report header)
+# subcommand -> (body, options copied into the report header)
 _COMMANDS = {
     "reduce": (_reduce, ("N", "exact", "method")),
     "validate": (_validate, ("N",)),
@@ -499,15 +425,16 @@ _COMMANDS = {
 }
 
 
-def _run(cfg: RunConfig) -> int:
+def _run(cfg: argparse.Namespace, argv: list) -> int:
     """Check, load, split and construct once, run the subcommand, write the report."""
-    from . import slowreduce
-    from .errors import ConfigError, FamilyValidationError, NumericalCheckError
-
+    if cfg.out is not None:
+        with contextlib.suppress(OSError):  # reported below as not a directory
+            cfg.out.mkdir(parents=True, exist_ok=True)
     body, header = _COMMANDS[cfg.command]
     report: dict = {"command": cfg.command, "model": cfg.model}
     report.update({key: getattr(cfg, key) for key in header})
-    meta = _meta(cfg)
+    meta = {"argv": argv, "command": cfg.command, "model": cfg.model,
+            "python": sys.version.split()[0]}
     try:
         if cfg.out is not None and not cfg.out.is_dir():
             raise ConfigError(f"--out {cfg.out} is not a directory")
@@ -539,7 +466,8 @@ def _run(cfg: RunConfig) -> int:
         if cfg.command == "simulate" and len(cfg.grid) > family.M:
             raise ConfigError(f"--grid has {len(cfg.grid)} entries, "
                               f"the model only {family.M} directions")
-        split = _split_family(cfg, family, cell)
+        split = (models.cell_spectral_split if cell is not None
+                 else crosssection.spectral_split)(family, N=cfg.N, alpha=cfg.alpha)
         model = basis = None
         if cfg.command != "validate":
             model, basis = slowreduce.construct_reduction(
@@ -557,7 +485,8 @@ def _run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    return _run(_config_from_args(_build_parser().parse_args(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    return _run(_build_parser().parse_args(argv), argv)
 
 
 if __name__ == "__main__":

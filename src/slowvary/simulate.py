@@ -101,8 +101,8 @@ class MacroField(_Field):
         return self.values.shape[-1]
 
 
-def plane_wave(lengths, grid, ncomp, component=0, mode=None, amplitude=1.0):
-    """Sinusoidal profile in one component; returns a values array."""
+def plane_wave(lengths, grid, ncomp, component=0, mode=None):
+    """Unit sinusoidal profile in one component; returns a values array."""
     lengths, grid = _check_box(lengths, grid)
     if mode is None:
         mode = (1,) + (0,) * (len(grid) - 1)
@@ -114,7 +114,7 @@ def plane_wave(lengths, grid, ncomp, component=0, mode=None, amplitude=1.0):
     coords = np.meshgrid(*axes, indexing="ij")
     phase = sum(2 * np.pi * mj * x / L for mj, x, L in zip(mode, coords, lengths))
     values = np.zeros(grid + (ncomp,))
-    values[..., component] = amplitude * np.sin(phase)
+    values[..., component] = np.sin(phase)
     return values
 
 
@@ -240,10 +240,9 @@ def _half_spectrum(lengths, grid):
     """Rows that propagate a real field: the half spectrum plus mirror rows.
 
     The last axis is halved as ``rfftn`` halves it, and ``shape`` is that
-    half grid.  ``rows[:, r]`` is the full-grid index of row r: the modes of
-    the half grid in C order, then a second row for each mode in ``twin``,
-    one with a Nyquist index on another axis and an interior index on the
-    last.  ``fftfreq`` puts a Nyquist index at ``-pi g / L``, so that mode is
+    half grid.  The rows are the modes of the half grid in C order, then a
+    second row for each mode in ``twin``, one with a Nyquist index on
+    another axis and an interior index on the last.  ``fftfreq`` puts a Nyquist index at ``-pi g / L``, so that mode is
     its own mirror on that axis.  The real part of the full spectrum
     averages its evolution with the conjugate of its mirror's, which is the
     evolution from the same coefficient under ``S`` at ``+pi g / L`` on those
@@ -260,10 +259,10 @@ def _half_spectrum(lengths, grid):
         np.where(f, -kv[r], kv[r])
         for kv, r, f in zip(_frequencies(lengths, grid), rows, flip)
     ]
-    return shape, rows, kvecs, twin
+    return shape, kvecs, twin
 
 
-def _integrate(ops, u, T, samples, lengths, grid, kind, head=None, keep=None):
+def _integrate(ops, u, T, samples, lengths, grid, kind, head=None):
     """Advance every excited Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``.
 
     ``u`` is the initial half spectrum, ``(half-grid modes, dim)``.  The
@@ -279,15 +278,14 @@ def _integrate(ops, u, T, samples, lengths, grid, kind, head=None, keep=None):
     modes of the half grid, with the mean of the two evolutions at a mode
     with a mirror row, so that ``irfftn`` gives the real part of the
     full-spectrum ``ifftn``; on the last axis's own 0 and Nyquist columns
-    ``irfftn`` takes the Hermitian part itself.  Modes outside the
-    full-grid mask ``keep``, when given, do not evolve.  The growth check
+    ``irfftn`` takes the Hermitian part itself.  The growth check
     names a mode whose propagator overflows, so numpy's overflow warnings
     are silenced.
     """
     if T < 0:
         raise ValueError("integration span must be >= 0")
     dim = u.shape[-1]
-    shape, rows, kvecs, twin = _half_spectrum(lengths, grid)
+    shape, kvecs, twin = _half_spectrum(lengths, grid)
     n = int(np.prod(shape))
     u = np.concatenate([u, u[twin]])
     live = u.any(axis=1)
@@ -298,8 +296,6 @@ def _integrate(ops, u, T, samples, lengths, grid, kind, head=None, keep=None):
     u = u[live].T.copy()
     kvecs = [kv[live] for kv in kvecs]
     S = _symbol_table(ops, kvecs, dim)
-    if keep is not None:
-        S = S * keep[tuple(rows[:, live])][:, None, None]
     # live rows of the half grid, then the positions among them of the
     # modes of the live mirror rows
     nb = int(np.searchsorted(live, n))
@@ -404,14 +400,12 @@ def simulate_macro(
         raise ValueError(f"field box is {len(field0.lengths)}-dimensional, model {model.M}")
     if spectral_filter is None:
         spectral_filter = bool(model.N % 2)
-    mask = None
     if spectral_filter:
         # the mask is even in kappa, so its half grid filters a real field
-        mask = _filter_mask(grid)
-        u *= mask[..., : shape[-1]].reshape(-1, 1)
+        u *= _filter_mask(grid)[..., : shape[-1]].reshape(-1, 1)
         head = None  # the filtered field is the transform of its spectrum
     return _integrate(model.A, u, float(T), samples, field0.lengths, grid, "macro",
-                      head=head, keep=mask)
+                      head=head)
 
 
 def _block_length(grid, m: int) -> int:
@@ -530,7 +524,7 @@ def closure_residual(
     if nt < 3:
         raise ValueError("need at least three samples for a centred difference")
     dt = float(micro.times[1] - micro.times[0])
-    shape, _, kvecs, twin = _half_spectrum(micro.lengths, micro.grid)
+    shape, kvecs, twin = _half_spectrum(micro.lengths, micro.grid)
     n = int(np.prod(shape))
     S = _symbol_table(model.A, kvecs, model.m)
     S[twin] = (S[twin] + S[n:]) / 2
@@ -602,7 +596,6 @@ def closure_order_study(
     window: float = 12.0,
     samples: int = 240,
     component: int = 0,
-    floor: float = 1e-12,
 ) -> OrderStudy:
     """Measure how the emergence plateau scales under wavelength doubling.
 
@@ -629,7 +622,8 @@ def closure_order_study(
         plateaus.append(res.plateau())
     plateaus = np.asarray(plateaus)
     wl = np.asarray([float(L) for L in wavelengths])
-    degenerate = bool((plateaus < floor).any())
+    # a plateau at the rounding floor gives no slope
+    degenerate = bool((plateaus < 1e-12).any())
     if degenerate:
         return OrderStudy(wl, plateaus, np.array([]), None, True)
     logs = np.log2(plateaus)

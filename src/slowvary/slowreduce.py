@@ -241,7 +241,7 @@ class ReducedModel:
             return self.A[n]
         return rat.zeros((self.m, self.m), self.is_exact)
 
-    def equation_text(self, var: str = "U") -> str:
+    def equation_text(self) -> str:
         """Human-readable PDE, e.g. ``dt U = -1/3 dx U + 8/27 dxx U``.
 
         Scalar closures only (m = 1); matrix-valued coefficients do not
@@ -265,9 +265,9 @@ class ReducedModel:
                 (names[j] if names else f"x{j + 1}") * nj
                 for j, nj in enumerate(n)
             )
-            parts.append(f"{coeff} ∂{dd} {var}")
+            parts.append(f"{coeff} ∂{dd} U")
         rhs = " + ".join(parts).replace("+ -", "- ") if parts else "0"
-        return f"∂t {var} = {rhs}"
+        return f"∂t U = {rhs}"
 
     def to_json(self) -> dict:
         A = {format_index(n): rat.encode_matrix(An) for n, An in self.A.items()}

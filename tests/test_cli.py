@@ -389,6 +389,57 @@ def test_run_meta_records_family_storage(tmp_path):
         assert family == {"storage": storage, "bytes": nbytes}
 
 
+def test_run_meta_records_the_parsed_argv(tmp_path, monkeypatch):
+    """An in-process ``main(argv)`` records its own argv, not the host process's."""
+    from slowvary.cli import main
+
+    monkeypatch.setattr(sys, "argv", ["worker", "--workload", "x"])
+    argv = ["validate", "--model", "walker-modal", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "run_meta.json").read_text())["argv"] == argv
+
+
+def test_seed_option_is_refused(capsys):
+    from slowvary.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--model", "walker-modal", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, split", [
+    (["--model", "walker-modal"], "crosssection.spectral_split"),
+    (["--model", "homogenise-layered", "--grid", "8"], "models.cell_spectral_split"),
+], ids=["walker", "cell"])
+def test_reduce_calls_the_library_through_its_modules(monkeypatch, capsys, args, split):
+    """The CLI looks each pipeline stage up on its module at call time, where
+    a wrapper put on the module (as the benchmark's tracer does) is seen."""
+    from slowvary import crosssection, models, slowreduce
+    from slowvary.cli import main
+
+    called = []
+
+    def record(module, name):
+        fn = getattr(module, name)
+        key = f"{module.__name__.rpartition('.')[2]}.{name}"
+
+        def wrapper(*a, **kw):
+            called.append(key)
+            return fn(*a, **kw)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(crosssection, "validate_family"), (crosssection, "spectral_split"),
+                         (models, "cell_spectral_split"),
+                         (slowreduce, "construct_reduction"),
+                         (slowreduce, "check_invariance")]:
+        record(module, name)
+    assert main(["reduce", *args]) == 0
+    assert set(called) == {"crosssection.validate_family", split,
+                           "slowreduce.construct_reduction", "slowreduce.check_invariance"}
+
+
 _BAD_MODEL_FILES = {
     "not-json": "{not json",
     "wrong-shape": {"M": 2, "dimU": 2, "operators": {"0,0": [[0, 0, 0]]}},
