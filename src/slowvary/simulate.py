@@ -5,9 +5,10 @@ exactly in Fourier space, so for these linear systems every Fourier mode
 evolves independently under the family symbol ``S(kappa) = sum_k L_k (i
 kappa)^k``.  Time integration is exact up to rounding: one matrix
 exponential ``expm(S(kappa) span)`` per mode and run advances it from one
-sample to the next, so there is no time step to choose.  Fields and
-operators are real, so only the half spectrum of ``rfftn`` is propagated,
-and of it only the modes the initial field excites, with one
+sample to the next, so there is no time step to choose.  A field's
+``fftn`` spectrum is propagated on the full grid, each mode at its own
+``fftfreq`` wavevector, and a sample is the real part of its ``ifftn``.
+Only the modes the initial field excites are stepped, with one
 ``scipy.linalg.expm`` call on their stack (see :func:`_integrate`).  A
 run's :class:`Trajectory` holds those modes' coefficients; only
 :func:`write_frames` and ``Trajectory.values`` form real-space samples,
@@ -58,7 +59,8 @@ __all__ = [
 ]
 
 _GROWTH_LIMIT = 1e6
-# bytes of real output per irfftn call of Trajectory.blocks, on the grid it transforms
+# bytes of real output per ifftn call of Trajectory.blocks, on the grid it
+# transforms; the complex transform's transient is twice that
 _BLOCK_BYTES = 1 << 19
 
 
@@ -120,14 +122,15 @@ def plane_wave(lengths, grid, ncomp, component=0, mode=None):
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled states of one run, held on the live half spectrum.
+    """Uniformly sampled states of one run, held on the live spectrum.
 
-    ``coef[s, c, r]`` is the ``rfftn`` coefficient of component c at
-    sample s on mode ``modes[r]``, a sorted flat index into the half grid
-    that holds the mirror of each mode in the last axis's 0 and Nyquist
-    columns; other modes are zero.  ``head`` holds exact real-space frames
-    of the first samples, if any, in place of their transforms.  ``values``
-    stacks the samples :meth:`blocks` forms, anew on each read.
+    ``coef[s, c, r]`` is the ``fftn`` coefficient of component c at sample
+    s on mode ``modes[r]``, a flat index into the grid; other modes are
+    zero.  ``modes`` is sorted and holds the mirror ``-k`` of each mode
+    ``k``.  A sample is the real part of the ``ifftn`` of its coefficients.
+    ``head`` holds exact real-space frames of the first samples, if any, in
+    place of their transforms.  ``values`` stacks the samples
+    :meth:`blocks` forms, anew on each read.
     """
 
     times: np.ndarray
@@ -138,6 +141,16 @@ class Trajectory:
     kind: str = "micro"
     head: np.ndarray | None = None
 
+    def __post_init__(self):
+        mirror = _mirror(self.modes, self.grid)  # refuses an index out of range
+        if (np.diff(self.modes) <= 0).any():
+            raise ValueError("modes must be sorted, with no repeats")
+        lost = ~np.isin(mirror, self.modes)
+        if lost.any():
+            k, r = (tuple(int(i) for i in np.unravel_index(j[lost][0], self.grid))
+                    for j in (self.modes, mirror))
+            raise ValueError(f"mode {k} has no mirror {r} among the modes")
+
     @property
     def ncomp(self) -> int:
         return self.coef.shape[1]
@@ -147,8 +160,8 @@ class Trajectory:
         return np.concatenate(list(self.blocks()))
 
     def blocks(self):
-        """Real-space samples in order: the head, then one ``irfftn`` call
-        per block of ``_BLOCK_BYTES`` of transformed output.
+        """Real-space samples in order: the head, then the real part of one
+        ``ifftn`` call per block of ``_BLOCK_BYTES`` of real output.
 
         The field is constant along an axis on which every live mode has
         index 0.  Such an axis is transformed at length 1 and the block
@@ -160,16 +173,16 @@ class Trajectory:
         done = 0 if self.head is None else len(self.head)
         if done:
             yield self.head
-        idx = np.unravel_index(self.modes, _half_shape(grid))
+        idx = np.unravel_index(self.modes, grid)
         sub = tuple(g if i.any() else 1 for i, g in zip(idx, grid))
-        shape, axes = _half_shape(sub), tuple(range(2, len(grid) + 2))
-        modes, scale = np.ravel_multi_index(idx, shape), np.prod(sub) / np.prod(grid)
+        axes = tuple(range(2, len(grid) + 2))
+        modes, scale = np.ravel_multi_index(idx, sub), np.prod(sub) / np.prod(grid)
         step = _block_length(sub, dim)
-        half = np.zeros((min(step, nt - done), dim, int(np.prod(shape))), dtype=complex)
+        spec = np.zeros((min(step, nt - done), dim, int(np.prod(sub))), dtype=complex)
         for lo in range(done, nt, step):
-            h = half[: min(step, nt - lo)]
+            h = spec[: min(step, nt - lo)]
             h[..., modes] = self.coef[lo : lo + len(h)]
-            block = np.fft.irfftn(h.reshape(h.shape[:2] + shape), s=sub, axes=axes)
+            block = np.fft.ifftn(h.reshape(h.shape[:2] + sub), axes=axes).real
             block *= scale
             yield np.broadcast_to(np.moveaxis(block, 1, -1), (len(h),) + grid + (dim,))
 
@@ -177,9 +190,11 @@ class Trajectory:
 # -- spectral machinery -------------------------------------------------------
 
 
-def _frequencies(lengths, grid):
-    """Angular wavenumbers of each axis, in ``fftfreq`` order."""
-    return [2 * np.pi * np.fft.fftfreq(g, d=L / g) for g, L in zip(grid, lengths)]
+def _wavevectors(modes, lengths, grid):
+    """Wavevector components of the flat grid indices ``modes``, one array
+    per axis: each axis's angular wavenumbers, in ``fftfreq`` order."""
+    idx = np.unravel_index(modes, grid)
+    return [2 * np.pi * np.fft.fftfreq(g, d=L / g)[i] for g, L, i in zip(grid, lengths, idx)]
 
 
 def _symbol_table(ops: dict, kvecs, dim: int) -> np.ndarray:
@@ -231,81 +246,40 @@ def _filter_mask(grid) -> np.ndarray:
     return out
 
 
-def _half_shape(grid) -> tuple:
-    """The grid with its last axis halved as ``rfftn`` halves it."""
-    return grid[:-1] + (grid[-1] // 2 + 1,)
-
-
-def _half_spectrum(lengths, grid):
-    """Rows that propagate a real field: the half spectrum plus mirror rows.
-
-    The last axis is halved as ``rfftn`` halves it, and ``shape`` is that
-    half grid.  The rows are the modes of the half grid in C order, then a
-    second row for each mode in ``twin``, one with a Nyquist index on
-    another axis and an interior index on the last.  ``fftfreq`` puts a Nyquist index at ``-pi g / L``, so that mode is
-    its own mirror on that axis.  The real part of the full spectrum
-    averages its evolution with the conjugate of its mirror's, which is the
-    evolution from the same coefficient under ``S`` at ``+pi g / L`` on those
-    axes: ``kvecs`` holds the wavevector each row evolves under.
-    """
-    shape = _half_shape(grid)
-    rows = np.indices(shape).reshape(len(grid), -1)
-    nyq = np.array([(r == g // 2) & (g > 1) for r, g in zip(rows, grid)])
-    nyq[-1] = False
-    twin = np.flatnonzero(nyq.any(axis=0) & (rows[-1] > 0) & (2 * rows[-1] < grid[-1]))
-    rows = np.concatenate([rows, rows[:, twin]], axis=1)
-    flip = np.concatenate([np.zeros_like(nyq), nyq[:, twin]], axis=1)
-    kvecs = [
-        np.where(f, -kv[r], kv[r])
-        for kv, r, f in zip(_frequencies(lengths, grid), rows, flip)
-    ]
-    return shape, kvecs, twin
+def _mirror(modes, grid):
+    """The flat grid index of ``-k`` for each flat grid index ``k`` of ``modes``."""
+    idx = np.unravel_index(modes, grid)
+    return np.ravel_multi_index(tuple(-i % g for i, g in zip(idx, grid)), grid)
 
 
 def _integrate(ops, u, T, samples, lengths, grid, kind, head=None):
     """Advance every excited Fourier mode exactly: ``u(t + span) = expm(S span) u(t)``.
 
-    ``u`` is the initial half spectrum, ``(half-grid modes, dim)``.  The
-    field and every operator are real, so a mode's mirror evolves as its
-    conjugate, and only the rows of :func:`_half_spectrum` are propagated.
-    A row whose initial coefficient is zero in every component stays zero,
-    so only the others, the live rows, are stepped: one
-    ``scipy.linalg.expm`` of their stack, then one step per sample.  A live
-    mirror row's mode is live too: both start from the same coefficient.
-    The live rows are held component-major, ``u`` as ``(dim, rows)`` and
-    the propagators as ``(dim, dim, rows)``, so a step is ``dim^2``
-    multiply-adds over contiguous rows.  The trajectory keeps the live
-    modes of the half grid, with the mean of the two evolutions at a mode
-    with a mirror row, so that ``irfftn`` gives the real part of the
-    full-spectrum ``ifftn``; on the last axis's own 0 and Nyquist columns
-    ``irfftn`` takes the Hermitian part itself.  The growth check
-    names a mode whose propagator overflows, so numpy's overflow warnings
-    are silenced.
+    ``u`` is the initial ``fftn`` spectrum, ``(grid modes, dim)``.  A mode
+    whose initial coefficient is zero in every component stays zero, so
+    only the others, the live modes, are stepped, together with the mirror
+    of each: one ``scipy.linalg.expm`` of their stack, then one step per
+    sample.  The live modes are held component-major, ``u`` as
+    ``(dim, modes)`` and the propagators as ``(dim, dim, modes)``, so a
+    step is ``dim^2`` multiply-adds over contiguous modes.  The growth
+    check names a mode whose propagator overflows, so numpy's overflow
+    warnings are silenced.
     """
     if T < 0:
         raise ValueError("integration span must be >= 0")
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     dim = u.shape[-1]
-    shape, kvecs, twin = _half_spectrum(lengths, grid)
-    n = int(np.prod(shape))
-    u = np.concatenate([u, u[twin]])
     live = u.any(axis=1)
-    # a live mode's mirror in the last axis's 0 or Nyquist column is live
-    # too (at zero, if it starts there), so the modes hold Hermitian parts
-    live[:n] = _hermitian(live[:n].astype(float), np.arange(n), grid)[0] > 0
-    live = np.flatnonzero(live)
+    live = np.flatnonzero(live | live[_mirror(np.arange(live.size), grid)])
     u = u[live].T.copy()
-    kvecs = [kv[live] for kv in kvecs]
+    kvecs = _wavevectors(live, lengths, grid)
     S = _symbol_table(ops, kvecs, dim)
-    # live rows of the half grid, then the positions among them of the
-    # modes of the live mirror rows
-    nb = int(np.searchsorted(live, n))
-    ppos = np.searchsorted(live, twin[live[nb:] - n])
     span = T / samples if samples else 0.0
     times = span * np.arange(samples + 1)
-    coef = np.empty((samples + 1, dim, nb), dtype=complex)
-    coef[0] = u[:, :nb]
-    # amplitude: largest real or imaginary part, cheaper than |u| per sample;
-    # the rows hold each such value of the full spectrum up to sign
+    coef = np.empty((samples + 1, dim, live.size), dtype=complex)
+    coef[0] = u
+    # amplitude: largest real or imaginary part, cheaper than |u| per sample
     amp0 = max(float(np.abs(u.view(float)).max(initial=0.0)), 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
         P = np.ascontiguousarray(sla.expm(S * span).transpose(1, 2, 0))
@@ -313,22 +287,17 @@ def _integrate(ops, u, T, samples, lengths, grid, kind, head=None):
             v = P[:, 0] * u[0]
             for j in range(1, dim):
                 v += P[:, j] * u[j]
-            u = v
+            u = coef[s] = v
             # written so that a NaN or infinite amplitude fails the check too
             if not np.abs(u.view(float)).max(initial=0.0) <= _GROWTH_LIMIT * amp0:
-                raise _growth_violation(u, kvecs, live >= n, times[s])
-            coef[s] = u[:, :nb]
-            coef[s][:, ppos] = (u[:, ppos] + u[:, nb:]) / 2
-    return Trajectory(times, coef, live[:nb], grid, lengths, kind, head)
+                raise _growth_violation(u, kvecs, times[s])
+    return Trajectory(times, coef, live, grid, lengths, kind, head)
 
 
-def _growth_violation(u, kvecs, mirror, t) -> StabilityViolation:
-    """The error for rows ``u`` (``(dim, rows)``) that failed the growth check at time t.
-
-    ``kvecs`` holds each row's wavevector.  Names a non-finite row if there
-    is one, else the largest.  A mirror row (``mirror[r]``) is the conjugate
-    of the mode at minus its wavevector.
-    """
+def _growth_violation(u, kvecs, t) -> StabilityViolation:
+    """The error for modes ``u`` (``(dim, modes)``) that failed the growth
+    check at time t; ``kvecs`` holds each mode's wavevector.  Names a
+    non-finite mode if there is one, else the largest."""
     bad = ~np.isfinite(u).all(axis=0)
     if bad.any():
         r, what = bad.argmax(), f"became non-finite by t = {t:.6g}, including"
@@ -336,8 +305,7 @@ def _growth_violation(u, kvecs, mirror, t) -> StabilityViolation:
         r = np.abs(u).max(axis=0).argmax()
         what = (f"grew beyond {_GROWTH_LIMIT:.0e} times its initial amplitude "
                 f"by t = {t:.6g}, largest")
-    # 0.0 - k, not -k, keeps a zero component from printing as -0
-    kappa = ", ".join(f"{0.0 - kv[r] if mirror[r] else kv[r]:.6g}" for kv in kvecs)
+    kappa = ", ".join(f"{kv[r]:.6g}" for kv in kvecs)
     return StabilityViolation(f"solution {what} at wavevector kappa = ({kappa}); check the model")
 
 
@@ -351,12 +319,10 @@ def simulate_micro(
 
     Returns ``samples + 1`` uniformly spaced snapshots including t = 0.
     Each Fourier mode advances by its exact propagator
-    ``expm(S(kappa) T / samples)`` (``scipy.linalg.expm``) per sample.  Only
-    the half spectrum of ``rfftn`` is propagated, plus a second row for each
-    mode with a Nyquist index on a leading axis and an interior index on the
-    last, whose two evolutions the real part averages; the result is the
-    real part of the full-spectrum run.  Rows that start at zero stay zero,
-    and are neither propagated nor held.  Raises :class:`StabilityViolation`
+    ``expm(S(kappa) T / samples)`` (``scipy.linalg.expm``) per sample, and a
+    sample is the real part of the ``ifftn`` of the spectrum.  Modes that
+    start at zero, with their mirrors, stay zero, and are neither
+    propagated nor held.  Raises :class:`StabilityViolation`
     once the solution grows beyond 1e6 times its initial amplitude or
     becomes non-finite.
     """
@@ -365,7 +331,7 @@ def simulate_micro(
         raise ValueError(f"field has {field0.dimU} components, family {fam.dimU}")
     if len(field0.lengths) != fam.M:
         raise ValueError(f"field box is {len(field0.lengths)}-dimensional, family {fam.M}")
-    u = np.fft.rfftn(field0.values, axes=tuple(range(fam.M))).reshape(-1, fam.dimU)
+    u = np.fft.fftn(field0.values, axes=tuple(range(fam.M))).reshape(-1, fam.dimU)
     return _integrate(fam.ops, u, float(T), samples, field0.lengths, field0.grid,
                       "micro", head=field0.values[None])
 
@@ -386,14 +352,14 @@ def simulate_macro(
     ``model.N`` is odd, and kept when it is even.  Pass True or False to
     force.  Propagation is exact as in :func:`simulate_micro`.
     """
-    grid, shape = field0.grid, _half_shape(field0.grid)
+    grid = field0.grid
     if isinstance(field0, Trajectory):
         m, head = field0.ncomp, None
-        u = np.zeros((int(np.prod(shape)), m), dtype=complex)
-        u[field0.modes] = _hermitian(field0.coef[0], field0.modes, grid)[0].T
+        u = np.zeros((int(np.prod(grid)), m), dtype=complex)
+        u[field0.modes] = _hermitian(field0.coef[0], field0.modes, grid).T
     else:
         m, head = field0.m, field0.values[None]
-        u = np.fft.rfftn(field0.values, axes=tuple(range(len(grid)))).reshape(-1, m)
+        u = np.fft.fftn(field0.values, axes=tuple(range(len(grid)))).reshape(-1, m)
     if m != model.m:
         raise ValueError(f"field has {m} components, model {model.m}")
     if len(field0.lengths) != model.M:
@@ -401,8 +367,7 @@ def simulate_macro(
     if spectral_filter is None:
         spectral_filter = bool(model.N % 2)
     if spectral_filter:
-        # the mask is even in kappa, so its half grid filters a real field
-        u *= _filter_mask(grid)[..., : shape[-1]].reshape(-1, 1)
+        u *= _filter_mask(grid).reshape(-1, 1)
         head = None  # the filtered field is the transform of its spectrum
     return _integrate(model.A, u, float(T), samples, field0.lengths, grid, "macro",
                       head=head)
@@ -418,27 +383,17 @@ def _block_length(grid, m: int) -> int:
 
 
 def _hermitian(X, modes, grid):
-    """``X`` (on the half-grid ``modes``, last axis) with the last axis's 0
-    and Nyquist columns set to the Hermitian part ``(X_k + conj X_-k) / 2``
-    that ``irfftn`` keeps, and those modes' positions.  ``modes`` holds -k."""
-    shape = _half_shape(grid)
-    idx = np.unravel_index(modes, shape)
-    own = np.flatnonzero((idx[-1] == 0) | (2 * idx[-1] == grid[-1]))
-    lead = tuple(-i[own] % g for i, g in zip(idx[:-1], grid))
-    mirror = np.searchsorted(modes, np.ravel_multi_index(lead + (idx[-1][own],), shape))
-    X = X.copy()
-    X[..., own] = (X[..., own] + X[..., mirror].conj()) / 2
-    return X, own
+    """The Hermitian part ``(X_k + conj X_-k) / 2`` of ``X`` on the grid
+    ``modes`` (last axis): the spectrum of the real part of its ``ifftn``."""
+    return (X + X[..., np.searchsorted(modes, _mirror(modes, grid))].conj()) / 2
 
 
 def _rms(X, modes, grid) -> np.ndarray:
     """RMS over grid and components of each sample's real field, by Parseval:
     ``X`` is ``(samples, components, modes)``, and ``sum x^2`` over N grid
-    points is ``sum |H|^2 / N`` over the full spectrum of the Hermitian part
-    H, where a mode in an interior column of the last axis counts twice."""
-    H, own = _hermitian(X, modes, grid)
-    sq = 2 * (H.real**2 + H.imag**2)
-    sq[..., own] /= 2
+    points is ``sum |H|^2 / N`` over the spectrum H of its Hermitian part."""
+    H = _hermitian(X, modes, grid)
+    sq = H.real**2 + H.imag**2
     return np.sqrt(sq.sum(axis=(1, 2)) / (X.shape[1] * float(np.prod(grid)) ** 2))
 
 
@@ -473,7 +428,7 @@ def emergence_error(
     default six decades of decay, capped at half the span) from the
     projected micro spectrum at that instant.  The error at each later
     sample is ``||Z0.T u_micro - U_macro|| / ||U_macro||`` in the grid RMS
-    norm, taken by Parseval on the half spectrum.
+    norm, taken by Parseval on the live modes.
     """
     if t_skip is None:
         beta = split.beta if np.isfinite(split.beta) else 1.0
@@ -483,7 +438,7 @@ def emergence_error(
     if isk >= samples:
         raise ValueError("t_skip leaves no observation window")
     t_skip = float(micro.times[isk])
-    U = _hermitian(rat.as_float(split.Z0).T @ micro.coef[isk:], micro.modes, micro.grid)[0]
+    U = _hermitian(rat.as_float(split.Z0).T @ micro.coef[isk:], micro.modes, micro.grid)
     start = Trajectory(micro.times[isk : isk + 1], U[:1], micro.modes, micro.grid,
                        micro.lengths, "macro")
     macro = simulate_macro(model, start, float(micro.times[-1] - t_skip),
@@ -512,11 +467,8 @@ def closure_residual(
     """Residual ``dU/dt - sum_n A_n d^n U`` on projected micro samples.
 
     The time derivative is a centred difference on the uniform sample
-    grid; spatial derivatives apply the half-grid symbol to each live
-    mode, with no FFT.  At a mode with a mirror row in
-    :func:`_half_spectrum`, the symbol is the mean of ``S`` at the two
-    wavevectors (``-pi g / L`` and ``+pi g / L`` on the Nyquist axes),
-    which gives the real part of the full-spectrum ``ifftn``.  Returned
+    grid; spatial derivatives apply the symbol to each live mode at its
+    own wavevector, with no FFT.  Returned
     ratio is the median of residual over rate across the second half of
     the samples, where transients no longer dominate.
     """
@@ -524,12 +476,8 @@ def closure_residual(
     if nt < 3:
         raise ValueError("need at least three samples for a centred difference")
     dt = float(micro.times[1] - micro.times[0])
-    shape, kvecs, twin = _half_spectrum(micro.lengths, micro.grid)
-    n = int(np.prod(shape))
-    S = _symbol_table(model.A, kvecs, model.m)
-    S[twin] = (S[twin] + S[n:]) / 2
-    S = S[micro.modes]
-    U = _hermitian(rat.as_float(split.Z0).T @ micro.coef, micro.modes, micro.grid)[0]
+    S = _symbol_table(model.A, _wavevectors(micro.modes, micro.lengths, micro.grid), model.m)
+    U = _hermitian(rat.as_float(split.Z0).T @ micro.coef, micro.modes, micro.grid)
     dU = (U[2:] - U[:-2]) / (2 * dt)
     resid = dU - np.einsum("rij,tjr->tir", S, U[1:-1])
     res_rms = _rms(resid, micro.modes, micro.grid)
@@ -660,7 +608,7 @@ def write_frames(path, traj: Trajectory) -> None:
 
 def read_frames(path) -> Trajectory:
     """The trajectory of a frame file: every frame as its head, and their
-    ``rfftn`` coefficients on the whole half grid."""
+    ``fftn`` coefficients on the whole grid."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != _MAGIC:
@@ -678,7 +626,7 @@ def read_frames(path) -> Trajectory:
                          + f" and {extra} bytes more" * bool(extra))
     frames = np.frombuffer(data, record, offset=start)
     times, values = frames["t"].astype(float), frames["v"].astype(float)
-    coef = np.moveaxis(np.fft.rfftn(values, axes=tuple(range(1, M + 1))), -1, 1)
+    coef = np.moveaxis(np.fft.fftn(values, axes=tuple(range(1, M + 1))), -1, 1)
     kind = data[start - 8 : start].rstrip(b"\0").decode() or "micro"
     return Trajectory(times, coef.reshape(nframes, ncomp, -1), np.arange(coef[0, 0].size),
                       tuple(grid), tuple(lengths), kind, head=values)

@@ -8,6 +8,8 @@ import slowvary as sv
 from slowvary import simulate
 from slowvary.errors import InsufficientDecay, StabilityViolation
 
+from conftest import random_gap_family
+
 
 @pytest.fixture(scope="module")
 def walker_setup(walker):
@@ -231,8 +233,8 @@ def test_only_excited_rows_are_propagated(walker_setup, monkeypatch):
     f0 = slow_seed((16.0, 16.0), (32, 32), split)
     stacks = _record_expm(monkeypatch)
     traj = sv.simulate_micro(fam, f0, T=2.0, samples=4)
-    # constant along y: only the ky = 0 column of the half spectrum (32 of
-    # its 32 * 17 + 15 rows) can hold a non-zero coefficient
+    # constant along y: only the ky = 0 column of the grid (32 of its 1,024
+    # modes) can hold a non-zero coefficient
     assert len(stacks) == 1 and stacks[0][0] <= 32
     # the seeded mode itself, against its single-mode propagator
     kappa = (2 * np.pi / 16.0, 0.0)
@@ -302,7 +304,7 @@ def test_closure_residual_work_space_scales_with_the_live_modes(walker_setup):
 
 
 def _all_modes(X, grid):
-    """Coefficients over the whole half grid as ``(samples, components, modes)``."""
+    """Coefficients over the whole grid as ``(samples, components, modes)``."""
     X = np.moveaxis(X, -1, 1)
     return X.reshape(X.shape[:2] + (-1,)), np.arange(int(np.prod(X.shape[2:])))
 
@@ -313,37 +315,80 @@ _PARSEVAL_GRIDS = [(16,), (1,), (2,), (8, 8), (8, 1), (1, 8), (2, 8), (8, 2),
 
 @pytest.mark.parametrize("grid", _PARSEVAL_GRIDS, ids=str)
 def test_parseval_norm_matches_grid_sums(grid):
-    """Weighted half-spectrum sums against grid sums of ``x^2``, to 1e-13.
+    """Parseval sums against grid sums of ``x^2``, to 1e-13.
 
-    Once on ``rfftn`` of random real fields, and once on random complex
-    coefficients, whose 0 and Nyquist columns of the last axis are not
-    Hermitian: ``irfftn`` keeps only their Hermitian part.
+    Once on ``fftn`` of random real fields, and once on random complex
+    spectra, which are not Hermitian: the real part of their ``ifftn`` is
+    the transform of their Hermitian part.
     """
     rng = np.random.default_rng(list(grid))
     axes = tuple(range(1, len(grid) + 1))
     x = rng.standard_normal((3,) + grid + (2,))
-    X, modes = _all_modes(np.fft.rfftn(x, axes=axes), grid)
+    X, modes = _all_modes(np.fft.fftn(x, axes=axes), grid)
     want = np.sqrt(np.mean(x**2, axis=axes + (len(grid) + 1,)))
     np.testing.assert_allclose(simulate._rms(X, modes, grid), want, rtol=1e-13)
-    half = simulate._half_shape(grid)
-    Z = rng.standard_normal((3,) + half + (2,)) + 1j * rng.standard_normal((3,) + half + (2,))
-    z = np.fft.irfftn(Z, s=grid, axes=axes)
+    Z = rng.standard_normal((3,) + grid + (2,)) + 1j * rng.standard_normal((3,) + grid + (2,))
+    z = np.fft.ifftn(Z, axes=axes).real
     Z, modes = _all_modes(Z, grid)
     want = np.sqrt(np.mean(z**2, axis=axes + (len(grid) + 1,)))
     np.testing.assert_allclose(simulate._rms(Z, modes, grid), want, rtol=1e-13)
 
 
 def test_live_modes_hold_the_mirrors_irfftn_pairs(walker):
-    """A half spectrum seeded at one mode of the last axis's 0 column, with
-    its mirror at zero: the run keeps the mirror live, so the Parseval norm
-    sees the Hermitian part that ``irfftn`` keeps."""
-    grid, half = (8, 4), (8, 3)
-    u = np.zeros((24, 3), dtype=complex)
-    u[np.ravel_multi_index((1, 0), half)] = [1.0, 0.5j, -0.2]
+    """A spectrum seeded at mode (1, 1) of the 8x4 grid, with its mirror
+    (7, 3) at zero: the run keeps the mirror live, so the Parseval norm sees
+    the Hermitian part, whose transform is the real part of ``ifftn``."""
+    grid = (8, 4)
+    u = np.zeros((32, 3), dtype=complex)
+    u[np.ravel_multi_index((1, 1), grid)] = [1.0, 0.5j, -0.2]
     traj = simulate._integrate(walker.ops, u, 2.0, 4, (16.0, 8.0), grid, "micro")
-    assert np.ravel_multi_index((7, 0), half) in traj.modes
+    assert np.ravel_multi_index((7, 3), grid) in traj.modes
     want = np.sqrt(np.mean(traj.values**2, axis=(1, 2, 3)))
     np.testing.assert_allclose(simulate._rms(traj.coef, traj.modes, grid), want, rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, missing",
+    [([1, 7], [0, 1], r"mode \(1, 0\) has no mirror \(7, 0\)"),
+     ([2, 6], [1, 2], r"mode \(2, 1\) has no mirror \(6, 3\)"),
+     ([7, 1], [0, 0], "sorted"), ([1, 9], [0, 0], "out of bounds")],
+    ids=["mirror", "oblique", "unsorted", "out-of-range"],
+)
+def test_trajectory_refuses_modes_without_their_mirrors(rows, cols, missing):
+    """The modes of a trajectory are sorted flat indices into its grid and
+    hold the mirror ``-k`` of each mode ``k``; on the 8x4 grid, (1, 0)
+    needs (7, 0), and (7, 1) is not it."""
+    grid = (8, 4)
+    modes = np.array(rows) * grid[1] + np.array(cols)
+    with pytest.raises(ValueError, match=missing):
+        sv.Trajectory(np.zeros(1), np.ones((1, 1, 2), dtype=complex), modes, grid, (8.0, 4.0))
+    closed = np.ravel_multi_index(([1, 7], [0, 0]), grid)
+    sv.Trajectory(np.zeros(1), np.ones((1, 1, 2), dtype=complex), closed, grid, (8.0, 4.0))
+
+
+def test_negative_samples_are_refused(walker):
+    f0 = sv.MicroField((16.0, 16.0), sv.plane_wave((16.0, 16.0), (8, 1), 3))
+    with pytest.raises(ValueError, match="samples must be >= 0"):
+        sv.simulate_micro(walker, f0, 1.0, samples=-1)
+
+
+@pytest.mark.parametrize("grid", [(128, 1), (128, 128), (128, 1, 1)], ids=str)
+def test_cli_seeds_keep_the_live_modes_of_the_half_spectrum(grid):
+    """The field ``simulate`` and ``converge`` seed for M >= 2, a
+    ``plane_wave`` of the default mode, is constant along the last axis.
+    There ``fftn`` and ``rfftn`` have the same non-zero modes, so a run on
+    the full grid steps no more modes than one on the ``rfftn`` half grid
+    would.  A field that varies along the last axis, as every wave of an
+    M = 1 family does, keeps about twice as many: a sampled sine along an
+    axis of g points excites, at rounding level, all g modes of that axis,
+    of which the ``rfftn`` half grid holds g / 2 + 1."""
+    fam = random_gap_family(np.random.default_rng(len(grid)), dimU=3, M=len(grid), m=1,
+                            max_order=2, centre="zero")
+    lengths = tuple(8.0 * g for g in grid)
+    values = sv.plane_wave(lengths, grid, 1) * np.array([0.3, -1.2, 0.8])
+    traj = sv.simulate_micro(fam, sv.MicroField(lengths, values), 1.0, samples=2)
+    half = np.fft.rfftn(values, axes=tuple(range(len(grid)))).any(axis=-1)
+    assert traj.modes.size == np.count_nonzero(half)
 
 
 def test_macro_from_a_trajectory_starts_from_its_real_sample(walker_setup):

@@ -6,9 +6,9 @@ RMS norms over the grid; ``closure_residual`` took its spatial
 derivatives with full complex ``fftn``/``ifftn``.  That code is kept
 below as the reference, unchanged but for its imports and the one-line
 ``project`` it called.  The diagnostics now work on the trajectory's live
-half-spectrum coefficients: they project each mode with ``Z0.T``, start
-the macro run from the projected spectrum, apply the half-grid symbol
-mode by mode and take their norms by Parseval.  Bounds, fixed before
+``fftn`` coefficients: they project each mode with ``Z0.T``, start the
+macro run from the projected spectrum, apply the symbol mode by mode and
+take their norms by Parseval.  Bounds, fixed before
 measuring: the emergence error series (a relative error itself) to 1e-12
 absolute; the closure residual and rate series to 1e-12 of the largest
 rate, and its ratio to that over the smallest tail rate; the macro
