@@ -20,7 +20,11 @@ It also owns the JSON model-document format every model file is saved
 and read in.  A matrix is a list of rows of ``"p/q"`` strings (exact) or
 numbers (float).  On reading, a JSON number (not a bool) is taken as is
 and a string is parsed as a Fraction; in both modes every entry must give
-a finite float64.  Documents are saved with sorted keys.
+a finite float64, and an object that repeats a key is refused.  The
+model classes build their documents with array leaves (2-D float64 or
+Fraction arrays, or SciPy sparse matrices), and :func:`save_json` writes
+those as :func:`encode_matrix` rows, with sorted keys, without forming
+the rows as lists.
 """
 
 from __future__ import annotations
@@ -322,43 +326,77 @@ def json_number(doc: dict, key: str, default: float) -> float:
     raise ValueError(f"{key!r} must be a number, got {x!r}")
 
 
-_SCALARS = {str, int, float, bool, type(None)}
+def _is_array(obj) -> bool:
+    return isinstance(obj, np.ndarray) or sparse.issparse(obj)
 
 
-def _is_matrix(obj) -> bool:
-    return (isinstance(obj, list) and bool(obj) and set(map(type, obj)) == {list}
-            and all(obj) and set(map(type, chain.from_iterable(obj))) <= _SCALARS)
+def encode_arrays(doc):
+    """``doc`` with each array among its dict values, at any depth, replaced
+    by its :func:`encode_matrix` rows."""
+    if isinstance(doc, dict):
+        return {k: encode_arrays(v) for k, v in doc.items()}
+    return encode_matrix(doc) if _is_array(doc) else doc
 
 
-def _indented(obj, ind: str, seen: dict) -> str:
-    r"""``json.dumps(obj, indent=2, sort_keys=True)`` nested at indent ``ind``.
+def _row_text(mat) -> str:
+    r"""The entries of ``mat`` as the C encoder writes them, from one call on
+    the flat entries: ``"\n"`` between the entries of a row and ``"\0"``
+    between rows (JSON text holds neither raw)."""
+    flat = list(map(str, mat.flat)) if is_exact(mat) else as_float(mat).ravel().tolist()
+    items = json.dumps(flat, separators=("\n", ":"))[1:-1].split("\n")
+    return "\0".join(map("\n".join, zip(*[iter(items)] * mat.shape[1])))
 
-    A matrix (a list of non-empty lists of scalars) takes one call of the C
-    encoder with the separator ``"\n"``.  JSON text holds no raw newline or
-    NUL, so once the row breaks ``"]\n["`` are NULs, two ``str.replace``
-    calls indent it.  ``seen`` keeps each matrix of the document by id with
-    that text, so a matrix placed at several depths is encoded once.
+
+def save_json(path, doc) -> None:
+    """Write ``json.dumps(encode_arrays(doc), indent=2, sort_keys=True)``
+    and a newline to ``path``, piece by piece.
+
+    A non-empty dict with string keys is written key by key.  A non-empty
+    2-D array or sparse matrix is a matrix leaf: each distinct one (by
+    identity) is encoded once by :func:`_row_text`, and indented once for
+    each depth it sits at, by two ``str.replace`` calls.  Any other value
+    is written by ``json.dumps`` at its depth.  No whole-document string
+    is formed.
     """
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj) and obj:
-        inner = ind + "  "
-        items = (f"{inner}{json.dumps(k)}: {_indented(obj[k], inner, seen)}" for k in sorted(obj))
-        return "{\n" + ",\n".join(items) + "\n" + ind + "}"
-    if id(obj) not in seen and _is_matrix(obj):
-        seen[id(obj)] = obj, json.dumps(obj, separators=("\n", ":"))[2:-2].replace("]\n[", "\0")
-    if id(obj) in seen:
-        i1, i2 = ind + "  ", ind + "    "
-        rows = seen[id(obj)][1].replace("\n", ",\n" + i2).replace("\0", f"\n{i1}],\n{i1}[\n{i2}")
-        return f"[\n{i1}[\n{i2}{rows}\n{i1}]\n{ind}]"
-    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + ind)
+    rows: dict = {}  # id of a matrix leaf -> its row text
+    texts: dict = {}  # (id, indent) -> its indented text
 
+    def write(obj, ind: str) -> None:
+        if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+            inner, sep = ind + "  ", "{"
+            for key in sorted(obj):
+                fh.write(f"{sep}\n{inner}{json.dumps(key)}: ")
+                write(obj[key], inner)
+                sep = ","
+            fh.write(f"\n{ind}}}")
+        elif _is_array(obj) and obj.ndim == 2 and 0 not in obj.shape:
+            if (id(obj), ind) not in texts:
+                if id(obj) not in rows:
+                    rows[id(obj)] = _row_text(obj)
+                i1, i2 = ind + "  ", ind + "    "
+                text = rows[id(obj)].replace("\n", ",\n" + i2)
+                text = text.replace("\0", f"\n{i1}],\n{i1}[\n{i2}")
+                texts[id(obj), ind] = f"[\n{i1}[\n{i2}{text}\n{i1}]\n{ind}]"
+            fh.write(texts[id(obj), ind])
+        else:
+            text = json.dumps(encode_arrays(obj), indent=2, sort_keys=True)
+            fh.write(text.replace("\n", "\n" + ind))
 
-def save_json(path, doc: dict) -> None:
-    """Write ``doc`` as ``json.dump(doc, indent=2, sort_keys=True)`` would,
-    plus a newline, with matrices encoded by the C encoder."""
     with open(path, "w") as fh:
-        fh.write(_indented(doc, "", {}) + "\n")
+        write(doc, "")
+        fh.write("\n")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` of :func:`load_json`: refuse a repeated key."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for k in doc if keys.count(k) > 1)
+        raise ValueError(f"key {repeated!r} is repeated in one JSON object")
+    return doc
 
 
 def load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)

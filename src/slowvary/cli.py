@@ -25,10 +25,11 @@ Exit codes: 0 all checks pass; 2 the model violates a structural
 assumption or the config is invalid; 3 a numerical check failed.
 ``report.json`` is written in every case (``error.check`` naming the
 failed check, ``"config"`` for options and model files) except when
-``--out`` is not a directory; the parsed argv, wall clock, environment
-and the model family's storage (``dense``, ``csr`` or ``exact``) and
-bytes go to ``run_meta.json`` so that ``report.json`` is byte-identical across
-reruns of the same config.
+``--out`` is not a directory; the parsed argv, wall clock, environment,
+the model family's storage (``dense``, ``csr`` or ``exact``) and bytes,
+and the bytes and write time of each output file go to ``run_meta.json``
+so that ``report.json`` is byte-identical across reruns of the same
+config.
 
 The library functions are called as attributes of their modules
 (``crosssection.spectral_split``, ``slowreduce.construct_reduction``, ...),
@@ -205,12 +206,23 @@ def _sig(x, digits=12):
     return float(f"{xf:.{digits}e}")
 
 
+@contextlib.contextmanager
+def _output(meta: dict, path: Path):
+    """Yield ``path`` to the block that writes it, then record the file's
+    bytes and the block's wall time under ``meta["outputs"]``."""
+    start = time.perf_counter()
+    yield path
+    meta.setdefault("outputs", {})[path.name] = {
+        "bytes": path.stat().st_size, "seconds": time.perf_counter() - start}
+
+
 def _write_report(out: Path | None, report: dict, meta: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is None or not out.is_dir():
         return
-    (out / "report.json").write_text(text)
     meta = dict(meta)
+    with _output(meta, out / "report.json") as path:
+        path.write_text(text)
     meta["wallclock_unix"] = time.time()
     (out / "run_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n"
@@ -286,8 +298,10 @@ def _reduce(cfg: argparse.Namespace, family, cell, split, model, basis, report: 
     report["pass"] = bool(ok)
 
     if cfg.out is not None:
-        model.save(cfg.out / "model.json")
-        basis.save(cfg.out / "basis.json")
+        with _output(meta, cfg.out / "model.json") as path:
+            model.save(path)
+        with _output(meta, cfg.out / "basis.json") as path:
+            basis.save(path)
 
     if split.m == 1:
         print(model.equation_text())
@@ -340,8 +354,9 @@ def _simulate(cfg: argparse.Namespace, family, cell, split, model, basis, report
         "pass": True,
     })
     if cfg.out is not None:
-        simulate.write_frames(cfg.out / "frames.bin", res.micro)
-        with open(cfg.out / "emergence.csv", "w") as fh:
+        with _output(meta, cfg.out / "frames.bin") as path:
+            simulate.write_frames(path, res.micro)
+        with _output(meta, cfg.out / "emergence.csv") as path, open(path, "w") as fh:
             fh.write("t,relative_error\n")
             for t, e in zip(res.times, res.error):
                 fh.write(f"{float(t)!r},{float(e)!r}\n")
@@ -359,7 +374,7 @@ def _converge(cfg: argparse.Namespace, family, cell, split, model, basis, report
     )
 
     if cfg.out is not None:
-        with open(cfg.out / "orders.csv", "w") as fh:
+        with _output(meta, cfg.out / "orders.csv") as path, open(path, "w") as fh:
             fh.write("wavelength,plateau\n")
             for L, p in zip(study.wavelengths, study.plateaus):
                 fh.write(f"{float(L)!r},{float(p)!r}\n")

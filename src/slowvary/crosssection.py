@@ -164,13 +164,16 @@ class OperatorFamily:
 
     # -- JSON model documents ------------------------------------------
 
-    def to_json(self) -> dict:
-        """Model document; exact entries become ``"p/q"`` strings."""
-        operators = {format_index(k): rat.encode_matrix(mat) for k, mat in self.ops.items()}
+    def _document(self) -> dict:
+        operators = {format_index(k): mat for k, mat in self.ops.items()}
         doc = {"M": self.M, "dimU": self.dimU, "operators": operators}
         if self.label is not None:
             doc["label"] = self.label
         return doc
+
+    def to_json(self) -> dict:
+        """Model document; exact entries become ``"p/q"`` strings."""
+        return rat.encode_arrays(self._document())
 
     @classmethod
     def from_json(cls, doc: dict, exact: bool = False) -> "OperatorFamily":
@@ -205,7 +208,7 @@ class OperatorFamily:
         return cls(ops, label=doc.get("label"))
 
     def save(self, path) -> None:
-        rat.save_json(path, self.to_json())
+        rat.save_json(path, self._document())
 
     @classmethod
     def load(cls, path, exact: bool = False) -> "OperatorFamily":

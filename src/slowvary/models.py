@@ -159,6 +159,14 @@ _K_EXPRESSIONS = {
 }
 
 
+def _check_grid(n: int) -> None:
+    if n < 4 or n % 2:
+        raise GridTooCoarse(
+            f"cell grid n = {n} must be even and at least 4 "
+            "for the face-centred flux stencil"
+        )
+
+
 @dataclass
 class CellProblem:
     """One periodic cell of a diffusive medium.
@@ -178,11 +186,7 @@ class CellProblem:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2:
-            raise GridTooCoarse(
-                f"cell grid n = {self.n} must be even and at least 4 "
-                "for the face-centred flux stencil"
-            )
+        _check_grid(self.n)
         self.K = np.asarray(self.K, dtype=float)
         if self.K.shape != (self.n, self.n):
             raise ValueError(f"K samples must be {self.n} x {self.n}")
@@ -212,7 +216,8 @@ class CellProblem:
         else:
             func = maker(base, amplitude, h)
             params = {"base": base, "amplitude": amplitude}
-        if not h > 0 or not math.isfinite(h):  # before sampling at spacing h / n
+        _check_grid(n)  # before sampling at spacing h / n
+        if not h > 0 or not math.isfinite(h):
             raise ValueError("cell size h must be positive and finite")
         d = h / n
         y1, y2 = np.meshgrid(
@@ -237,10 +242,13 @@ class CellProblem:
             return np.asarray(self.k_func(y1, y2 + d / 2), dtype=float)
         return 0.5 * (self.K + np.roll(self.K, -1, axis=axis))
 
-    def to_json(self) -> dict:
+    def _document(self) -> dict:
         if self.expr is not None:
             return {"h": self.h, "n": self.n, "K_expr": self.expr, **self.params}
-        return {"h": self.h, "n": self.n, "K": rat.encode_matrix(self.K)}
+        return {"h": self.h, "n": self.n, "K": self.K}
+
+    def to_json(self) -> dict:
+        return rat.encode_arrays(self._document())
 
     @classmethod
     def from_json(cls, doc: dict) -> "CellProblem":
@@ -266,7 +274,7 @@ class CellProblem:
         return cls(h=h, n=n, K=K)
 
     def save(self, path) -> None:
-        rat.save_json(path, self.to_json())
+        rat.save_json(path, self._document())
 
     @classmethod
     def load(cls, path) -> "CellProblem":

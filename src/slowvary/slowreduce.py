@@ -269,12 +269,14 @@ class ReducedModel:
         rhs = " + ".join(parts).replace("+ -", "- ") if parts else "0"
         return f"∂t U = {rhs}"
 
-    def to_json(self) -> dict:
-        A = {format_index(n): rat.encode_matrix(An) for n, An in self.A.items()}
-        doc = {"N": self.N, "m": self.m, "A": A}
+    def _document(self) -> dict:
+        doc = {"N": self.N, "m": self.m, "A": {format_index(n): An for n, An in self.A.items()}}
         if self.label is not None:
             doc["label"] = self.label
         return doc
+
+    def to_json(self) -> dict:
+        return rat.encode_arrays(self._document())
 
     @classmethod
     def from_json(cls, doc: dict, exact: bool = False) -> "ReducedModel":
@@ -306,7 +308,7 @@ class ReducedModel:
         return ReducedModel(M=self.M, N=self.N, m=self.m, A=A, label=self.label)
 
     def save(self, path) -> None:
-        rat.save_json(path, self.to_json())
+        rat.save_json(path, self._document())
 
     @classmethod
     def load(cls, path, exact: bool = False) -> "ReducedModel":
@@ -344,22 +346,23 @@ class GeneratingBasis:
         vectors = {n: rat.as_float(v) for n, v in self.vectors.items()}
         return GeneratingBasis(M=self.M, N=self.N, m=self.m, dimU=self.dimU, vectors=vectors)
 
-    def to_json(self) -> dict:
-        distinct = {id(c): c for p in (self.vectors, *self.poly.values()) for c in p.values()}
-        rows = {key: rat.encode_matrix(c) for key, c in distinct.items()}  # each array once
+    def _document(self) -> dict:
         return {
             "N": self.N,
             "m": self.m,
             "dimU": self.dimU,
-            "vectors": {format_index(n): rows[id(v)] for n, v in self.vectors.items()},
+            "vectors": {format_index(n): v for n, v in self.vectors.items()},
             "poly": {
-                format_index(n): {format_index(k): rows[id(c)] for k, c in p.items()}
+                format_index(n): {format_index(k): c for k, c in p.items()}
                 for n, p in self.poly.items()
             },
         }
 
+    def to_json(self) -> dict:
+        return rat.encode_arrays(self._document())
+
     def save(self, path) -> None:
-        rat.save_json(path, self.to_json())
+        rat.save_json(path, self._document())
 
 
 def generating_vectors(vectors: dict) -> dict:

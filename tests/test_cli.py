@@ -389,6 +389,26 @@ def test_run_meta_records_family_storage(tmp_path):
         assert family == {"storage": storage, "bytes": nbytes}
 
 
+def test_run_meta_records_each_output_file(tmp_path):
+    """Each file a run writes, but run_meta.json itself, has its bytes and
+    write time in run_meta.json, and report.json holds neither."""
+    from slowvary.cli import main
+
+    runs = {"reduce": ["reduce", "--model", "walker-modal"],
+            "simulate": ["simulate", "--model", "walker-modal", "--grid", "8", "--T", "2"],
+            "converge": ["converge", "--model", "walker-modal", "--grid", "16"]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs = json.loads((out / "run_meta.json").read_text())["outputs"]
+        written = {p.name: p.stat().st_size for p in out.iterdir()}
+        assert written.pop("run_meta.json") > 0
+        assert {k: v["bytes"] for k, v in outputs.items()} == written
+        assert all(v["seconds"] >= 0 for v in outputs.values())
+        assert "outputs" not in (out / "report.json").read_text()
+    assert set(outputs) == {"orders.csv", "report.json"}
+
+
 def test_run_meta_records_the_parsed_argv(tmp_path, monkeypatch):
     """An in-process ``main(argv)`` records its own argv, not the host process's."""
     from slowvary.cli import main
@@ -461,6 +481,10 @@ _BAD_MODEL_FILES = {
     # "0 " parses to the same multi-index as "0"
     "duplicate-key": {"M": 1, "dimU": 2,
                       "operators": {"0": [[0, 0], [0, -1]], "0 ": [[1, 0], [0, 1]]}},
+    # a repeated key would keep only its last value
+    "repeated-key": '{"M": 1, "dimU": 2, "operators": {"0": [[0, 0], [0, -1]], '
+                    '"1": [[0, 1], [1, 0]], "1": [[0, 5], [5, 0]]}}',
+    "repeated-cell-key": '{"n": 8, "K_expr": "constant", "n": 16}',
     # cell documents
     "amplitude-list": {"n": 8, "K_expr": "constant", "amplitude": [1]},
     "amplitude-nan": '{"n": 8, "K_expr": "layered_cos", "amplitude": NaN}',
@@ -471,6 +495,7 @@ _BAD_MODEL_FILES = {
     "n-not-integer": {"n": 8.7, "K_expr": "constant"},
     "h-string": {"n": 8, "K_expr": "constant", "h": "2"},
     "amplitude-bool": {"n": 8, "K_expr": "layered_cos", "amplitude": True},
+    "n-zero": {"n": 0, "K_expr": "layered_cos"},
 }
 # run only with --exact: without it, these files already exit 2 (or are valid)
 _EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")
@@ -478,13 +503,15 @@ _EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")
 
 @pytest.mark.parametrize("argv, check", [
     *[pytest.param(["reduce", "--model", name], "config", id=name)
-      for name in _BAD_MODEL_FILES if name not in _EXACT_ONLY + ("amplitude-nan",)],
+      for name in _BAD_MODEL_FILES if name not in _EXACT_ONLY + ("amplitude-nan", "n-zero")],
     pytest.param(["reduce", "--model", "oscillatory-centre", "--exact"],
                  "UnsupportedSplit", id="oscillatory-centre"),
     *[pytest.param(["reduce", "--model", name, "--exact"], "config", id=f"{name}-exact")
       for name in ("one-over-zero", "huge-int", "huge-float", "bool-entry")],
     pytest.param(["reduce", "--model", "amplitude-nan"], "NonPositiveDiffusivity",
                  id="amplitude-nan"),
+    # checked before the samples' spacing h / n is formed
+    pytest.param(["reduce", "--model", "n-zero"], "GridTooCoarse", id="n-zero"),
     pytest.param(["reduce", "--model", "homogenise-layered", "--grid", "8", "-N", "1",
                   "--alpha", "40"], "UnsupportedSplit", id="cell-split-unsupported"),
     pytest.param(["reduce", "--model", "walker-modal", "--alpha", "-1"],

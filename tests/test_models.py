@@ -87,6 +87,9 @@ def test_cell_validation():
         CellProblem(h=1.0, n=2, K=np.full((2, 2), 1.0))
     with pytest.raises(GridTooCoarse):
         CellProblem(h=1.0, n=7, K=np.full((7, 7), 1.0))
+    for n in (0, 1, 2, -4):  # n = 0 is refused before the spacing h / n is formed
+        with pytest.raises(GridTooCoarse, match=f"n = {n} must be even"):
+            CellProblem.from_expression("layered_cos", n=n)
     with pytest.raises(NonPositiveDiffusivity):
         CellProblem(h=1.0, n=8, K=np.full((8, 8), -0.5))
     with pytest.raises(NonPositiveDiffusivity):

@@ -15,6 +15,7 @@ from slowvary._rational import (
     as_ratmatrix,
     decode_matrix,
     inverse_exact,
+    load_json,
     nullspace_exact,
     solve_exact,
 )
@@ -273,3 +274,12 @@ def test_float_decode_names_the_first_bad_entry(rows, message):
     with pytest.raises(ValueError) as err:
         decode_matrix(rows)
     assert str(err.value) == message
+
+
+def test_load_json_names_a_repeated_key(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": {"b": 1, "c": 2, "b": 3}, "b": 4}')
+    with pytest.raises(ValueError, match="key 'b' is repeated in one JSON object"):
+        load_json(path)
+    path.write_text('{"a": {"b": 1}, "b": [{"b": 2}]}')  # one key in different objects
+    assert load_json(path) == {"a": {"b": 1}, "b": [{"b": 2}]}

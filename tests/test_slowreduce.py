@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sparse
 
 import slowvary as sv
-from slowvary._rational import frac_matrix, save_json
+from slowvary._rational import encode_arrays, frac_matrix, save_json
 from slowvary.errors import SylvesterInconsistent
 from slowvary.multiindex import index_factorial, index_sub
 from slowvary.slowreduce import solve_constrained_sylvester
@@ -200,7 +200,7 @@ def test_model_json_roundtrip(tmp_path, family_pair):
 
 
 def _assert_saved_as_json_dump(path, doc):
-    save_json(path, doc)
+    """The file at ``path`` holds ``json.dumps`` of list document ``doc``."""
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
@@ -208,18 +208,23 @@ def test_save_json_bytes_match_json_dump(tmp_path, family_pair):
     fam, fam_exact, alpha = family_pair
     for f, a in ((fam, alpha), (fam_exact, None)):
         model, basis = sv.construct_reduction(f, N=2, alpha=a)
-        for doc in (f.to_json(), model.to_json(), basis.to_json()):
-            _assert_saved_as_json_dump(tmp_path / "doc.json", doc)
+        for obj in (f, model, basis):
+            obj.save(tmp_path / "doc.json")
+            _assert_saved_as_json_dump(tmp_path / "doc.json", obj.to_json())
 
 
 def test_save_json_bytes_match_json_dump_cell_and_odd_entries(tmp_path):
     cell = sv.homogenisation_cell(sv.CellProblem.from_expression("layered_cos", n=16))
     _, basis = sv.construct_reduction(cell, N=2, split=sv.cell_spectral_split(cell, N=2))
+    basis.save(tmp_path / "cell.json")
     _assert_saved_as_json_dump(tmp_path / "cell.json", basis.to_json())
     # separators, brackets and escapes inside string entries; mixed and
-    # nested shapes that are not matrices
+    # nested shapes that are not matrices, beside array leaves
     odd = {
-        "strings": [["1/2, 3", "], [", "a\nb"], ['"', "\\", "\u00e9"]],
+        "strings": np.array([["1/2, 3", "], [", "a\nb"], ['"', "\\", "\u00e9"]], dtype=object),
+        "fractions": frac_matrix([[F(1, 3), -2], [F(-7, 4), 0]]),
+        "floats": np.array([[1, 2.5, float("nan"), -float("inf"), -0.0, 5e-324]]),
+        "transposed": np.arange(6.0).reshape(2, 3).T,
         "mixed": [[1, 2.5, None, True, float("nan"), -float("inf")]],
         "empty": [[], []],
         "nested": [[[1, 2]], [[3]]],
@@ -228,7 +233,8 @@ def test_save_json_bytes_match_json_dump_cell_and_odd_entries(tmp_path):
         "keys": {"z": {}, "y": [], "x": 3, "w": "s"},
         "int-keys": {2: [[1]], 1: [[2]]},
     }
-    _assert_saved_as_json_dump(tmp_path / "odd.json", odd)
+    save_json(tmp_path / "odd.json", odd)
+    _assert_saved_as_json_dump(tmp_path / "odd.json", encode_arrays(odd))
 
 
 @pytest.mark.parametrize("doc", [
