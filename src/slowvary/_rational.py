@@ -38,6 +38,8 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sparse
 
+from .multiindex import parse_index
+
 
 def _matrix(data: list, dtype) -> np.ndarray:
     width = len(data[0]) if data else 0
@@ -306,6 +308,26 @@ def decode_matrix(rows, exact: bool = False, shape=None) -> np.ndarray:
         out = _matrix(data, object if exact else float)
     if shape is not None and out.shape != tuple(shape):
         raise ValueError(f"matrix has shape {out.shape}, expected {tuple(shape)}")
+    return out
+
+
+def decode_index_table(table: dict, exact: bool, shape, what: str, M: int | None = None) -> dict:
+    """Matrices keyed by the parsed multi-index of each key of ``table``.  Each
+    key has ``M`` components (the first key's if None); two keys that name one
+    index (``"2,0"``, ``"02,0"``) raise ValueError naming ``what`` and both."""
+    out, keys = {}, {}
+    for key, rows in table.items():
+        idx = parse_index(key)
+        M = len(idx) if M is None else M
+        if len(idx) != M:
+            raise ValueError(f"{what} key {key!r} does not have {M} components")
+        if idx in keys:
+            raise ValueError(f"{what} keys {keys[idx]!r} and {key!r} name the same index")
+        keys[idx] = key
+        try:
+            out[idx] = decode_matrix(rows, exact, shape)
+        except ValueError as exc:
+            raise ValueError(f"{what} {key!r}: {exc}") from None
     return out
 
 

@@ -252,12 +252,19 @@ def _split_fields(family, split) -> dict:
     }
 
 
+def _residual_failures(cfg: argparse.Namespace, famf, vrep) -> list:
+    """The split residuals above ``--tol`` times ``max(1, max|L_k|)``, or NaN."""
+    bound = cfg.tol * max(1.0, max(float(abs(op).max()) for op in famf.ops.values()))
+    return [name for name, value in (("binorm_residual", vrep.binorm_residual),
+                                     ("centre_invariance_residual", vrep.invariance_residual))
+            if not value <= bound]
+
+
 def _reduce(cfg: argparse.Namespace, family, cell, split, model, basis, report: dict,
             meta: dict) -> int:
     vrep = crosssection.validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
     famf = family.to_float()
-    scale = max(1.0, max(float(abs(op).max()) for op in famf.ops.values()))
-    threshold = cfg.tol * scale
+    residual_failures = _residual_failures(cfg, famf, vrep)
 
     inv, inv_scale = slowreduce.check_invariance(family, model, basis, with_scale=True)
     checks = {"invariance_residual": _sig(inv),
@@ -287,15 +294,14 @@ def _reduce(cfg: argparse.Namespace, family, cell, split, model, basis, report: 
         "validation": {
             "binorm_residual": _sig(vrep.binorm_residual),
             "centre_invariance_residual": _sig(vrep.invariance_residual),
-            "checks_passed": bool(  # np.maximum, unlike max, fails a NaN
-                np.maximum(vrep.binorm_residual, vrep.invariance_residual) <= threshold),
+            "checks_passed": not residual_failures,
         },
         "coefficients": _coeff_table(model),
         "checks": checks,
     })
-    ok = all(v for k, v in checks.items() if k.endswith("_pass"))
-    ok = ok and report["validation"]["checks_passed"]
-    report["pass"] = bool(ok)
+    failing = [k for k, v in checks.items() if k.endswith("_pass") and not v]
+    failing += residual_failures
+    report["pass"] = not failing
 
     if cfg.out is not None:
         with _output(meta, cfg.out / "model.json") as path:
@@ -307,8 +313,7 @@ def _reduce(cfg: argparse.Namespace, family, cell, split, model, basis, report: 
         print(model.equation_text())
     for idx, mat in report["coefficients"].items():
         print(f"A_({idx}) = {mat}")
-    if not ok:
-        failing = [k for k, v in checks.items() if k.endswith("_pass") and not v]
+    if failing:
         print(f"slowvary: FAIL {failing}", file=sys.stderr)
         return EXIT_NUMERICAL
     print("all checks passed")
@@ -318,13 +323,17 @@ def _reduce(cfg: argparse.Namespace, family, cell, split, model, basis, report: 
 def _validate(cfg: argparse.Namespace, family, cell, split, model, basis, report: dict,
               meta: dict) -> int:
     vrep = crosssection.validate_family(family, cfg.N, alpha=cfg.alpha, split=split)
+    failing = _residual_failures(cfg, family.to_float(), vrep)
     report.update(_split_fields(family, split))
     report.update({
         "centre_eigenvalues": _sig(split.centre_eigenvalues()),
         "binorm_residual": _sig(vrep.binorm_residual),
         "centre_invariance_residual": _sig(vrep.invariance_residual),
-        "pass": True,
+        "pass": not failing,
     })
+    if failing:
+        print(f"slowvary: FAIL {failing} above --tol times max(1, max|L_k|)", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(f"model ok: m={split.m} centre mode(s), "
           f"gap beta={report['beta']}, alpha={report['alpha']}")
     return EXIT_OK
@@ -468,6 +477,9 @@ def _run(cfg: argparse.Namespace, argv: list) -> int:
         if cfg.command in ("simulate", "converge") and any(g & (g - 1) for g in cfg.grid):
             raise ConfigError(f"--grid entries must be powers of two, "
                               f"got {_grid_text(cfg)}")
+        if cfg.command in ("simulate", "converge") and cfg.grid[0] < 4:
+            raise ConfigError(f"{cfg.command} needs at least 4 points along the first --grid "
+                              f"axis, got {cfg.grid[0]}; on fewer the wave is zero to rounding")
         if cfg.command == "converge" and len(cfg.grid) > 1:
             raise ConfigError(f"converge takes one --grid entry (points along "
                               f"the first axis), got {_grid_text(cfg)}")

@@ -28,8 +28,9 @@ symbols, JSON documents) densify them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -45,7 +46,7 @@ from .errors import (
     UnstableMode,
     UnsupportedSplit,
 )
-from .multiindex import format_index, graded_key, parse_index
+from .multiindex import format_index, graded_key
 
 __all__ = [
     "OperatorFamily",
@@ -58,7 +59,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-# Base operators larger than this fall back to sparse symmetric analysis.
+# Base operators larger than this are split on their known centre, the
+# constant field: symmetric, mean-conserving operators only (the cells).
 _DENSE_EIG_LIMIT = 600
 
 
@@ -191,20 +193,7 @@ class OperatorFamily:
             raise ValueError(f"malformed model document: {exc}") from None
         if not isinstance(operators, dict) or not operators:
             raise ValueError("model document has no operators")
-        ops, keys = {}, {}
-        for key, rows in operators.items():
-            idx = parse_index(key)
-            if len(idx) != M:
-                raise ValueError(f"operator key {key!r} does not have {M} components")
-            if idx in keys:
-                raise ValueError(
-                    f"operator keys {keys[idx]!r} and {key!r} name the same index"
-                )
-            keys[idx] = key
-            try:
-                ops[idx] = rat.decode_matrix(rows, exact, (dimU, dimU))
-            except ValueError as exc:
-                raise ValueError(f"operator {key!r}: {exc}") from None
+        ops = rat.decode_index_table(operators, exact, (dimU, dimU), "operator", M)
         return cls(ops, label=doc.get("label"))
 
     def save(self, path) -> None:
@@ -230,9 +219,11 @@ class SpectralSplit:
     with the binormalisation ``Z0.T @ V0 = I``.  ``A0 = Z0.T @ L0 @ V0`` is
     the centre block; it is kept exactly as computed and in particular is
     not forced diagonal (a defective centre cluster leaves it in Jordan-like
-    form).  ``eigenvalues`` lists the spectrum of ``L0``; for very large
-    symmetric operators only the computed extremes are recorded and
-    ``spectrum_complete`` is False.
+    form).  ``eigenvalues`` lists the spectrum of ``L0``; above the dense
+    limit only ``A0``, the slowest stable and the lowest eigenvalue are
+    recorded and ``spectrum_complete`` is False.  The sparse split also sets
+    ``bordered_solve``, its SuperLU solve with ``[[L0 - A0 I, Z0], [Z0.T, 0]]``:
+    a cached factor that the construction reuses, outside repr and equality.
     """
 
     m: int
@@ -243,6 +234,7 @@ class SpectralSplit:
     beta: float
     eigenvalues: np.ndarray
     spectrum_complete: bool = True
+    bordered_solve: Callable | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_exact(self) -> bool:
@@ -382,33 +374,47 @@ def _exact_split(L0x: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
     return SpectralSplit(m, V0, Z0, A0, alpha, beta, evals, True)
 
 
-def _sparse_symmetric_split(L0, N: int, alpha: float | None) -> SpectralSplit:
+def _bordered_solve(L0, t, Z0, permc_spec: str = "COLAMD"):
+    """SuperLU solve with ``[[L0 - t I, Z0], [Z0.T, 0]]`` for a float array or
+    SciPy sparse ``L0`` and a dense ``Z0``; RuntimeError when singular."""
+    d, m = Z0.shape
+    if sparse.issparse(L0):
+        Z0s = sparse.csc_matrix(Z0)
+        border = sparse.bmat([[sparse.csc_matrix(L0) - t * sparse.identity(d), Z0s],
+                              [Z0s.T, None]], format="csc")
+    else:  # the same CSC matrix, assembled several times faster than by bmat
+        border = sparse.csc_matrix(np.block([[L0 - t * np.eye(d), Z0], [Z0.T, np.zeros((m, m))]]))
+    return spla.splu(border, permc_spec=permc_spec).solve
+
+
+def _mean_conserving_split(L0, N: int, alpha: float | None) -> SpectralSplit:
     n = L0.shape[0]
     A = sparse.csr_matrix(L0)  # no copy when L0 is CSR already
     absA = abs(A)
-    if abs(A - A.T).max() > 1e-10 * (1.0 + absA.max()):
-        raise UnsupportedSplit(
-            f"base operator of size {n} exceeds the dense eigenanalysis limit "
-            f"({_DENSE_EIG_LIMIT}) and is not symmetric; cannot split its spectrum"
-        )
+    size = 1.0 + absA.max()
+    too_large = f"base operator of size {n} exceeds the dense limit ({_DENSE_EIG_LIMIT})"
+    if abs(A - A.T).max() > 1e-10 * size:
+        raise UnsupportedSplit(f"{too_large} and is not symmetric; cannot split its spectrum")
+    drift = float(np.abs(A @ np.ones(n)).max())
+    if drift > 1e-10 * size:
+        raise UnsupportedSplit(f"{too_large} and does not conserve its mean (max|L0 1| = "
+                               f"{drift:.3g}); the sparse split needs a mean-conserving "
+                               "base operator")
     # one fixed start vector for every ARPACK call makes the split, and so
     # every output downstream of it, the same on each run (a vector of ones
-    # would be the cells' exact null vector, on which Lanczos breaks down)
+    # would be the exact null vector, on which Lanczos breaks down)
     v0 = np.random.default_rng(0).standard_normal(n)
 
-    def eigsh(call: str, **kwargs):
+    def eigenvalue(call: str, start, **kwargs) -> float:
         try:
-            return spla.eigsh(A, v0=v0, **kwargs)
+            return float(spla.eigsh(A, k=1, v0=start, return_eigenvectors=False, **kwargs)[0])
         except spla.ArpackError as exc:  # ArpackNoConvergence included
-            raise UnsupportedSplit(
-                f"ARPACK {call} failed on the base operator of size {n}: {exc}"
-            ) from None
+            raise UnsupportedSplit(f"ARPACK {call} failed on the base operator "
+                                   f"of size {n}: {exc}") from None
 
     diag = A.diagonal()
     scale = max(float(np.abs(diag).max()), 1.0)
-    lam_bot = float(
-        eigsh("eigsh(which='SA')", k=1, which="SA", return_eigenvectors=False)[0]
-    )
+    lam_bot = eigenvalue("eigsh(which='SA')", v0, which="SA")
     # Gershgorin: no eigenvalue exceeds max_i (a_ii + sum_{j != i} |a_ij|).
     # When that bound settles lam_top <= alpha it stands in for lam_top
     # (the default alpha's radius is |lam_bot| either way); otherwise
@@ -416,63 +422,38 @@ def _sparse_symmetric_split(L0, N: int, alpha: float | None) -> SpectralSplit:
     lam_top = float((diag - np.abs(diag) + np.asarray(absA.sum(axis=1)).ravel()).max())
     band = 1e-9 * max(abs(lam_top), abs(lam_bot)) if alpha is None else alpha
     if lam_top > band:
-        lam_top = float(eigsh("shift-invert eigsh(k=1)", k=1, sigma=lam_top + 1e-6 * scale,
-                              which="LM", return_eigenvectors=False)[0])
-    radius = max(abs(lam_top), abs(lam_bot))
+        lam_top = eigenvalue("shift-invert eigsh(k=1)", v0, sigma=lam_top + 1e-6 * scale,
+                             which="LM")
     if alpha is None:
-        alpha = 1e-9 * radius
+        alpha = 1e-9 * max(abs(lam_top), abs(lam_bot))
     alpha = float(alpha)
     if lam_top > alpha:
-        raise UnstableMode(
-            f"largest eigenvalue Re = {lam_top:.6g} > alpha = {alpha:.6g}"
-        )
-    # shift slightly above the spectrum top so the factorisation is regular
-    # and the Lanczos sweep returns the eigenvalues closest to zero; the
-    # minimum-degree ordering on A + A.T suits the symmetric pattern and
-    # fills about half what eigsh's own COLAMD factorisation does
-    sigma = max(1e-6 * scale, 1e-3 * abs(lam_top), 1e-12)
-    try:
-        lu = spla.splu((A - sigma * sparse.eye(n)).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise UnsupportedSplit(
-            f"cannot factorise the base operator shifted by {sigma:.6g}: {exc}"
-        ) from None
-    OPinv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
-    # a few more eigenpairs than a single centre mode needs; more only
-    # while every computed value still sits inside the centre band
-    k = min(4, n - 2)
-    while True:
-        vals, vecs = eigsh(
-            "shift-invert eigsh", k=k, sigma=sigma, which="LM", OPinv=OPinv
-        )
-        if not (np.abs(vals) <= alpha).all() or k == n - 2:
-            break
-        k = min(2 * k, n - 2)
-    order_ = np.argsort(-vals)
-    vals, vecs = vals[order_], vecs[:, order_]
-    centre = np.abs(vals) <= alpha
-    m = int(centre.sum())
-    if m == 0:
-        raise NoCentreMode(
-            f"no eigenvalue within |Re| <= {alpha:.6g} among the {k} slowest modes"
-        )
-    if m == k:
-        raise UnsupportedSplit(
-            f"all {k} computed slow eigenvalues sit inside the centre band; "
-            "the sparse symmetric path cannot bound the gap"
-        )
-    beta = float(-vals[~centre].max())
-    if not beta > N * alpha:
-        raise GapViolation(
-            f"stable decay rate beta = {beta:.6g} does not exceed "
-            f"N * alpha = {N * alpha:.6g}"
-        )
-    V0 = _canonical_signs(vecs[:, centre])
-    # symmetric operator: left basis equals right basis, already orthonormal
-    Z0 = _binormalise(V0, V0)
+        raise UnstableMode(f"largest eigenvalue Re = {lam_top:.6g} > alpha = {alpha:.6g}")
+    # the centre is the constant field, paired with the cell average
+    V0 = np.ones((n, 1))
+    Z0 = V0 / n
     A0 = Z0.T @ (A @ V0)
-    known = np.concatenate([vals, [lam_bot]]).astype(complex)
-    return SpectralSplit(m, V0, Z0, A0, alpha, beta, known, False)
+    # the construction's own bordered matrix, factorised once here; the
+    # minimum-degree ordering on A + A.T suits the symmetric pattern
+    try:
+        solve = _bordered_solve(A, A0[0, 0], Z0, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise UnsupportedSplit(f"base operator bordered by the constant field is singular "
+                               f"({exc}): L0 has a centre mode besides it") from None
+    # the border deflates the centre: its solution is mean-free and its
+    # multiplier takes up the mean of the right-hand side, so shift-invert
+    # at A0 sees only the stable modes and finds the slowest of them
+    OPinv = spla.LinearOperator((n, n), matvec=lambda x: solve(np.append(x, 0.0))[:n],
+                                dtype=float)
+    lam_slow = eigenvalue("shift-invert eigsh at the centre", v0 - v0.mean(),
+                          sigma=A0[0, 0], which="LM", OPinv=OPinv)
+    known = np.array([A0[0, 0], lam_slow, lam_bot], dtype=complex)
+    alpha, beta, m, _ = _classify(known, N, alpha)
+    if m != 1:
+        raise UnsupportedSplit(f"a second eigenvalue {lam_slow:.6g} lies inside the centre band "
+                               f"|Re| <= {alpha:.6g}; the sparse split's one centre mode is "
+                               "the constant field")
+    return SpectralSplit(1, V0, Z0, A0, alpha, beta, known, False, solve)
 
 
 def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -> SpectralSplit:
@@ -490,6 +471,11 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
         radius of ``L_0``, which captures exact zero modes while rejecting
         anything dynamically relevant.
 
+    Above ``dimU`` 600 a float ``L_0`` must be symmetric and conserve its
+    mean (``L_0 1 = 0`` to rounding), as a cell operator does; its one
+    centre mode is then the constant field, and anything else raises
+    :class:`UnsupportedSplit`.
+
     Returns
     -------
     SpectralSplit
@@ -505,7 +491,7 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
     if family.is_exact:
         return _exact_split(L0, N, alpha)
     if family.dimU > _DENSE_EIG_LIMIT:
-        return _sparse_symmetric_split(L0, N, alpha)
+        return _mean_conserving_split(L0, N, alpha)
     return _dense_split(rat.as_float(L0), N, alpha)
 
 

@@ -16,7 +16,7 @@ tensor, with the classical harmonic/arithmetic bounds as sanity rails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -344,10 +344,11 @@ def cell_spectral_split(
     """Spectral split of a cell family in the uniform-weight convention.
 
     The centre mode of the flux-form operator is the constant field.  The
-    generic split returns it normalised; here it is rescaled so the right
+    dense split returns it normalised; here it is rescaled so the right
     basis is the vector of ones and the left basis carries the quadrature
     weights ``1/n^2``, i.e. projection onto the slow variable is the plain
-    cell average.
+    cell average.  The sparse split returns that basis (scale exactly 1),
+    so its ``bordered_solve`` carries over to the construction unchanged.
     """
     split = spectral_split(family, N, alpha)
     if split.m != 1:
@@ -357,16 +358,7 @@ def cell_spectral_split(
     s = float(split.V0.mean())
     if abs(s) < 1e-12:
         raise UnsupportedSplit("centre mode is not the constant field")
-    return SpectralSplit(
-        m=1,
-        V0=split.V0 / s,
-        Z0=split.Z0 * s,
-        A0=split.A0,
-        alpha=split.alpha,
-        beta=split.beta,
-        eigenvalues=split.eigenvalues,
-        spectrum_complete=split.spectrum_complete,
-    )
+    return replace(split, V0=split.V0 / s, Z0=split.Z0 * s)
 
 
 def cell_gap_ratio(cell: CellProblem, split: SpectralSplit) -> float:

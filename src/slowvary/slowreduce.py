@@ -55,11 +55,9 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from . import _rational as rat
-from .crosssection import DEFAULT_TOL, OperatorFamily, SpectralSplit, spectral_split
+from .crosssection import DEFAULT_TOL, OperatorFamily, SpectralSplit, _bordered_solve, spectral_split
 from .errors import SylvesterInconsistent
 from .multiindex import (
     enumerate_indices,
@@ -69,7 +67,6 @@ from .multiindex import (
     index_sub,
     lower_sets,
     order,
-    parse_index,
     partial_leq,
 )
 
@@ -95,16 +92,17 @@ class _BorderedSylvester:
         [ Z0.T           0 ] [ mu  ] = [ (G U)_j                         ]
     factorised once per split.  It is nonsingular when T_jj is a centre
     eigenvalue: ``Z0.T w = 0`` puts w in the stable subspace, where
-    ``L0 - T_jj I`` is invertible.  Float mode factorises with a sparse LU;
-    the Schur form is real unless A0 has complex eigenvalues.  Exact mode
-    takes ``U = I`` and ``T = A0`` (diagonal for an exact split), works in
+    ``L0 - T_jj I`` is invertible.  Float mode factorises with a sparse LU
+    unless given ``solve``, a one-mode split's ``bordered_solve``; the Schur
+    form is real unless A0 has complex eigenvalues.  Exact mode takes
+    ``U = I`` and ``T = A0`` (diagonal for an exact split), works in
     :class:`~slowvary._rational.RatMatrix` arithmetic and keeps the two
     blocks ``P, Q`` of the exact inverse that give ``w_j = P b + Q g``.
     Exact mode accepts only a zero residual, so a nonzero multiplier (an
     inconsistent system) raises.
     """
 
-    def __init__(self, L0, A0, Z0, tol: float = DEFAULT_TOL):
+    def __init__(self, L0, A0, Z0, tol: float = DEFAULT_TOL, solve=None):
         L0, A0, Z0 = (rat.as_ratmatrix(x) for x in (L0, A0, Z0))
         self.exact = isinstance(L0, rat.RatMatrix)
         self.L0, self.A0, self.Z0 = L0, A0, Z0
@@ -117,7 +115,8 @@ class _BorderedSylvester:
             self._T, self._U = sla.schur(A0)
             if np.diag(self._T, -1).any():  # complex eigenvalues
                 self._T, self._U = sla.rsf2csf(self._T, self._U)
-        self._solves = [self._factorise(self._T[j, j]) for j in range(self.m)]
+        self._solves = ([solve] if solve is not None
+                        else [self._factorise(self._T[j, j]) for j in range(self.m)])
 
     def _factorise(self, t):
         """Column solve with the bordered matrix of ``L0 - t I``."""
@@ -129,16 +128,7 @@ class _BorderedSylvester:
                     [[self.L0 - R.eye(d) * t, self.Z0], [self.Z0.T, R.zeros((m, m))]]
                 ))
                 return inv[:d, :d], inv[:d, d:]
-            if sparse.issparse(self.L0):
-                Z0s = sparse.csc_matrix(self.Z0)
-                border = sparse.bmat(
-                    [[sparse.csc_matrix(self.L0) - t * sparse.identity(d), Z0s], [Z0s.T, None]],
-                    format="csc",
-                )
-            else:  # the same CSC matrix, assembled several times faster than by bmat
-                border = sparse.csc_matrix(np.block(
-                    [[self.L0 - t * np.eye(d), self.Z0], [self.Z0.T, np.zeros((m, m))]]))
-            return spla.splu(border).solve
+            return _bordered_solve(self.L0, t, self.Z0)
         except (RuntimeError, ValueError) as exc:  # splu / exact: singular
             raise SylvesterInconsistent(
                 f"bordered Sylvester matrix is singular at t = {t}: {exc}"
@@ -288,18 +278,11 @@ class ReducedModel:
             raise ValueError(f"malformed reduced-model document: {exc}") from None
         if not isinstance(table, dict) or not table:
             raise ValueError("reduced-model document has no coefficients")
-        A = {}
-        M = None
-        for key, rows in table.items():
-            n = parse_index(key)
-            M = len(n) if M is None else M
-            if len(n) != M:
-                raise ValueError("inconsistent multi-index dimensions in model")
-            try:
-                A[n] = rat.decode_matrix(rows, exact, (m, m))
-            except ValueError as exc:
-                raise ValueError(f"coefficient {key!r}: {exc}") from None
-        return cls(M=M, N=N, m=m, A=A, label=doc.get("label"))
+        A = rat.decode_index_table(table, exact, (m, m), "coefficient")
+        for n in A:
+            if order(n) > N:
+                raise ValueError(f"coefficient {format_index(n)!r} has order {order(n)} > N = {N}")
+        return cls(M=len(next(iter(A))), N=N, m=m, A=A, label=doc.get("label"))
 
     def to_float(self) -> "ReducedModel":
         if not self.is_exact:
@@ -408,7 +391,7 @@ def _reduce(family, split, table, tol):
     V0, Z0, A0 = (rat.as_ratmatrix(x) for x in (split.V0, split.Z0, split.A0))
     zeros = rat.RatMatrix.zeros if family.is_exact else np.zeros
     constraint = zeros((m, m))
-    solver = _BorderedSylvester(family.L0, A0, Z0, tol)
+    solver = _BorderedSylvester(family.L0, A0, Z0, tol, split.bordered_solve)
     A, V = {zero: A0}, {zero: V0}
     for n, below in lower_sets(table).items():
         if n == zero:

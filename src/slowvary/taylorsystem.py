@@ -288,7 +288,7 @@ def symbol_order_check(
     terms = [(np.prod((1j * kv) ** np.array(k), axis=1)[:, None], L)
              for k, L in fam.ops.items()]
     Snorm = sum(np.abs(f[:, 0]) * abs(L).sum(axis=1).max() for f, L in terms)
-    chord = _BorderedSylvester(fam.L0, A0, Z0)
+    chord = _BorderedSylvester(fam.L0, A0, Z0, solve=split.bordered_solve)
     V = np.repeat(V0[:, None, :], R, axis=1).astype(complex)
     done = np.zeros(R, dtype=bool)
     iters = np.zeros(R, dtype=int)

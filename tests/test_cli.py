@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +10,22 @@ import pytest
 import slowvary as sv
 
 
-def run_cli(*args, env_extra=None, cwd=None):
-    import os
-
+def _child_env(env_extra=None):
+    """Environment of a child process that imports the slowvary these tests
+    import, whether or not PYTHONPATH names it."""
     env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+    src = str(Path(sv.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(*args, env_extra=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "slowvary.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(env_extra),
         cwd=cwd,
         timeout=300,
     )
@@ -109,9 +116,9 @@ def test_reduce_impossible_tolerance_exits_three(tmp_path):
     assert report["pass"] is False
 
 
-def test_reduce_fails_a_nan_validation_residual(tmp_path, monkeypatch):
-    """``validation.checks_passed`` bounds both split residuals, and a NaN
-    residual fails it."""
+def test_reduce_fails_a_nan_validation_residual(tmp_path, monkeypatch, capsys):
+    """``validation.checks_passed`` bounds both split residuals, a NaN
+    residual fails it, and the FAIL line names it."""
     from slowvary import crosssection
     from slowvary.cli import main
 
@@ -121,6 +128,7 @@ def test_reduce_fails_a_nan_validation_residual(tmp_path, monkeypatch):
     assert main(["reduce", "--model", "walker-modal", "-N", "2", "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["validation"]["checks_passed"] is False and report["pass"] is False
+    assert "slowvary: FAIL ['centre_invariance_residual']" in capsys.readouterr().err
 
 
 def test_report_bytes_are_deterministic(tmp_path):
@@ -170,6 +178,31 @@ def test_reduce_zero_operator_above_dense_limit_exits_two(tmp_path, capsys):
     assert "FAIL [UnsupportedSplit] ARPACK eigsh(which='SA') failed" in capsys.readouterr().err
     error = json.loads((out / "report.json").read_text())["error"]
     assert error["check"] == "UnsupportedSplit"
+
+
+def _cycle_laplacian(n):
+    lap = -2 * np.eye(n, dtype=int) + np.eye(n, k=1, dtype=int) + np.eye(n, k=-1, dtype=int)
+    lap[0, -1] = lap[-1, 0] = 1
+    return lap
+
+
+@pytest.mark.parametrize("L0, message", [
+    (_cycle_laplacian(602) + np.diag([3] + [0] * 601), "does not conserve its mean"),
+    (np.block([[_cycle_laplacian(300), np.zeros((300, 302), dtype=int)],
+               [np.zeros((302, 300), dtype=int), _cycle_laplacian(302)]]),
+     "second eigenvalue"),
+], ids=["not-mean-conserving", "second-centre-mode"])
+def test_large_family_outside_the_sparse_split_exits_two(tmp_path, L0, message):
+    model = tmp_path / "large.json"
+    model.write_text(json.dumps({"M": 1, "dimU": 602, "operators": {
+        "0": L0.tolist(), "1": np.eye(602, dtype=int).tolist()}}))
+    out = tmp_path / "run"
+    res = run_cli("reduce", "--model", model, "--out", out)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "FAIL [UnsupportedSplit]" in res.stderr and message in res.stderr
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["check"] == "UnsupportedSplit" and message in error["message"]
 
 
 def test_simulate_output_bytes_are_deterministic(tmp_path):
@@ -247,6 +280,19 @@ def test_validate_builtin_models():
         res = run_cli("validate", "--model", name)
         assert res.returncode == 0, res.stderr
         assert "model ok" in res.stdout
+
+
+def test_validate_judges_the_split_residuals_against_tol(tmp_path, capsys):
+    from slowvary.cli import main
+
+    out = tmp_path / "run"
+    assert main(["validate", "--model", "homogenise-constant", "--grid", "8",
+                 "--tol", "1e-30", "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"] is False and report["centre_invariance_residual"] > 1e-30
+    err = capsys.readouterr().err
+    assert "slowvary: FAIL [" in err and "centre_invariance_residual" in err
+    assert main(["validate", "--model", "homogenise-constant", "--grid", "8"]) == 0
 
 
 def test_simulate_walker(tmp_path):
@@ -351,7 +397,7 @@ def test_order_must_be_positive():
 def test_package_main_entry():
     res = subprocess.run(
         [sys.executable, "-m", "slowvary", "--help"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, env=_child_env(), timeout=120,
     )
     assert res.returncode == 0
     assert "reduce" in res.stdout and "converge" in res.stdout
@@ -528,6 +574,11 @@ _EXACT_ONLY = ("oscillatory-centre", "huge-float", "bool-entry")
     *[pytest.param([command, "--model", "walker-modal", "--grid", "6"], "config",
                    id=f"{command}-grid-not-power-of-two")
       for command in ("simulate", "converge")],
+    # one or two points along the first axis leave the seeded wave zero to rounding
+    *[pytest.param([command, "--model", "walker-modal", "--grid", grid], "config",
+                   id=f"{command}-grid-{grid}")
+      for command, grid in (("simulate", "1,1"), ("simulate", "2"), ("simulate", "2,8"),
+                            ("converge", "1"), ("converge", "2"))],
     pytest.param(["simulate", "--model", "walker-modal", "--grid", "8,8,8"], "config",
                  id="grid-longer-than-M"),
     pytest.param(["converge", "--model", "walker-modal", "--grid", "32,64",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -189,10 +190,6 @@ def _which(calls):
     return [call["which"] for call in calls]
 
 
-def _shift_invert_k(calls):
-    return [call["k"] for call in calls if call["sigma"] is not None]
-
-
 def _top_calls(calls, bound):
     """The shift-invert calls for the top eigenvalue: k = 1, shifted just
     above the Gershgorin bound."""
@@ -205,18 +202,6 @@ def test_sparse_split_gershgorin_settles_stability(arpack_calls):
     # diagonally dominant, non-positive diagonal: the bound is 0 <= alpha
     fam = sv.OperatorFamily({(0,): _cycle_laplacian(700)})
     assert sv.spectral_split(fam, N=1).m == 1
-    assert "LA" not in _which(arpack_calls)
-
-
-def test_sparse_split_falls_back_to_arpack_for_positive_eigenvalue(arpack_calls):
-    # a rank-one raise of a negative semidefinite matrix: by interlacing
-    # exactly one eigenvalue turns positive (a_00 = 1 > 0)
-    L0 = _cycle_laplacian(700).tolil()
-    L0[0, 0] = 1.0
-    with pytest.raises(UnstableMode, match="largest eigenvalue"):
-        sv.spectral_split(sv.OperatorFamily({(0,): L0.tocsr()}), N=1)
-    # row 0 has a_00 + |a_01| + |a_0,n-1| = 3
-    assert len(_top_calls(arpack_calls, 3.0)) == 1
     assert "LA" not in _which(arpack_calls)
 
 
@@ -234,35 +219,62 @@ def test_sparse_split_falls_back_to_arpack_without_dominance(arpack_calls):
     assert split.beta == pytest.approx(mu + mu**2, rel=1e-8)
 
 
-@pytest.mark.parametrize("sizes, ks", [
-    ((100, 120, 140, 160, 180), [4, 8]),
-    ((25, 35, 45, 55, 65, 75, 85, 95, 105, 115), [4, 8, 16]),
-], ids=["5-components", "10-components"])
-def test_sparse_split_doubles_k_while_all_values_are_centre(arpack_calls, sizes, ks):
-    # a block-diagonal sum of cycle Laplacians has one zero mode per cycle,
-    # so k = 4 shift-invert eigenpairs are all centre and k must double
-    assert sum(sizes) == 700
-    L0 = sparse.block_diag([_cycle_laplacian(s) for s in sizes], format="csr")
-    split = sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=2)
-    assert split.m == len(sizes)
-    gap = 2.0 - 2.0 * np.cos(2 * np.pi / max(sizes))
-    assert split.beta == pytest.approx(gap, rel=1e-8)
-    assert np.abs(L0 @ split.V0).max() < 1e-8
-    assert np.abs(split.Z0.T @ split.V0 - np.eye(len(sizes))).max() < 1e-10
-    assert _shift_invert_k(arpack_calls) == ks
-    v0 = arpack_calls[0]["v0"]
-    assert v0 is not None and v0.shape == (700,)
-    assert all(np.array_equal(call["v0"], v0) for call in arpack_calls)
-
-
-def test_sparse_split_doubling_stops_at_n_minus_two(arpack_calls):
-    # 600 zero modes of 602: every k up to n - 2 is all centre
-    diag = np.zeros(602)
-    diag[:2] = [-1.0, -2.0]
-    fam = sv.OperatorFamily({(0,): sparse.diags(diag).tocsr()})
-    with pytest.raises(UnsupportedSplit, match="all 600 computed slow eigenvalues"):
+def test_sparse_split_finds_a_positive_top_by_shift_invert(arpack_calls):
+    # lap + lap^2 conserves the mean, with rows 1, -3, 4, -3, 1 (Gershgorin
+    # bound 12) and eigenvalues mu + mu^2 up to 12 at the Laplacian's mu = -4
+    lap = _cycle_laplacian(602)
+    fam = sv.OperatorFamily({(0,): (lap + lap @ lap).tocsr()})
+    with pytest.raises(UnstableMode, match="largest eigenvalue Re = 12 "):
         sv.spectral_split(fam, N=1)
-    assert _shift_invert_k(arpack_calls) == [4, 8, 16, 32, 64, 128, 256, 512, 600]
+    assert len(_top_calls(arpack_calls, 12.0)) == 1
+    assert "LA" not in _which(arpack_calls)
+
+
+def test_sparse_split_refuses_an_operator_that_does_not_conserve_its_mean(arpack_calls):
+    # a rank-one raise of the cycle Laplacian: row 0 sums to 3, not 0
+    L0 = _cycle_laplacian(602).tolil()
+    L0[0, 0] = 1.0
+    with pytest.raises(UnsupportedSplit, match=r"does not conserve its mean \(max\|L0 1\| = 3\)"):
+        sv.spectral_split(sv.OperatorFamily({(0,): L0.tocsr()}), N=1)
+    assert arpack_calls == []  # refused before any eigenvalue search
+
+
+@pytest.mark.parametrize("blocks, message", [
+    # bordered by the constant field, the matrix keeps a null vector (the
+    # difference of the two cycles' constants); SuperLU does not find it
+    # exactly singular, and the shift-invert call finds the null value
+    ([300, 302], r"second eigenvalue \S+ lies inside the centre band"),
+    # two isolated nodes (zero rows) leave the bordered matrix structurally
+    # singular, and SuperLU reports it exactly singular
+    ([600, 1, 1], r"bordered by the constant field is singular \(Factor is exactly singular\)"),
+], ids=["two-cycles", "exactly-singular"])
+def test_sparse_split_refuses_a_second_centre_mode(blocks, message):
+    L0 = sparse.block_diag([_cycle_laplacian(n) if n > 1 else sparse.csr_matrix((1, 1))
+                            for n in blocks], format="csr")
+    with pytest.raises(UnsupportedSplit, match=message) as info:
+        sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=2)
+    if "second eigenvalue" in str(info.value):  # the value named is the null vector's
+        assert abs(float(str(info.value).split()[3])) < 1e-12
+
+
+def test_sparse_split_shares_its_bordered_factor():
+    """The centre is the constant field with uniform weights, and the split's
+    cached solve is the construction's bordered matrix at ``t = A0``."""
+    lap = _cycle_laplacian(602)
+    fam = sv.OperatorFamily({(0,): lap, (1,): sparse.identity(602, format="csr")})
+    split = sv.spectral_split(fam, N=2)
+    assert split.m == 1 and not split.spectrum_complete
+    assert np.array_equal(split.V0, np.ones((602, 1)))
+    assert np.array_equal(split.Z0, np.full((602, 1), 1 / 602))
+    assert split.A0 == split.Z0.T @ (lap @ split.V0)
+    rhs = np.random.default_rng(1).standard_normal(603)
+    border = sparse.bmat([[lap - split.A0[0, 0] * sparse.identity(602), split.Z0],
+                          [split.Z0.T, None]], format="csr")
+    x = split.bordered_solve(rhs)
+    assert np.abs(border @ x - rhs).max() < 1e-10
+    # a cached factor, not a setting: repr and equality ignore it
+    assert "bordered_solve" not in repr(split)
+    assert dataclasses.replace(split, bordered_solve=None) == split
 
 
 @pytest.mark.parametrize("expr", ["layered_cos", "checkerboard_smooth"])
@@ -285,16 +297,6 @@ def test_sparse_split_arpack_failure_is_unsupported():
     # on the zero operator Lanczos finds no Krylov space past the start vector
     with pytest.raises(UnsupportedSplit, match=r"ARPACK eigsh\(which='SA'\) failed"):
         sv.spectral_split(sv.OperatorFamily({(0,): sparse.csr_matrix((602, 602))}), N=1)
-
-
-def test_sparse_split_singular_shift_is_unsupported():
-    # an eigenvalue exactly at the shift 1e-6 (inside the centre band
-    # alpha = 1e-5) leaves the shifted operator singular
-    diag = -np.ones(602)
-    diag[:2] = [1e-6, 0.0]
-    fam = sv.OperatorFamily({(0,): sparse.diags(diag).tocsr()})
-    with pytest.raises(UnsupportedSplit, match="cannot factorise"):
-        sv.spectral_split(fam, N=1, alpha=1e-5)
 
 
 def test_large_nonsymmetric_split_is_unsupported():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -245,6 +246,17 @@ def test_save_json_bytes_match_json_dump_cell_and_odd_entries(tmp_path):
 def test_model_from_json_rejects_garbage(doc):
     with pytest.raises(ValueError):
         sv.ReducedModel.from_json(doc)
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"0,0": [[0]], "2,0": [[1]], "02,0": [[5]]},
+     "coefficient keys '2,0' and '02,0' name the same index"),
+    ({"0,0": [[0]], "5,0": [[1]]}, "coefficient '5,0' has order 5 > N = 2"),
+    ({"0,0": [[0]], "2": [[1]]}, "coefficient key '2' does not have 2 components"),
+], ids=["repeated-index", "order-above-N", "key-components"])
+def test_model_from_json_names_the_offending_keys(table, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sv.ReducedModel.from_json({"N": 2, "m": 1, "A": table})
 
 
 def test_symbol_and_equation_text(walker):
