@@ -36,6 +36,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import _rational as rat
 from .errors import (
@@ -220,8 +221,8 @@ class SpectralSplit:
     the centre block; it is kept exactly as computed and in particular is
     not forced diagonal (a defective centre cluster leaves it in Jordan-like
     form).  ``eigenvalues`` lists the spectrum of ``L0``; above the dense
-    limit only ``A0``, the slowest stable and the lowest eigenvalue are
-    recorded and ``spectrum_complete`` is False.  The sparse split also sets
+    limit only ``A0`` and the slowest stable eigenvalue are recorded and
+    ``spectrum_complete`` is False.  The sparse split also sets
     ``bordered_solve``, its SuperLU solve with ``[[L0 - A0 I, Z0], [Z0.T, 0]]``:
     a cached factor that the construction reuses, outside repr and equality.
     """
@@ -296,31 +297,39 @@ def _binormalise(W: np.ndarray, V: np.ndarray) -> np.ndarray:
     return W @ np.linalg.inv(C).T
 
 
-def _invariant_basis(L0: np.ndarray, thr: float, m: int) -> np.ndarray:
-    T, Q, sdim = sla.schur(
-        L0, output="real", sort=lambda re, im: abs(re) <= thr
-    )
-    if sdim != m:
-        raise DefectiveNormalisation(
-            f"spectral reordering selected {sdim} modes where {m} were classified; "
-            "the centre cluster is numerically inseparable"
-        )
-    return Q[:, :m]
-
-
 def _dense_split(L0: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
-    evals = sla.eigvals(L0)
+    # one real Schur form L0 = Q T Q.T gives the eigenvalues and both bases;
+    # the workspace query first, as scipy.linalg.schur makes it: the QR
+    # path, and so the centre basis, depends on the workspace LAPACK gets
+    L0 = np.asarray_chkfinite(L0)
+    lwork = int(lapack.dgees(lambda re, im: 0, L0, lwork=-1)[-2][0])
+    T, _, wr, wi, Q, _, info = lapack.dgees(lambda re, im: 0, L0, lwork=lwork)
+    if info != 0:
+        raise DefectiveNormalisation(f"real Schur form of L0 failed (dgees info {info})")
+    evals = wr + 1j * wi
     alpha, beta, m, centre = _classify(evals, N, alpha)
-    centre_absre = np.abs(evals.real[centre]).max()
-    # strictly separating threshold keeps the Schur reordering in agreement
-    # with the eigenvalue classification
-    thr = 0.5 * (centre_absre + beta) if np.isfinite(beta) else np.inf
-    if not np.isfinite(thr):
-        V0 = np.eye(L0.shape[0])[:, : L0.shape[0]]
+    if not np.isfinite(beta):  # all centre: the bases are the identity
+        V0 = np.eye(len(L0))
         W = V0
     else:
-        V0 = _invariant_basis(L0, thr, m)
-        W = _invariant_basis(L0.T, thr, m)
+        # strictly separating threshold keeps the reordering in agreement
+        # with the eigenvalue classification
+        thr = 0.5 * (np.abs(wr[centre]).max() + beta)
+        T, Q, _, _, sdim, _, _, info = lapack.dtrsen(
+            (np.abs(wr) <= thr).astype(np.int32), T, Q, job="N", overwrite_t=1, overwrite_q=1)
+        if info != 0 or sdim != m:
+            raise DefectiveNormalisation(
+                f"spectral reordering selected {sdim} modes where {m} were classified "
+                f"(dtrsen info {info}); the centre cluster is numerically inseparable"
+            )
+        # the left centre basis is [I, -X] Q.T with T11 X - X T22 = -T12,
+        # so that W.T V0 = I before any scaling
+        X, scale, info = lapack.dtrsyl(T[:m, :m], T[m:, m:], -T[:m, m:], isgn=-1)
+        if info != 0:
+            raise DefectiveNormalisation(f"centre and stable blocks share eigenvalues "
+                                         f"to rounding (dtrsyl info {info})")
+        V0 = Q[:, :m]
+        W = V0 - Q[:, m:] @ (X / scale).T
     V0 = _canonical_signs(V0)
     Z0 = _binormalise(W, V0)
     A0 = Z0.T @ L0 @ V0
@@ -414,12 +423,14 @@ def _mean_conserving_split(L0, N: int, alpha: float | None) -> SpectralSplit:
 
     diag = A.diagonal()
     scale = max(float(np.abs(diag).max()), 1.0)
-    lam_bot = eigenvalue("eigsh(which='SA')", v0, which="SA")
-    # Gershgorin: no eigenvalue exceeds max_i (a_ii + sum_{j != i} |a_ij|).
-    # When that bound settles lam_top <= alpha it stands in for lam_top
-    # (the default alpha's radius is |lam_bot| either way); otherwise
-    # shift-invert from just above the bound finds it in a few solves.
-    lam_top = float((diag - np.abs(diag) + np.asarray(absA.sum(axis=1)).ravel()).max())
+    # Gershgorin: every eigenvalue lies in [min_i, max_i] of a_ii -/+
+    # sum_{j != i} |a_ij|.  The lower end stands in for the lowest eigenvalue
+    # in the spectral radius behind the default alpha.  When the upper end
+    # settles lam_top <= alpha it stands in for lam_top; otherwise
+    # shift-invert from just above it finds lam_top in a few solves.
+    offdiag = np.asarray(absA.sum(axis=1)).ravel() - np.abs(diag)
+    lam_bot = float((diag - offdiag).min())
+    lam_top = float((diag + offdiag).max())
     band = 1e-9 * max(abs(lam_top), abs(lam_bot)) if alpha is None else alpha
     if lam_top > band:
         lam_top = eigenvalue("shift-invert eigsh(k=1)", v0, sigma=lam_top + 1e-6 * scale,
@@ -439,15 +450,19 @@ def _mean_conserving_split(L0, N: int, alpha: float | None) -> SpectralSplit:
         solve = _bordered_solve(A, A0[0, 0], Z0, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise UnsupportedSplit(f"base operator bordered by the constant field is singular "
-                               f"({exc}): L0 has a centre mode besides it") from None
+                               f"({str(exc).strip()}): L0 has a centre mode besides it") from None
     # the border deflates the centre: its solution is mean-free and its
     # multiplier takes up the mean of the right-hand side, so shift-invert
     # at A0 sees only the stable modes and finds the slowest of them
     OPinv = spla.LinearOperator((n, n), matvec=lambda x: solve(np.append(x, 0.0))[:n],
                                 dtype=float)
+    # tol = 1e-10 bounds the Ritz residual relative to the Ritz value; for a
+    # symmetric operator that bounds the relative error in beta by the same
+    # (quadratic in the residual when the slowest mode stands apart), and
+    # ARPACK ends after its first Lanczos sweep
     lam_slow = eigenvalue("shift-invert eigsh at the centre", v0 - v0.mean(),
-                          sigma=A0[0, 0], which="LM", OPinv=OPinv)
-    known = np.array([A0[0, 0], lam_slow, lam_bot], dtype=complex)
+                          sigma=A0[0, 0], which="LM", OPinv=OPinv, tol=1e-10)
+    known = np.array([A0[0, 0], lam_slow], dtype=complex)
     alpha, beta, m, _ = _classify(known, N, alpha)
     if m != 1:
         raise UnsupportedSplit(f"a second eigenvalue {lam_slow:.6g} lies inside the centre band "
@@ -469,12 +484,17 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
     alpha : float, optional
         Centre band half-width.  Defaults to ``1e-9`` times the spectral
         radius of ``L_0``, which captures exact zero modes while rejecting
-        anything dynamically relevant.
+        anything dynamically relevant.  Up to ``dimU`` 600 the radius is
+        read off the eigenvalues of one real Schur form of ``L_0``, which
+        also gives both centre bases; above, the lowest eigenvalue in it
+        is replaced by its Gershgorin bound ``min_i (a_ii - sum_{j != i}
+        |a_ij|)``.
 
     Above ``dimU`` 600 a float ``L_0`` must be symmetric and conserve its
     mean (``L_0 1 = 0`` to rounding), as a cell operator does; its one
     centre mode is then the constant field, and anything else raises
-    :class:`UnsupportedSplit`.
+    :class:`UnsupportedSplit`.  ``beta`` then comes from one shift-invert
+    ARPACK call at the centre, to a residual of ``1e-10``.
 
     Returns
     -------

@@ -172,10 +172,11 @@ def test_reduce_zero_operator_above_dense_limit_exits_two(tmp_path, capsys):
         "0": np.zeros((n, n), dtype=int).tolist(),
         "1": np.eye(n, dtype=int).tolist()}}))
     out = tmp_path / "run"
-    # ARPACK's failure is an input the sparse split cannot handle: exit 2,
-    # not an exception out of main
+    # the zero operator bordered by the constant field is singular, an input
+    # the sparse split cannot handle: exit 2, not an exception out of main
     assert main(["reduce", "--model", str(model), "--out", str(out)]) == 2
-    assert "FAIL [UnsupportedSplit] ARPACK eigsh(which='SA') failed" in capsys.readouterr().err
+    assert ("FAIL [UnsupportedSplit] base operator bordered by the constant field is singular"
+            in capsys.readouterr().err)
     error = json.loads((out / "report.json").read_text())["error"]
     assert error["check"] == "UnsupportedSplit"
 

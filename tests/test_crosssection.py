@@ -293,10 +293,17 @@ def test_sparse_cell_split_is_deterministic_and_matches_dense_oracle(expr):
     assert again.beta == split.beta and again.alpha == split.alpha
 
 
-def test_sparse_split_arpack_failure_is_unsupported():
-    # on the zero operator Lanczos finds no Krylov space past the start vector
-    with pytest.raises(UnsupportedSplit, match=r"ARPACK eigsh\(which='SA'\) failed"):
-        sv.spectral_split(sv.OperatorFamily({(0,): sparse.csr_matrix((602, 602))}), N=1)
+def test_sparse_split_arpack_failure_is_unsupported(monkeypatch):
+    from slowvary import crosssection
+
+    def no_convergence(*args, **kwargs):
+        raise crosssection.spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                                    np.zeros((602, 0)))
+
+    monkeypatch.setattr(crosssection.spla, "eigsh", no_convergence)
+    with pytest.raises(UnsupportedSplit,
+                       match=r"ARPACK shift-invert eigsh at the centre failed .* 602"):
+        sv.spectral_split(sv.OperatorFamily({(0,): _cycle_laplacian(602)}), N=1)
 
 
 def test_large_nonsymmetric_split_is_unsupported():
@@ -354,3 +361,84 @@ def test_centre_eigenvalues_listed(walker):
     ce = split.centre_eigenvalues()
     assert ce.shape == (1,)
     assert abs(ce[0]) < 1e-12
+
+
+def _coupled_gap_L0(rng, dimU, m, centre):
+    """A base operator with an ``m``-mode centre block (``"zero"``,
+    ``"rotation"`` or ``"jordan"``) coupled to a stable block with real parts
+    in [-4, -1]: block upper triangular before an orthogonal similarity, so
+    the left and right centre bases span different spaces."""
+    B = np.zeros((dimU, dimU))
+    if centre == "rotation":
+        B[:2, :2] = [[0.0, 0.8], [-0.8, 0.0]]
+    elif centre == "jordan":
+        B[:m, :m] = np.diag(np.ones(m - 1), 1)
+    B[m:, m:] = np.diag(-1.0 - 3.0 * rng.random(dimU - m)) + np.triu(
+        rng.standard_normal((dimU - m, dimU - m)), 1) / dimU
+    B[:m, m:] = rng.standard_normal((m, dimU - m)) / np.sqrt(dimU)
+    Q = np.linalg.qr(rng.standard_normal((dimU, dimU)))[0]
+    return Q @ B @ Q.T
+
+
+def _schur_left_basis(L0, split):
+    """The left centre basis by a second route: a sorted real Schur form of
+    ``L0.T``, binormalised against the split's ``V0``."""
+    import scipy.linalg as sla
+
+    re = split.eigenvalues.real
+    centre = np.abs(re) <= split.alpha
+    thr = 0.5 * (np.abs(re[centre]).max() + split.beta)
+    W = sla.schur(L0.T, output="real", sort=lambda r, i: abs(r) <= thr)[1][:, :split.m]
+    return _binormalise(W, split.V0)
+
+
+@pytest.mark.parametrize("dimU, m, centre, alpha", [
+    (3, 1, "zero", None), (64, 3, "zero", None), (200, 1, "zero", None),
+    (96, 2, "rotation", None), (5, 2, "rotation", None),
+    (136, 2, "jordan", 1e-6), (12, 2, "jordan", 1e-6),
+], ids=lambda v: str(v))
+def test_dense_split_bases_are_invariant_and_match_a_second_schur(dimU, m, centre, alpha):
+    L0 = _coupled_gap_L0(np.random.default_rng(dimU), dimU, m, centre)
+    split = sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=3, alpha=alpha)
+    assert split.m == m and np.isfinite(split.beta)
+    V0, Z0, A0 = split.V0, split.Z0, split.A0
+    bound = 1e-12 * (1.0 + np.abs(L0).max())
+    assert np.abs(L0 @ V0 - V0 @ A0).max() <= bound
+    assert np.abs(Z0.T @ L0 - A0 @ Z0.T).max() <= bound
+    assert np.abs(Z0.T @ V0 - np.eye(m)).max() <= 1e-13
+    old = _schur_left_basis(L0, split)
+    assert np.abs(Z0 - old).max() <= 1e-10 * np.abs(old).max()
+
+
+def test_dense_split_all_centre_takes_the_identity():
+    # a rotation and a zero mode: every eigenvalue has Re = 0 to rounding
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    L0 = Q @ np.array([[0.0, 0.7, 0.0], [-0.7, 0.0, 0.0], [0.0, 0.0, 0.0]]) @ Q.T
+    split = sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=2)
+    assert split.m == 3 and split.beta == np.inf
+    assert np.array_equal(split.V0, np.eye(3)) and np.array_equal(split.Z0, np.eye(3))
+    assert np.abs(L0 @ split.V0 - split.V0 @ split.A0).max() <= 1e-12 * (1.0 + np.abs(L0).max())
+
+
+def test_dense_split_takes_one_real_schur_form(monkeypatch):
+    """One ``dgees`` factorisation (after its workspace query) gives the
+    eigenvalues and both centre bases; ``eigvals`` and ``schur`` are unused."""
+    from slowvary import crosssection
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dense split computes one real Schur form")
+
+    monkeypatch.setattr(crosssection.sla, "eigvals", forbidden)
+    monkeypatch.setattr(crosssection.sla, "schur", forbidden)
+    workspaces = []
+    dgees = crosssection.lapack.dgees
+
+    def spy(*args, **kwargs):
+        workspaces.append(kwargs.get("lwork"))
+        return dgees(*args, **kwargs)
+
+    monkeypatch.setattr(crosssection.lapack, "dgees", spy)
+    L0 = _coupled_gap_L0(np.random.default_rng(1), 40, 2, "rotation")
+    assert sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=2).m == 2
+    assert workspaces[0] == -1  # the query, which factorises nothing
+    assert len(workspaces) == 2 and workspaces[1] > 0

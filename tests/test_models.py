@@ -199,51 +199,73 @@ def test_cell_split_weights_are_uniform():
     np.testing.assert_allclose(split.Z0[:, 0], 1.0 / 16**2, atol=1e-14)
 
 
-# beta and the default alpha of the generic ARPACK centre search that the
-# known-centre split replaced: the four cells of the benchmark's seed 1,
-# then n = 32 and n = 128 cells
+# beta of the generic ARPACK centre search that the known-centre split
+# replaced: the four cells of the benchmark's seed 1, then n = 32 and n = 128
+# cells
 _SEARCHED_SPLITS = [
-    ("layered_cos", 48, 0.5571, 33.12065778141641, 2.814523047178733e-05),
-    ("checkerboard_smooth", 48, 0.386072, 38.580348705634925, 2.4686735695959676e-05),
-    ("layered_cos", 64, 0.568325, 32.87431784492672, 5.063823269739207e-05),
-    ("checkerboard_smooth", 64, 0.364264, 38.70466225727924, 4.359084438190142e-05),
-    ("layered_cos", 32, 0.5, 34.32152349626131, 1.1945874918326434e-05),
-    ("checkerboard_smooth", 32, 0.5, 37.85366896590332, 1.1615817239333623e-05),
-    ("layered_cos", 128, 0.5, 34.42725509233861, 0.00019522115882215395),
-    ("checkerboard_smooth", 128, 0.5, 37.9691638519791, 0.00019384658369697927),
+    ("layered_cos", 48, 0.5571, 33.12065778141641),
+    ("checkerboard_smooth", 48, 0.386072, 38.580348705634925),
+    ("layered_cos", 64, 0.568325, 32.87431784492672),
+    ("checkerboard_smooth", 64, 0.364264, 38.70466225727924),
+    ("layered_cos", 32, 0.5, 34.32152349626131),
+    ("checkerboard_smooth", 32, 0.5, 37.85366896590332),
+    ("layered_cos", 128, 0.5, 34.42725509233861),
+    ("checkerboard_smooth", 128, 0.5, 37.9691638519791),
 ]
 
 
-@pytest.mark.parametrize("expr, n, amplitude, beta, alpha", _SEARCHED_SPLITS,
+def _gershgorin_radius(L0):
+    """``|min_i (a_ii - sum_{j != i} |a_ij|)|``, row by row from the CSR arrays."""
+    low = np.inf
+    for i in range(L0.shape[0]):
+        cols = L0.indices[L0.indptr[i]:L0.indptr[i + 1]]
+        vals = L0.data[L0.indptr[i]:L0.indptr[i + 1]]
+        low = min(low, vals[cols == i].sum() - np.abs(vals[cols != i]).sum())
+    return abs(low)
+
+
+@pytest.mark.parametrize("expr, n, amplitude, beta", _SEARCHED_SPLITS,
                          ids=[f"{e}-n{n}" for e, n, *_ in _SEARCHED_SPLITS])
-def test_sparse_cell_split_keeps_the_searched_gap(expr, n, amplitude, beta, alpha):
+def test_sparse_cell_split_keeps_the_searched_gap(expr, n, amplitude, beta):
     fam = homogenisation_cell(CellProblem.from_expression(expr, n=n, amplitude=amplitude))
     split = cell_spectral_split(fam)
     assert not split.spectrum_complete  # the sparse split ran
     assert split.beta == pytest.approx(beta, rel=1e-10)
-    assert split.alpha == pytest.approx(alpha, rel=1e-12)
+    # the default alpha's radius is the Gershgorin bound on the lowest eigenvalue
+    assert split.alpha == pytest.approx(1e-9 * _gershgorin_radius(fam.L0), rel=1e-15)
     assert np.array_equal(split.V0, np.ones((n * n, 1)))
     assert split.bordered_solve is not None  # survives the uniform-weight rescale
 
 
 def test_large_cell_reduce_factorises_once(monkeypatch, tmp_path):
-    """The split's bordered factor is the construction's: one sparse LU per run."""
+    """The split's bordered factor is the construction's: one sparse LU per
+    run, and one ARPACK call, shift-invert at the centre ``A0``."""
     import scipy.sparse.linalg as spla
 
     from slowvary.cli import main
 
-    calls = []
-    splu = spla.splu
+    factorised, searched = [], []
+    splu, eigsh = spla.splu, spla.eigsh
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
+    def splu_spy(*args, **kwargs):
+        factorised.append(args[0].shape)
         return splu(*args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", spy)
+    def eigsh_spy(*args, **kwargs):
+        searched.append((kwargs.get("which"), kwargs.get("sigma")))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu_spy)
+    monkeypatch.setattr(spla, "eigsh", eigsh_spy)
     out = tmp_path / "run"
     assert main(["reduce", "--model", "homogenise-layered", "--grid", "32",
                  "--out", str(out)]) == 0
-    assert calls == [(1025, 1025)]
+    assert factorised == [(1025, 1025)]
+    # the CLI's cell: layered_cos at its default amplitude 0.5
+    L0 = homogenisation_cell(CellProblem.from_expression("layered_cos", n=32)).L0
+    ones = np.ones((1024, 1))
+    A0 = ((ones / 1024).T @ (L0 @ ones))[0, 0]
+    assert searched == [("LM", A0)]
 
 
 def test_cell_gap_ratio_constant():
