@@ -24,12 +24,13 @@ and ``A_(0,2)`` and so need ``--order`` of at least 2.
 Exit codes: 0 all checks pass; 2 the model violates a structural
 assumption or the config is invalid; 3 a numerical check failed.
 ``report.json`` is written in every case (``error.check`` naming the
-failed check, ``"config"`` for options and model files) except when
-``--out`` is not a directory; the parsed argv, wall clock, environment,
-the model family's storage (``dense``, ``csr`` or ``exact``) and bytes,
-and the bytes and write time of each output file go to ``run_meta.json``
-so that ``report.json`` is byte-identical across reruns of the same
-config.
+failed check, ``"config"`` for options and model files) except two: when
+``--out`` is not a directory, and when argparse refuses the command line
+(exit 2, usage text on stderr, nothing written).  The parsed argv, wall
+clock, environment, the model family's storage (``dense``, ``csr`` or
+``exact``) and bytes, and the bytes and write time of each output file
+go to ``run_meta.json`` so that ``report.json`` is byte-identical across
+reruns of the same config.
 
 The library functions are called as attributes of their modules
 (``crosssection.spectral_split``, ``slowreduce.construct_reduction``, ...),
@@ -151,6 +152,7 @@ def _load_model(cfg: argparse.Namespace):
         cell = models.CellProblem.from_expression(
             BUILTIN_MODELS[name], n=cfg.grid[0], amplitude=cfg.amplitude
         )
+        family = models.homogenisation_cell(cell)
     else:
         path = Path(name)
         if not path.is_file():
@@ -166,6 +168,7 @@ def _load_model(cfg: argparse.Namespace):
                 family = crosssection.OperatorFamily.from_json(data, exact=exact)
             elif "K" in data or "K_expr" in data:
                 cell = models.CellProblem.from_json(data)
+                family = models.homogenisation_cell(cell)  # a non-finite stencil is refused
             else:
                 raise ConfigError(
                     f"{name} holds neither an operator family "
@@ -173,8 +176,6 @@ def _load_model(cfg: argparse.Namespace):
                 )
         except ValueError as exc:
             raise ConfigError(f"model file {name}: {exc}") from None
-    if cell is not None:
-        family = models.homogenisation_cell(cell)
     if exact:
         if name not in BUILTIN_MODELS and not family.is_exact:
             raise ConfigError("--exact requires a built-in model "
@@ -493,8 +494,7 @@ def _run(cfg: argparse.Namespace, argv: list) -> int:
         if cfg.command == "simulate" and len(cfg.grid) > family.M:
             raise ConfigError(f"--grid has {len(cfg.grid)} entries, "
                               f"the model only {family.M} directions")
-        split = (models.cell_spectral_split if cell is not None
-                 else crosssection.spectral_split)(family, N=cfg.N, alpha=cfg.alpha)
+        split = crosssection.spectral_split(family, N=cfg.N, alpha=cfg.alpha)
         model = basis = None
         if cfg.command != "validate":
             model, basis = slowreduce.construct_reduction(

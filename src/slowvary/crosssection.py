@@ -21,9 +21,9 @@ In exact mode the matrices are dense numpy object arrays of
 :class:`~slowvary._rational.RatMatrix` arithmetic and stores its bases
 as Fraction arrays again.  Float families hold float64 arrays or, for a
 sparse input such as a cell problem, float CSR matrices that every step
-of the reduction takes as they are; only small or inherently dense
-computations (the dense eigen-split, block Taylor checks, simulation
-symbols, JSON documents) densify them.
+of the reduction takes as they are, the split included; only inherently
+dense computations (block Taylor checks, simulation symbols, JSON
+documents) densify them.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-# Base operators larger than this are split on their known centre, the
-# constant field: symmetric, mean-conserving operators only (the cells).
+# Dense base operators up to this size take the Schur split; larger ones,
+# and CSR ones of any size, are split on their known centre (the cells).
 _DENSE_EIG_LIMIT = 600
 
 
@@ -119,6 +119,8 @@ class OperatorFamily:
                 raise ValueError(
                     f"operator at {k} has shape {arr.shape}, expected {(dimU, dimU)}"
                 )
+            if not exact and not np.isfinite(arr.data if sparse.issparse(arr) else arr).all():
+                raise ValueError(f"operator at {k} has a non-finite entry")
             stored[k] = arr
         self.M = M
         self.dimU = dimU
@@ -220,11 +222,11 @@ class SpectralSplit:
     with the binormalisation ``Z0.T @ V0 = I``.  ``A0 = Z0.T @ L0 @ V0`` is
     the centre block; it is kept exactly as computed and in particular is
     not forced diagonal (a defective centre cluster leaves it in Jordan-like
-    form).  ``eigenvalues`` lists the spectrum of ``L0``; above the dense
-    limit only ``A0`` and the slowest stable eigenvalue are recorded and
-    ``spectrum_complete`` is False.  The sparse split also sets
-    ``bordered_solve``, its SuperLU solve with ``[[L0 - A0 I, Z0], [Z0.T, 0]]``:
-    a cached factor that the construction reuses, outside repr and equality.
+    form).  ``eigenvalues`` lists the spectrum of ``L0``; the known-centre
+    split records only ``A0`` and the slowest stable eigenvalue, sets
+    ``spectrum_complete`` to False and sets ``bordered_solve``, its SuperLU
+    solve with ``[[L0 - A0 I, Z0], [Z0.T, 0]]``: a cached factor that the
+    construction reuses, outside repr and equality.
     """
 
     m: int
@@ -301,7 +303,6 @@ def _dense_split(L0: np.ndarray, N: int, alpha: float | None) -> SpectralSplit:
     # one real Schur form L0 = Q T Q.T gives the eigenvalues and both bases;
     # the workspace query first, as scipy.linalg.schur makes it: the QR
     # path, and so the centre basis, depends on the workspace LAPACK gets
-    L0 = np.asarray_chkfinite(L0)
     lwork = int(lapack.dgees(lambda re, im: 0, L0, lwork=-1)[-2][0])
     T, _, wr, wi, Q, _, info = lapack.dgees(lambda re, im: 0, L0, lwork=lwork)
     if info != 0:
@@ -401,14 +402,15 @@ def _mean_conserving_split(L0, N: int, alpha: float | None) -> SpectralSplit:
     A = sparse.csr_matrix(L0)  # no copy when L0 is CSR already
     absA = abs(A)
     size = 1.0 + absA.max()
-    too_large = f"base operator of size {n} exceeds the dense limit ({_DENSE_EIG_LIMIT})"
+    rule = (f"a CSR base operator, or a dense one above size {_DENSE_EIG_LIMIT}, is split on the "
+            f"constant field as its one centre mode; pass dense arrays for the Schur split, "
+            f"which takes operators up to size {_DENSE_EIG_LIMIT}")
     if abs(A - A.T).max() > 1e-10 * size:
-        raise UnsupportedSplit(f"{too_large} and is not symmetric; cannot split its spectrum")
+        raise UnsupportedSplit(f"base operator of size {n} is not symmetric; {rule}")
     drift = float(np.abs(A @ np.ones(n)).max())
     if drift > 1e-10 * size:
-        raise UnsupportedSplit(f"{too_large} and does not conserve its mean (max|L0 1| = "
-                               f"{drift:.3g}); the sparse split needs a mean-conserving "
-                               "base operator")
+        raise UnsupportedSplit(f"base operator of size {n} does not conserve its mean "
+                               f"(max|L0 1| = {drift:.3g}); {rule}")
     # one fixed start vector for every ARPACK call makes the split, and so
     # every output downstream of it, the same on each run (a vector of ones
     # would be the exact null vector, on which Lanczos breaks down)
@@ -450,7 +452,8 @@ def _mean_conserving_split(L0, N: int, alpha: float | None) -> SpectralSplit:
         solve = _bordered_solve(A, A0[0, 0], Z0, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise UnsupportedSplit(f"base operator bordered by the constant field is singular "
-                               f"({str(exc).strip()}): L0 has a centre mode besides it") from None
+                               f"({str(exc).strip()}): L0 has a centre mode besides it; "
+                               f"{rule}") from None
     # the border deflates the centre: its solution is mean-free and its
     # multiplier takes up the mean of the right-hand side, so shift-invert
     # at A0 sees only the stable modes and finds the slowest of them
@@ -460,14 +463,15 @@ def _mean_conserving_split(L0, N: int, alpha: float | None) -> SpectralSplit:
     # symmetric operator that bounds the relative error in beta by the same
     # (quadratic in the residual when the slowest mode stands apart), and
     # ARPACK ends after its first Lanczos sweep
-    lam_slow = eigenvalue("shift-invert eigsh at the centre", v0 - v0.mean(),
-                          sigma=A0[0, 0], which="LM", OPinv=OPinv, tol=1e-10)
-    known = np.array([A0[0, 0], lam_slow], dtype=complex)
+    known = [A0[0, 0]]
+    if n > 1:  # a 1-by-1 operator is all centre
+        known.append(eigenvalue("shift-invert eigsh at the centre", v0 - v0.mean(),
+                                sigma=A0[0, 0], which="LM", OPinv=OPinv, tol=1e-10))
+    known = np.array(known, dtype=complex)
     alpha, beta, m, _ = _classify(known, N, alpha)
     if m != 1:
-        raise UnsupportedSplit(f"a second eigenvalue {lam_slow:.6g} lies inside the centre band "
-                               f"|Re| <= {alpha:.6g}; the sparse split's one centre mode is "
-                               "the constant field")
+        raise UnsupportedSplit(f"a second eigenvalue {known[1].real:.6g} lies inside the centre "
+                               f"band |Re| <= {alpha:.6g}; {rule}")
     return SpectralSplit(1, V0, Z0, A0, alpha, beta, known, False, solve)
 
 
@@ -484,17 +488,19 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
     alpha : float, optional
         Centre band half-width.  Defaults to ``1e-9`` times the spectral
         radius of ``L_0``, which captures exact zero modes while rejecting
-        anything dynamically relevant.  Up to ``dimU`` 600 the radius is
-        read off the eigenvalues of one real Schur form of ``L_0``, which
-        also gives both centre bases; above, the lowest eigenvalue in it
-        is replaced by its Gershgorin bound ``min_i (a_ii - sum_{j != i}
-        |a_ij|)``.
+        anything dynamically relevant.  The Schur split reads the radius
+        off the eigenvalues of one real Schur form of ``L_0``, which also
+        gives both centre bases; the known-centre split replaces the
+        lowest eigenvalue in it by its Gershgorin bound ``min_i (a_ii -
+        sum_{j != i} |a_ij|)``.
 
-    Above ``dimU`` 600 a float ``L_0`` must be symmetric and conserve its
-    mean (``L_0 1 = 0`` to rounding), as a cell operator does; its one
-    centre mode is then the constant field, and anything else raises
-    :class:`UnsupportedSplit`.  ``beta`` then comes from one shift-invert
-    ARPACK call at the centre, to a residual of ``1e-10``.
+    Storage picks the split of a float ``L_0``.  A dense one up to ``dimU``
+    600 takes the Schur split.  A CSR one of any size, or a dense one
+    above 600, is split on its known centre, the constant field (``V0``
+    ones, ``Z0`` the weights ``1/dimU``): it must be symmetric and conserve
+    its mean (``L_0 1 = 0`` to rounding), as a cell operator does, or
+    :class:`UnsupportedSplit` is raised, and ``beta`` comes from one
+    shift-invert ARPACK call at the centre, to a residual of ``1e-10``.
 
     Returns
     -------
@@ -510,9 +516,9 @@ def spectral_split(family: OperatorFamily, N: int, alpha: float | None = None) -
     L0 = family.L0
     if family.is_exact:
         return _exact_split(L0, N, alpha)
-    if family.dimU > _DENSE_EIG_LIMIT:
+    if family.storage == "csr" or family.dimU > _DENSE_EIG_LIMIT:
         return _mean_conserving_split(L0, N, alpha)
-    return _dense_split(rat.as_float(L0), N, alpha)
+    return _dense_split(L0, N, alpha)
 
 
 @dataclass

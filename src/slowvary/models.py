@@ -16,7 +16,7 @@ tensor, with the classical harmonic/arithmetic bounds as sanity rails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +24,7 @@ import scipy.sparse as sparse
 
 from . import _rational as rat
 from .crosssection import OperatorFamily, SpectralSplit, spectral_split
-from .errors import GridTooCoarse, NonPositiveDiffusivity, UnsupportedSplit
+from .errors import GridTooCoarse, NonPositiveDiffusivity
 
 __all__ = [
     "random_walker_modal",
@@ -159,12 +159,17 @@ _K_EXPRESSIONS = {
 }
 
 
-def _check_grid(n: int) -> None:
+def _check_cell(h: float, n: int) -> None:
     if n < 4 or n % 2:
         raise GridTooCoarse(
             f"cell grid n = {n} must be even and at least 4 "
             "for the face-centred flux stencil"
         )
+    # the flux stencil divides by the square of the spacing
+    d = h / n
+    if not (h > 0 and np.finfo(float).tiny <= d * d <= np.finfo(float).max):
+        raise ValueError(f"cell size h = {h:.6g} must be positive, with a spacing h / n = "
+                         f"{d:.6g} whose square {d * d:.6g} is a normal float")
 
 
 @dataclass
@@ -186,12 +191,10 @@ class CellProblem:
     params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        _check_grid(self.n)
+        _check_cell(self.h, self.n)
         self.K = np.asarray(self.K, dtype=float)
         if self.K.shape != (self.n, self.n):
             raise ValueError(f"K samples must be {self.n} x {self.n}")
-        if not self.h > 0 or not math.isfinite(self.h):
-            raise ValueError("cell size h must be positive and finite")
         for arr in (self.K, self.face_K(0), self.face_K(1)):
             if not arr.min() > 0:  # NaN fails too
                 raise NonPositiveDiffusivity(
@@ -216,9 +219,7 @@ class CellProblem:
         else:
             func = maker(base, amplitude, h)
             params = {"base": base, "amplitude": amplitude}
-        _check_grid(n)  # before sampling at spacing h / n
-        if not h > 0 or not math.isfinite(h):
-            raise ValueError("cell size h must be positive and finite")
+        _check_cell(h, n)  # before sampling at spacing h / n
         d = h / n
         y1, y2 = np.meshgrid(
             d * np.arange(n), d * np.arange(n), indexing="ij"
@@ -322,10 +323,11 @@ def homogenisation_cell(cell: CellProblem) -> OperatorFamily:
             shape=(n * n, n * n),
         )
 
-    L0 = stencil(
-        (east, Kx / d**2), (west, kxm / d**2), (north, Ky / d**2), (south, kym / d**2),
-        (p, -(Kx + kxm + Ky + kym) / d**2),
-    )
+    with np.errstate(over="ignore"):  # OperatorFamily refuses a non-finite stencil
+        L0 = stencil(
+            (east, Kx / d**2), (west, kxm / d**2), (north, Ky / d**2), (south, kym / d**2),
+            (p, -(Kx + kxm + Ky + kym) / d**2),
+        )
     # dK/dy as the difference of the flux-form face values, plus 2 K d/dy
     # with a centred difference
     L10 = stencil((p, (Kx - kxm) / d), (east, Kc / d), (west, -Kc / d))
@@ -341,24 +343,14 @@ def homogenisation_cell(cell: CellProblem) -> OperatorFamily:
 def cell_spectral_split(
     family: OperatorFamily, N: int = 2, alpha: float | None = None
 ) -> SpectralSplit:
-    """Spectral split of a cell family in the uniform-weight convention.
+    """Spectral split of a cell family: :func:`spectral_split`, at ``N = 2`` by default.
 
-    The centre mode of the flux-form operator is the constant field.  The
-    dense split returns it normalised; here it is rescaled so the right
-    basis is the vector of ones and the left basis carries the quadrature
-    weights ``1/n^2``, i.e. projection onto the slow variable is the plain
-    cell average.  The sparse split returns that basis (scale exactly 1),
-    so its ``bordered_solve`` carries over to the construction unchanged.
+    A cell's operators are CSR, so its split takes the known centre, the
+    constant field: the right basis is the vector of ones and the left
+    basis carries the quadrature weights ``1/n^2``, i.e. projection onto
+    the slow variable is the plain cell average.
     """
-    split = spectral_split(family, N, alpha)
-    if split.m != 1:
-        raise UnsupportedSplit(
-            f"cell problems have a single centre mode, found m = {split.m}"
-        )
-    s = float(split.V0.mean())
-    if abs(s) < 1e-12:
-        raise UnsupportedSplit("centre mode is not the constant field")
-    return replace(split, V0=split.V0 / s, Z0=split.Z0 * s)
+    return spectral_split(family, N, alpha)
 
 
 def cell_gap_ratio(cell: CellProblem, split: SpectralSplit) -> float:

@@ -151,8 +151,8 @@ def test_report_bytes_are_deterministic(tmp_path):
 
 
 def test_sparse_cell_reduce_bytes_are_deterministic(tmp_path):
-    # n = 32 gives dimU 1024, above the dense eigenanalysis limit, so the
-    # split runs ARPACK; its fixed start vector makes every file repeat
+    # a cell's CSR operator takes the known-centre split, which runs ARPACK;
+    # its fixed start vector makes every file repeat
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         res = run_cli("reduce", "--model", "homogenise-layered", "--grid", "32",
@@ -287,13 +287,14 @@ def test_validate_judges_the_split_residuals_against_tol(tmp_path, capsys):
     from slowvary.cli import main
 
     out = tmp_path / "run"
-    assert main(["validate", "--model", "homogenise-constant", "--grid", "8",
+    # the constant cell's residuals are exactly 0; the layered cell's are not
+    assert main(["validate", "--model", "homogenise-layered", "--grid", "8",
                  "--tol", "1e-30", "--out", str(out)]) == 3
     report = json.loads((out / "report.json").read_text())
     assert report["pass"] is False and report["centre_invariance_residual"] > 1e-30
     err = capsys.readouterr().err
     assert "slowvary: FAIL [" in err and "centre_invariance_residual" in err
-    assert main(["validate", "--model", "homogenise-constant", "--grid", "8"]) == 0
+    assert main(["validate", "--model", "homogenise-layered", "--grid", "8"]) == 0
 
 
 def test_simulate_walker(tmp_path):
@@ -366,8 +367,8 @@ def test_demos_use_order_tol_and_method(capsys):
 
     assert main(["demo", "walker", "-N", "3", "--method", "generating"]) == 0
     assert "16/243 ∂xxx U" in capsys.readouterr().out
-    # the cell's Sylvester residuals cannot meet this tolerance
-    assert main(["demo", "homogenise-constant", "--grid", "8", "--tol", "1e-30"]) == 3
+    # the layered cell's Sylvester residuals cannot meet this tolerance
+    assert main(["demo", "homogenise-layered", "--grid", "8", "--tol", "1e-30"]) == 3
     assert "FAIL [SylvesterInconsistent]" in capsys.readouterr().err
 
 
@@ -477,7 +478,7 @@ def test_seed_option_is_refused(capsys):
 
 @pytest.mark.parametrize("args, split", [
     (["--model", "walker-modal"], "crosssection.spectral_split"),
-    (["--model", "homogenise-layered", "--grid", "8"], "models.cell_spectral_split"),
+    (["--model", "homogenise-layered", "--grid", "8"], "crosssection.spectral_split"),
 ], ids=["walker", "cell"])
 def test_reduce_calls_the_library_through_its_modules(monkeypatch, capsys, args, split):
     """The CLI looks each pipeline stage up on its module at call time, where
@@ -646,6 +647,40 @@ def test_dt_is_not_an_option(tmp_path, capsys, dt):
     assert exc.value.code == 2
     assert "unrecognized arguments: --dt" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_usage_error_exits_two_and_writes_no_report(tmp_path):
+    """argparse refuses a malformed command line before the pipeline runs:
+    exit 2 with the usage text on stderr, and no report.json."""
+    out = tmp_path / "d"
+    res = run_cli("reduce", "--model", "walker-modal", "--grid", "abc", "--out", out)
+    assert res.returncode == 2
+    assert res.stderr.startswith("usage: slowvary reduce")
+    assert "argument --grid: invalid _parse_grid value: 'abc'" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 8, "K_expr": "constant", "h": 1e-300}, "h / n = 1.25e-301 whose square 0 is"),
+    ({"n": 8, "K_expr": "constant", "h": 1e200}, "h / n = 1.25e+199 whose square inf is"),
+    ({"n": 32, "K_expr": "constant", "h": 1e-300}, "h / n = 3.125e-302 whose square 0 is"),
+    # a spacing in range, but K / (h / n)^2 overflows
+    ({"n": 8, "K_expr": "constant", "base": 1e307},
+     "operator at (0, 0) has a non-finite entry"),
+], ids=["h-underflow", "h-overflow", "h-underflow-n32", "stencil-overflow"])
+@pytest.mark.filterwarnings("error")  # no numpy warning either
+def test_cell_without_a_finite_stencil_exits_two(tmp_path, capsys, doc, message):
+    from slowvary.cli import main
+
+    model, out = tmp_path / "cell.json", tmp_path / "run"
+    model.write_text(json.dumps(doc))
+    assert main(["reduce", "--model", str(model), "--out", str(out)]) == 2
+    error = json.loads((out / "report.json").read_text())["error"]
+    assert error["check"] == "config" and message in error["message"]
+    err = capsys.readouterr().err
+    assert err.startswith(f"slowvary: FAIL [config] model file {model}: ")
+    assert len(err.splitlines()) == 1, err
 
 
 def _family_file(path, family):

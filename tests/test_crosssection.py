@@ -39,6 +39,18 @@ def test_family_rejects_mismatched_shapes():
         sv.OperatorFamily({(0, 0): np.eye(2), (1,): np.eye(2)})
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_family_refuses_a_non_finite_entry(storage, bad):
+    L1 = np.zeros((3, 3))
+    L1[1, 2] = bad
+    ops = {(0, 0): np.diag([0.0, -1.0, -2.0]), (1, 0): np.eye(3), (0, 1): L1}
+    if storage == "csr":
+        ops = {k: sparse.csr_matrix(v) for k, v in ops.items()}
+    with pytest.raises(ValueError, match=r"operator at \(0, 1\) has a non-finite entry"):
+        sv.OperatorFamily(ops)
+
+
 def test_support_is_graded(walker):
     assert walker.support == [(0, 0), (1, 0), (0, 1)]
     assert walker.M == 2 and walker.dimU == 3
@@ -255,6 +267,30 @@ def test_sparse_split_refuses_a_second_centre_mode(blocks, message):
         sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=2)
     if "second eigenvalue" in str(info.value):  # the value named is the null vector's
         assert abs(float(str(info.value).split()[3])) < 1e-12
+
+
+@pytest.mark.parametrize("L0, message", [
+    (np.diag([0.0, -1.0, -2.0]), r"does not conserve its mean \(max\|L0 1\| = 2\)"),
+    (np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]), "is not symmetric"),
+], ids=["not-mean-conserving", "rotation-centre"])
+def test_small_csr_operator_outside_the_known_centre_rule_is_refused(L0, message):
+    """Storage picks the split: a CSR L0 is split on the constant field at
+    every size, so a small one outside that rule is refused, naming the rule,
+    while the same matrix held dense gets the Schur split."""
+    with pytest.raises(UnsupportedSplit, match=message) as info:
+        sv.spectral_split(sv.OperatorFamily({(0,): sparse.csr_matrix(L0)}), N=2)
+    assert ("a CSR base operator, or a dense one above size 600, is split on the constant "
+            "field as its one centre mode; pass dense arrays for the Schur split, which "
+            "takes operators up to size 600" in str(info.value))
+    split = sv.spectral_split(sv.OperatorFamily({(0,): L0}), N=2)
+    assert split.spectrum_complete and split.bordered_solve is None
+    assert split.m == (1 if "mean" in message else 2)
+
+
+def test_sparse_split_of_a_one_by_one_operator_is_all_centre():
+    split = sv.spectral_split(sv.OperatorFamily({(0,): sparse.csr_matrix((1, 1))}), N=2)
+    assert split.m == 1 and split.beta == np.inf
+    assert np.array_equal(split.V0, [[1.0]]) and np.array_equal(split.Z0, [[1.0]])
 
 
 def test_sparse_split_shares_its_bordered_factor():

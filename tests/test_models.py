@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,17 @@ def test_cell_validation():
         CellProblem.from_expression("layered_cos", n=8, amplitude=1.0)
     with pytest.raises(ValueError):
         CellProblem.from_expression("no_such_profile")
+
+
+@pytest.mark.parametrize("n, h", [(8, 1e-300), (8, 1e200), (32, 1e-300)])
+def test_cell_refuses_a_spacing_whose_square_leaves_the_float_range(n, h):
+    """The flux stencil divides by (h / n)^2: 0 or inf would make it non-finite."""
+    with pytest.raises(ValueError, match=re.escape(f"h = {h:g} must be positive, with a spacing "
+                                                   f"h / n = {h / n:g} whose square")):
+        CellProblem.from_expression("constant", n=n, h=h)
+    with pytest.raises(ValueError, match="whose square"):
+        CellProblem(h=h, n=n, K=np.ones((n, n)))
+    CellProblem.from_expression("constant", n=n, h=1e-150 if h < 1 else 1e150)  # in range
 
 
 def test_cell_face_values_constant():
@@ -224,22 +236,57 @@ def _gershgorin_radius(L0):
     return abs(low)
 
 
-@pytest.mark.parametrize("expr, n, amplitude, beta", _SEARCHED_SPLITS,
-                         ids=[f"{e}-n{n}" for e, n, *_ in _SEARCHED_SPLITS])
-def test_sparse_cell_split_keeps_the_searched_gap(expr, n, amplitude, beta):
-    fam = homogenisation_cell(CellProblem.from_expression(expr, n=n, amplitude=amplitude))
+def _assert_known_centre_split(fam, beta):
+    n2 = fam.dimU
     split = cell_spectral_split(fam)
     assert not split.spectrum_complete  # the sparse split ran
     assert split.beta == pytest.approx(beta, rel=1e-10)
     # the default alpha's radius is the Gershgorin bound on the lowest eigenvalue
     assert split.alpha == pytest.approx(1e-9 * _gershgorin_radius(fam.L0), rel=1e-15)
-    assert np.array_equal(split.V0, np.ones((n * n, 1)))
-    assert split.bordered_solve is not None  # survives the uniform-weight rescale
+    assert np.array_equal(split.V0, np.ones((n2, 1)))
+    assert np.array_equal(split.Z0, np.full((n2, 1), 1 / n2))
+    assert split.bordered_solve is not None  # the factor the construction reuses
+
+
+@pytest.mark.parametrize("expr, n, amplitude, beta", _SEARCHED_SPLITS,
+                         ids=[f"{e}-n{n}" for e, n, *_ in _SEARCHED_SPLITS])
+def test_sparse_cell_split_keeps_the_searched_gap(expr, n, amplitude, beta):
+    fam = homogenisation_cell(CellProblem.from_expression(expr, n=n, amplitude=amplitude))
+    _assert_known_centre_split(fam, beta)
+
+
+# beta of the dense real Schur split that small cells (dimU <= 600) took
+# before every CSR operator was split on its known centre; amplitude 0.5
+_DENSE_SPLITS = [
+    ("constant", 4, 31.999999999999982),
+    ("constant", 6, 35.99999999999993),
+    ("constant", 8, 37.49033200812188),
+    ("constant", 16, 38.97367935421904),
+    ("constant", 24, 39.25344811499397),
+    ("layered_cos", 4, 25.372583002030485),
+    ("layered_cos", 6, 31.25051697278876),
+    ("layered_cos", 8, 32.65464632430453),
+    ("layered_cos", 16, 33.984761019083),
+    ("layered_cos", 24, 34.233984320196996),
+    ("checkerboard_smooth", 4, 29.108279369688844),
+    ("checkerboard_smooth", 6, 34.44331534785903),
+    ("checkerboard_smooth", 8, 36.031247776184294),
+    ("checkerboard_smooth", 16, 37.48584676416798),
+    ("checkerboard_smooth", 24, 37.75805059422603),
+]
+
+
+@pytest.mark.parametrize("expr, n, beta", _DENSE_SPLITS,
+                         ids=[f"{e}-n{n}" for e, n, _ in _DENSE_SPLITS])
+def test_small_cell_split_keeps_the_dense_gap(expr, n, beta):
+    _assert_known_centre_split(homogenisation_cell(CellProblem.from_expression(expr, n=n)),
+                               beta)
 
 
 def test_large_cell_reduce_factorises_once(monkeypatch, tmp_path):
     """The split's bordered factor is the construction's: one sparse LU per
-    run, and one ARPACK call, shift-invert at the centre ``A0``."""
+    run, and one ARPACK call, shift-invert at the centre ``A0``, on small
+    and large cells alike."""
     import scipy.sparse.linalg as spla
 
     from slowvary.cli import main
@@ -257,15 +304,18 @@ def test_large_cell_reduce_factorises_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(spla, "splu", splu_spy)
     monkeypatch.setattr(spla, "eigsh", eigsh_spy)
-    out = tmp_path / "run"
-    assert main(["reduce", "--model", "homogenise-layered", "--grid", "32",
-                 "--out", str(out)]) == 0
-    assert factorised == [(1025, 1025)]
-    # the CLI's cell: layered_cos at its default amplitude 0.5
-    L0 = homogenisation_cell(CellProblem.from_expression("layered_cos", n=32)).L0
-    ones = np.ones((1024, 1))
-    A0 = ((ones / 1024).T @ (L0 @ ones))[0, 0]
-    assert searched == [("LM", A0)]
+    for n in (8, 32):
+        factorised.clear()
+        searched.clear()
+        out = tmp_path / f"run{n}"
+        assert main(["reduce", "--model", "homogenise-layered", "--grid", str(n),
+                     "--out", str(out)]) == 0
+        assert factorised == [(n * n + 1, n * n + 1)]
+        # the CLI's cell: layered_cos at its default amplitude 0.5
+        L0 = homogenisation_cell(CellProblem.from_expression("layered_cos", n=n)).L0
+        ones = np.ones((n * n, 1))
+        A0 = ((ones / (n * n)).T @ (L0 @ ones))[0, 0]
+        assert searched == [("LM", A0)]
 
 
 def test_cell_gap_ratio_constant():

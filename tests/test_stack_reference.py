@@ -18,6 +18,7 @@ residual over every exponent.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -394,7 +395,10 @@ def test_support_gap_float_matches_reference(method):
 def test_csr_cell_matches_reference(method):
     fam = homogenisation_cell(CellProblem.from_expression("layered_cos", n=16))
     assert sparse.issparse(fam.L0)
-    _assert_matches_reference(fam, 3, method, cell_spectral_split(fam, 3))
+    # the reference factorises with COLAMD, so the recursion gets no
+    # cached factor of the split's own ordering
+    split = replace(cell_spectral_split(fam, 3), bordered_solve=None)
+    _assert_matches_reference(fam, 3, method, split)
 
 
 @pytest.mark.parametrize("method", _METHODS)
