@@ -6,15 +6,14 @@ single gcd per result.  Numpy object arrays of ``fractions.Fraction``
 are only its storage and interchange form: families, splits, reduced
 models and bases hold them, :func:`frac_matrix` builds them from nested
 tables, and the JSON codec below reads and writes them.  Each function
-that computes exactly (the construction recursion on the basis vectors,
-the constrained Sylvester solve, the invariance check, the block
-slow-subspace check, the exact split and the modal transform check)
-converts with :func:`as_ratmatrix` on entry and back with
-:func:`as_fractions` on exit; both pass float and sparse matrices
-through unchanged.  Solving, inverting and nullspaces are a
-fraction-free Gauss-Jordan elimination on integer numerators.
-Sizes in exact mode stay tiny (a few dozen rows), so clarity beats
-asymptotics.
+that computes exactly converts on entry (:func:`as_ratmatrix`, which
+passes float and sparse matrices through) and back on exit.  Exact
+matrices stay small (a few dozen rows), but each RatMatrix operation
+costs a numpy object call and a gcd, so the construction recursion and
+the invariance check hold ``(T, rows, cols)`` stacks, one RatMatrix
+each, and form a grade's terms in a few batched products.  Solving,
+inverting and nullspaces are a fraction-free Gauss-Jordan elimination
+on integer numerators.
 
 It also owns the JSON model-document format every model file is saved
 and read in.  A matrix is a list of rows of ``"p/q"`` strings (exact) or
@@ -69,10 +68,11 @@ class RatMatrix:
     ``gcd(den, *num.flat) == 1``, so a zero array has ``den == 1``).
 
     The one exact arithmetic type: ``@``, ``+`` and ``-`` with another
-    RatMatrix, negation, multiplication by an int or a Fraction, ``abs``,
-    ``max``, :meth:`any`, ``.T``, indexing (an entry comes out as a
-    Fraction) and :meth:`block`.  Any other operand of ``@``, ``+`` or
-    ``-`` (a Fraction or float array) raises TypeError.
+    RatMatrix (numpy broadcasting, so ``num`` may be a stack), negation,
+    multiplication by an int or a Fraction, ``abs``, ``max``, :meth:`any`,
+    :meth:`transpose` and ``.T``, indexing (an entry comes out as a
+    Fraction), item assignment and :meth:`block`.  Any other operand of
+    ``@``, ``+`` or ``-`` (a Fraction or float array) raises TypeError.
     """
 
     __slots__ = ("num", "den")
@@ -120,13 +120,25 @@ class RatMatrix:
 
     shape = property(lambda self: self.num.shape)
     size = property(lambda self: self.num.size)
-    T = property(lambda self: RatMatrix._lowest(self.num.T, self.den))
+
+    def transpose(self, *axes) -> "RatMatrix":
+        return RatMatrix._lowest(self.num.transpose(*axes), self.den)
+
+    T = property(transpose)
 
     def __getitem__(self, idx):
         part = self.num[idx]
         if isinstance(part, np.ndarray):
             return RatMatrix(part, self.den)
         return Fraction(part, self.den)
+
+    def __setitem__(self, idx, part: "RatMatrix") -> None:
+        """``self[idx] = part`` in place, over the lcm of the denominators."""
+        den = math.lcm(self.den, part.den)
+        num = self.num if den == self.den else self.num * (den // self.den)
+        num[idx] = part.num * (den // part.den)
+        out = RatMatrix(num, den)
+        self.num, self.den = out.num, out.den
 
     def any(self) -> bool:
         """True unless every entry is zero."""

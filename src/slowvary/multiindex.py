@@ -19,15 +19,19 @@ uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Iterator
+import operator
+from collections.abc import Iterator, Mapping
+from types import MappingProxyType
 
 __all__ = [
     "order",
     "graded_key",
     "partial_leq",
     "lower_sets",
+    "lower_differences",
     "index_factorial",
     "index_sub",
     "parse_index",
@@ -77,6 +81,16 @@ def lower_sets(indices) -> dict:
     boxes = {n: itertools.product(*(range(e + 1) for e in n)) for n in pos}
     return {n: sorted((k for k in box if k in pos), key=pos.__getitem__)
             for n, box in boxes.items()}
+
+
+@functools.lru_cache(maxsize=1)
+def lower_differences(indices: tuple) -> Mapping:
+    """Map each index ``n`` of the tuple ``indices`` to the pairs ``(k, n - k)``
+    for its members ``k <= n``, in the order of :func:`lower_sets`.  The
+    read-only plan of the last table is kept, so the convolutions of one
+    table (construction, invariance check, polynomials) form it once."""
+    return MappingProxyType({n: tuple((k, tuple(map(operator.sub, n, k))) for k in below)
+                             for n, below in lower_sets(indices).items()})
 
 
 def index_factorial(idx: tuple[int, ...]) -> int:

@@ -31,24 +31,26 @@ convolution of the same data,
 whose exponent-0 coefficient is the recursion above term for term and
 whose exponent-``e`` coefficient is ``1/e!`` times the exponent-0
 coefficient for ``n - e``.  So the polynomials hold nothing that the
-vectors do not: the recursion runs on the vectors alone, one bordered
-solve per index, and :func:`generating_vectors` forms the polynomials
-from them for ``basis.json`` and the block Taylor reference.  Likewise
+vectors do not: the recursion runs on the vectors alone and
+:func:`generating_vectors` forms the polynomials from them for
+``basis.json`` and the block Taylor reference.  Likewise
 :func:`check_invariance` evaluates the exponent-0 identity once per
 index.
 
-Exact families (Fraction object arrays, ``--exact``) run the same code
-in :class:`~slowvary._rational.RatMatrix` arithmetic (integer numerators
-over one denominator), the only exact arithmetic type: the recursion,
-the Sylvester solve and :func:`check_invariance` convert their Fraction
-inputs on entry, and the recursion and the solve convert their results
-back on exit, so models, bases and their files hold Fractions.  Each
-exact solve must leave a zero residual.
+Every term on the right of an index of grade ``|n| = g`` comes from
+lower grades.  Float families solve one index at a time, summing its
+terms in a fixed order that a product over a grade would change, and
+with it the bits.  Exact families (Fraction arrays, ``--exact``) run in
+:class:`~slowvary._rational.RatMatrix` arithmetic, a numpy object call
+and a gcd per operation, so they solve a grade at a time on stacks: a
+few batched products, one sweep and one zero-residual check, which names
+the first index that fails.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,10 +66,8 @@ from .multiindex import (
     format_index,
     graded_key,
     index_factorial,
-    index_sub,
-    lower_sets,
+    lower_differences,
     order,
-    partial_leq,
 )
 
 __all__ = [
@@ -107,19 +107,19 @@ class _BorderedSylvester:
         self.exact = isinstance(L0, rat.RatMatrix)
         self.L0, self.A0, self.Z0 = L0, A0, Z0
         self.d, self.m = L0.shape[0], A0.shape[0]
-        self.tol = 0 if self.exact else tol
-        self._size = abs(L0).max() + abs(A0).max()  # L0 may be CSR
+        self.tol = tol
         if self.exact:
             self._T = A0
         else:
+            self._size = abs(L0).max() + abs(A0).max()  # L0 may be CSR
             self._T, self._U = sla.schur(A0)
             if np.diag(self._T, -1).any():  # complex eigenvalues
                 self._T, self._U = sla.rsf2csf(self._T, self._U)
-        self._solves = ([solve] if solve is not None
-                        else [self._factorise(self._T[j, j]) for j in range(self.m)])
+        self._solves = [self._factorise(self._T[j, j], solve) for j in range(self.m)]
 
-    def _factorise(self, t):
-        """Column solve with the bordered matrix of ``L0 - t I``."""
+    def _factorise(self, t, lu_solve=None):
+        """Column solve ``(b, g) -> w`` with the bordered matrix of ``L0 - t I``,
+        by ``lu_solve`` when given."""
         d, m = self.d, self.m
         try:
             if self.exact:
@@ -127,53 +127,46 @@ class _BorderedSylvester:
                 inv = rat.inverse_exact(R.block(
                     [[self.L0 - R.eye(d) * t, self.Z0], [self.Z0.T, R.zeros((m, m))]]
                 ))
-                return inv[:d, :d], inv[:d, d:]
-            return _bordered_solve(self.L0, t, self.Z0)
+                P, Q = inv[:d, :d], inv[:d, d:]
+                return lambda b, g: P @ b + Q @ g
+            lu_solve = lu_solve or _bordered_solve(self.L0, t, self.Z0)
+            return lambda b, g: lu_solve(np.concatenate([b, g]))[:d]
         except (RuntimeError, ValueError) as exc:  # splu / exact: singular
             raise SylvesterInconsistent(
                 f"bordered Sylvester matrix is singular at t = {t}: {exc}"
             ) from None
 
-    def _schur_sweep(self, rhs, constraint):
-        d, T = self.d, self._T
-        RU, GU = rhs @ self._U, constraint @ self._U
-        W = np.zeros(RU.shape, dtype=RU.dtype)
-        for j, lu_solve in enumerate(self._solves):
-            b = RU[..., j] + W[..., :j] @ T[:j, j]
-            W[..., j] = lu_solve(np.concatenate([b, GU[..., j]]))[:d]
-        return (W @ self._U.conj().T).real
-
-    def _exact_sweep(self, rhs, constraint):
-        W = None
-        for j, (P, Q) in enumerate(self._solves):
-            b = rhs[:, j:j + 1]
-            if j:
-                b = b + W @ self._T[:j, j:j + 1]
-            w = P @ b + Q @ constraint[:, j:j + 1]
-            W = rat.RatMatrix.block([[W, w]]) if j else w
-        return W
-
     def sweep(self, rhs, constraint):
         """The unchecked solution V of ``L0 V - V A0 = rhs``, ``Z0.T V = constraint``.
 
-        ``rhs`` is ``(dimU, m)`` and ``constraint`` ``(m, m)``.  In float mode
-        they may also be real stacks ``(dimU, K, m)`` and ``(m, K, m)`` of K
-        systems, solved together column by column of the Schur form; slice
-        ``[:, k]`` of the result solves system k.  Nothing checks the
+        ``rhs`` is ``(dimU, m)`` and ``constraint`` ``(m, m)``, or stacks
+        ``(dimU, K, m)`` and ``(m, K, m)`` of K systems (real, or RatMatrix in
+        exact mode), solved together column by column of the Schur form;
+        slice ``[:, k]`` of the result solves system k.  Nothing checks the
         residuals, and a non-finite input gives a non-finite output.
         """
-        sweep = self._exact_sweep if self.exact else self._schur_sweep
-        return sweep(rhs, constraint)
+        if self.exact:
+            W = rat.RatMatrix.zeros(rhs.shape)
+        else:
+            rhs, constraint = rhs @ self._U, constraint @ self._U
+            W = np.zeros(rhs.shape, dtype=rhs.dtype)
+        for j, solve in enumerate(self._solves):
+            W[..., j] = solve(rhs[..., j] + W[..., :j] @ self._T[:j, j], constraint[..., j])
+        return W if self.exact else (W @ self._U.conj().T).real
 
-    def solve(self, rhs, constraint):
-        """Return the unique ``(dimU, m)`` V; ``constraint`` is the target of Z0.T V."""
+    def solve(self, rhs, constraint, names=None):
+        """Return the unique V; ``constraint`` is the target of Z0.T V.  Float
+        mode solves one system, exact mode a stack, whose first failing
+        system the error names by ``names`` (one per system) if given."""
         V = self.sweep(rhs, constraint)
-        self._check(V, rhs, constraint)
+        if self.exact:
+            self._check_exact(V, rhs, constraint, names)
+        else:
+            self._check(V, rhs, constraint)
         return V
 
     def _check(self, V, rhs, constraint) -> None:
-        """Bound both residuals by tol times the solve's scale; exact mode
-        (tol 0) accepts only zero residuals."""
+        """Bound both residuals by tol times the solve's scale."""
         res1 = abs(self.L0 @ V - V @ self.A0 - rhs).max()
         res2 = abs(self.Z0.T @ V - constraint).max()
         scale = np.maximum(np.maximum(1.0, float(abs(rhs).max())),
@@ -184,6 +177,15 @@ class _BorderedSylvester:
                 f"constrained Sylvester residuals {float(res1):.3g} (equation) / "
                 f"{float(res2):.3g} (constraint) exceed tol*scale = {bound:.3g}"
             )
+
+    def _check_exact(self, V, rhs, constraint, names) -> None:
+        """Raise unless every system of the stacks leaves zero residuals."""
+        V, rhs, G = (x.transpose(1, 0, 2) for x in (V, rhs, constraint))
+        bad = ((self.L0 @ V - V @ self.A0 - rhs).num != 0).any(axis=(1, 2))
+        bad |= ((self.Z0.T @ V - G).num != 0).any(axis=(1, 2))
+        if bad.any():
+            at = f" at index {names[bad.argmax()]}" if names is not None else ""
+            raise SylvesterInconsistent(f"exact constrained Sylvester residual is not zero{at}")
 
 
 def solve_constrained_sylvester(
@@ -204,8 +206,10 @@ def solve_constrained_sylvester(
     solver = _BorderedSylvester(L0, A0, Z0, tol)
     if constraint is None:
         constraint = rat.zeros((solver.m, solver.m), solver.exact)
-    rhs, constraint = rat.as_ratmatrix(rhs), rat.as_ratmatrix(constraint)
-    return rat.as_fractions(solver.solve(rhs, constraint))
+    if not solver.exact:
+        return solver.solve(rhs, constraint)
+    rhs, constraint = (rat.as_ratmatrix(x)[:, None] for x in (rhs, constraint))  # a batch of one
+    return solver.solve(rhs, constraint)[:, 0].to_fractions()
 
 
 # -- result types -----------------------------------------------------------
@@ -330,15 +334,13 @@ class GeneratingBasis:
         return GeneratingBasis(M=self.M, N=self.N, m=self.m, dimU=self.dimU, vectors=vectors)
 
     def _document(self) -> dict:
+        name = {n: format_index(n) for n in self.vectors}
         return {
             "N": self.N,
             "m": self.m,
             "dimU": self.dimU,
-            "vectors": {format_index(n): v for n, v in self.vectors.items()},
-            "poly": {
-                format_index(n): {format_index(k): c for k, c in p.items()}
-                for n, p in self.poly.items()
-            },
+            "vectors": {name[n]: v for n, v in self.vectors.items()},
+            "poly": {name[n]: {name[k]: c for k, c in p.items()} for n, p in self.poly.items()},
         }
 
     def to_json(self) -> dict:
@@ -362,8 +364,8 @@ def generating_vectors(vectors: dict) -> dict:
         return vectors[j] if q == 1 else vectors[j] * (Fraction(1, q) if exact else 1.0 / q)
 
     return {
-        n: {k: coefficient(index_sub(n, k), index_factorial(k)) for k in below}
-        for n, below in lower_sets(vectors).items()
+        n: {k: coefficient(j, index_factorial(k)) for k, j in pairs}
+        for n, pairs in lower_differences(tuple(vectors)).items()
     }
 
 
@@ -379,35 +381,82 @@ def _total(terms):
 def _reduce(family, split, table, tol):
     """Run the recursion on the basis vectors; returns (A, vectors).
 
-    Per index, ``A_n`` first, then the right-hand side
-    ``V0 A_n - sum_l L_l V^{n-l} + sum_k V^{n-k} A_k`` summed term by term
-    in that order, then one bordered solve with the constraint
-    ``Z0.T V^n = 0``.  Exact matrices are converted to RatMatrix on entry
-    and back to Fraction arrays on exit.
+    Float families go index by index: ``A_n`` first, then the right-hand
+    side ``V0 A_n - sum_l L_l V^{n-l} + sum_k V^{n-k} A_k`` summed term by
+    term in that order, then one bordered solve with ``Z0.T V^n = 0``.
     """
     zero = (0,) * family.M
-    m = split.m
-    ops = {k: rat.as_ratmatrix(L) for k, L in family.ops.items() if k != zero}
-    V0, Z0, A0 = (rat.as_ratmatrix(x) for x in (split.V0, split.Z0, split.A0))
-    zeros = rat.RatMatrix.zeros if family.is_exact else np.zeros
-    constraint = zeros((m, m))
-    solver = _BorderedSylvester(family.L0, A0, Z0, tol, split.bordered_solve)
-    A, V = {zero: A0}, {zero: V0}
-    for n, below in lower_sets(table).items():
+    solver = _BorderedSylvester(family.L0, split.A0, split.Z0, tol, split.bordered_solve)
+    plan = lower_differences(table)
+    if family.is_exact:
+        return _reduce_exact(family, split, plan, solver)
+    ops = {k: L for k, L in family.ops.items() if k != zero}
+    V0, Z0, m = split.V0, split.Z0, split.m
+    constraint = np.zeros((m, m))
+    A, V = {zero: split.A0}, {zero: V0}
+    for n, pairs in plan.items():
         if n == zero:
             continue
-        terms = [Z0.T @ (ops[k] @ V[index_sub(n, k)]) for k in below if k in ops]
-        A[n] = _total(terms) if terms else zeros((m, m))
+        terms = [Z0.T @ (ops[k] @ V[j]) for k, j in pairs if k in ops]
+        A[n] = _total(terms) if terms else np.zeros((m, m))
         rhs = V0 @ A[n]
-        for ell in below:
+        for ell, j in pairs:
             if ell in ops:
-                rhs = rhs - ops[ell] @ V[index_sub(n, ell)]
-        for k in below:
+                rhs = rhs - ops[ell] @ V[j]
+        for k, j in pairs:
             if k != zero and k != n:
-                rhs = rhs + V[index_sub(n, k)] @ A[k]
+                rhs = rhs + V[j] @ A[k]
         V[n] = solver.solve(rhs, constraint)
-    return ({n: rat.as_fractions(An) for n, An in A.items()},
-            {n: rat.as_fractions(Vn) for n, Vn in V.items()})
+    return A, V
+
+
+def _stack(arrays) -> rat.RatMatrix:
+    return rat.RatMatrix.from_fractions(np.stack(arrays))
+
+
+def _pair_sums(X, Y, triples, size) -> rat.RatMatrix:
+    """``(size, rows, cols)`` stack whose row ``i`` sums ``X[a] @ Y[b]`` over
+    the triples ``(i, a, b)``, from one batched product of RatMatrix stacks."""
+    out = np.zeros((size, X.shape[1], Y.shape[2]), dtype=object)
+    if triples:
+        rows, a, b = map(list, zip(*triples))
+        np.add.at(out, rows, X.num[a] @ Y.num[b])
+    return rat.RatMatrix(out, X.den * Y.den)
+
+
+def _sides(family, plan, V, A, members, inner):
+    """Stacks of ``sum_l L_l V^{n-l}`` and ``sum_k V^{n-k} A_k`` over the
+    indices ``members``, from the stacks ``V`` and ``A`` in the order of
+    ``plan``.  ``inner`` drops the recursion's unknowns: ``l = 0`` and
+    ``k in {0, n}``."""
+    pos, zero = {n: i for i, n in enumerate(plan)}, (0,) * family.M
+    op = {k: i for i, k in enumerate(family.ops)}
+    rows = list(enumerate(members))
+    left = _pair_sums(_stack(list(family.ops.values())), V, [
+        (i, op[ell], pos[j]) for i, n in rows for ell, j in plan[n]
+        if ell in op and not (inner and ell == zero)], len(rows))
+    right = _pair_sums(V, A, [(i, pos[j], pos[k]) for i, n in rows for k, j in plan[n]
+                              if not (inner and k in (zero, n))], len(rows))
+    return left, right
+
+
+def _reduce_exact(family, split, plan, solver):
+    """The exact recursion a grade at a time, on RatMatrix stacks ``V`` and
+    ``A``: one product each for ``sum_l L_l V^{n-l}``, ``sum_k V^{n-k} A_k``
+    and ``A_n``, then one checked sweep of the grade."""
+    m, T = split.m, len(plan)
+    V, A = rat.RatMatrix.zeros((T, family.dimU, m)), rat.RatMatrix.zeros((T, m, m))
+    V[0], A[0] = rat.as_ratmatrix(split.V0), solver.A0
+    start = 1
+    for _, grade in itertools.groupby(list(plan)[1:], key=order):
+        grade = list(grade)
+        rows, start = slice(start, start + len(grade)), start + len(grade)
+        left, right = _sides(family, plan, V, A, grade, inner=True)
+        A[rows] = An = solver.Z0.T @ left
+        rhs = (V[0] @ An - left + right).transpose(1, 0, 2)
+        constraint = rat.RatMatrix.zeros((m, len(grade), m))
+        V[rows] = solver.solve(rhs, constraint, [format_index(n) for n in grade]).transpose(1, 0, 2)
+    return dict(zip(plan, A.to_fractions())), dict(zip(plan, V.to_fractions()))
 
 
 def construct_reduction(
@@ -456,18 +505,22 @@ def _invariance_residuals(family: OperatorFamily, model: ReducedModel,
                           basis: GeneratingBasis):
     """Yield ``(n, diff, mag)`` for every retained index ``n``: the residual
     of :func:`check_invariance` for ``n`` and its scale (None if exact)."""
-    exact = basis.is_exact
-    ops = {ell: rat.as_ratmatrix(L) for ell, L in family.ops.items()}
-    V = {n: rat.as_ratmatrix(v) for n, v in basis.vectors.items()}
-    A = {k: rat.as_ratmatrix(model.coefficient(k)) for k in V}
-    if not exact:
-        mag_ops, mag_V, mag_A = ({k: abs(x) for k, x in d.items()} for d in (ops, V, A))
-    for n, below in lower_sets(V).items():
-        left = [(ell, index_sub(n, ell)) for ell in ops if partial_leq(ell, n)]
-        right = [(index_sub(n, k), k) for k in below]
-        diff = _total(ops[ell] @ V[j] for ell, j in left) - _total(V[j] @ A[k] for j, k in right)
-        mag = None if exact else _total(
-            [mag_ops[ell] @ mag_V[j] for ell, j in left] + [mag_V[j] @ mag_A[k] for j, k in right])
+    plan = lower_differences(tuple(basis.vectors))
+    if basis.is_exact:  # every index at once: one batched product per side
+        V = _stack(list(basis.vectors.values()))
+        left, right = _sides(family, plan, V, _stack([model.coefficient(k) for k in plan]),
+                             plan, inner=False)
+        yield from zip(plan, left - right, itertools.repeat(None))
+        return
+    ops, V = family.ops, basis.vectors
+    A = {k: model.coefficient(k) for k in V}
+    mag_ops, mag_V, mag_A = ({k: abs(x) for k, x in d.items()} for d in (ops, V, A))
+    for n, pairs in plan.items():
+        diffs = dict(pairs)
+        left = [(ell, diffs[ell]) for ell in ops if ell in diffs]
+        diff = _total(ops[ell] @ V[j] for ell, j in left) - _total(V[j] @ A[k] for k, j in pairs)
+        mag = _total([mag_ops[ell] @ mag_V[j] for ell, j in left]
+                     + [mag_V[j] @ mag_A[k] for k, j in pairs])
         yield n, diff, mag
 
 

@@ -36,7 +36,7 @@ import scipy.sparse as sparse
 
 from . import _rational as rat
 from .crosssection import OperatorFamily, SpectralSplit
-from .multiindex import enumerate_indices, index_factorial, index_sub, lower_sets, order
+from .multiindex import enumerate_indices, index_factorial, lower_differences, order
 from .slowreduce import GeneratingBasis, ReducedModel, _BorderedSylvester
 
 __all__ = [
@@ -73,9 +73,9 @@ def _assemble(table: tuple, inner: int, pick, exact: bool) -> np.ndarray:
     size = len(table) * inner
     out = rat.zeros((size, size), exact)
     pos = {k: i for i, k in enumerate(table)}
-    for j, (k, below) in enumerate(lower_sets(table).items()):
-        for n in below:
-            blockmat = pick(index_sub(k, n))
+    for j, (k, pairs) in enumerate(lower_differences(table).items()):
+        for n, diff in pairs:
+            blockmat = pick(diff)
             if sparse.issparse(blockmat):  # a CSR family operator
                 blockmat = blockmat.toarray()
             if blockmat is not None:

@@ -316,6 +316,42 @@ def test_sylvester_singular_border_is_named(convert):
         solve_constrained_sylvester(L0, A0, Z0, rhs)
 
 
+def test_bad_exact_split_fails_in_the_recursion_naming_the_index(walker_exact):
+    """A left basis off the true one by 1/7 in component 1, renormalised to
+    ``Z0.T V0 = 1``, gives wrong ``A_n`` wherever ``L_n V0`` has a component
+    1, and the recursion's zero-residual check names the first such index
+    of grade 1: ``(1, 0)`` comes first but its ``A_n`` is unchanged."""
+    from dataclasses import replace
+
+    split = sv.spectral_split(walker_exact, 4)
+    Z0 = split.Z0.copy()
+    Z0[1, 0] += F(1, 7)
+    Z0 = Z0 / (Z0.T @ split.V0)[0, 0]
+    assert (Z0.T @ split.V0).tolist() == [[1]]
+    moved = [n for n in [(1, 0), (0, 1)]
+             if ((Z0 - split.Z0).T @ walker_exact.ops[n] @ split.V0).any()]
+    assert moved == [(0, 1)]
+    with pytest.raises(SylvesterInconsistent, match=r"not zero at index 0,1$"):
+        sv.construct_reduction(walker_exact, 4, split=replace(split, Z0=Z0))
+
+
+def test_exact_recursion_sweeps_once_per_grade(walker_exact, monkeypatch):
+    """The exact recursion solves each grade with one batched sweep: grade g
+    of the two-dimensional walker stacks its g + 1 indices."""
+    from slowvary.slowreduce import _BorderedSylvester
+
+    shapes = []
+    sweep = _BorderedSylvester.sweep
+
+    def spy(self, rhs, constraint):
+        shapes.append(rhs.shape)
+        return sweep(self, rhs, constraint)
+
+    monkeypatch.setattr(_BorderedSylvester, "sweep", spy)
+    sv.construct_reduction(walker_exact, 10)
+    assert shapes == [(walker_exact.dimU, g + 1, 1) for g in range(1, 11)]
+
+
 @pytest.mark.parametrize("seed, centre, m, alpha", [
     (2101, "zero", 2, None), (2102, "rotation", 2, None), (2103, "jordan", 2, 1e-6),
 ])

@@ -402,7 +402,8 @@ def test_csr_cell_matches_reference(method):
 
 
 @pytest.mark.parametrize("method", _METHODS)
-@pytest.mark.parametrize("walker, N", [("modal", 6), ("physical", 6), ("modal", 10)])
+@pytest.mark.parametrize("walker, N", [("modal", 6), ("physical", 6), ("modal", 10),
+                                       ("physical", 10)])
 def test_exact_walker_matches_reference(walker, N, method):
     fam = (random_walker_modal if walker == "modal" else random_walker_physical)(exact=True)
     model, _ = _assert_matches_reference(fam, N, method, sv.spectral_split(fam, N))
@@ -413,7 +414,8 @@ def test_exact_walker_matches_reference(walker, N, method):
 @pytest.mark.parametrize("method", _METHODS)
 @pytest.mark.parametrize("seed, M, m, support", [
     (6200, 2, 2, None), (6201, 1, 1, None), (6202, 2, 1, [(0, 0), (1, 1), (0, 2)]),
-], ids=["M2-m2", "M1-m1", "M2-gaps"])
+    (6203, 3, 2, None),
+], ids=["M2-m2", "M1-m1", "M2-gaps", "M3-m2"])
 def test_exact_rational_matches_reference(seed, M, m, support, method):
     rng = np.random.default_rng(seed)
     fam = random_rational_family(rng, dimU=int(rng.integers(m + 2, 6)), M=M, m=m)
